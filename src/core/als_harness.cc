@@ -16,6 +16,7 @@ Status AlsHarness::Run(const IterationBody& body) {
   for (int iter = options_.start_iteration + 1;
        iter <= options_.max_iterations; ++iter) {
     const int64_t first_job_id = engine_->NextJobId();
+    const int64_t first_plan_id = engine_->NextPlanId();
     WallTimer iter_timer;
     AlsIterationOutcome outcome;
     Status iter_status = body(iter, &outcome);
@@ -32,7 +33,7 @@ Status AlsHarness::Run(const IterationBody& body) {
       it.sketch_seconds = outcome.sketch_seconds;
       it.sketch_dims = outcome.sketch_dims;
       it.sketch_polish = outcome.sketch_polish;
-      it.pipeline = engine_->PipelineSince(first_job_id);
+      it.pipeline = engine_->PipelineSince(first_job_id, first_plan_id);
       options_.trace->iterations.push_back(std::move(it));
     }
     if (!iter_status.ok()) return iter_status;

@@ -48,12 +48,14 @@ struct AlsIterationOutcome {
 ///
 /// The harness owns the two pieces the drivers used to hand-roll:
 ///
-///   - **Job attribution by id.** Before each iteration it takes the
-///     engine's NextJobId() watermark and afterwards snapshots
-///     PipelineSince(watermark) — jobs (and plans) belong to the iteration
-///     whose id range they fall in, which stays correct when a PlanScheduler
-///     completes jobs out of submission order. (The legacy drivers sliced
-///     pipeline().jobs by position, which only works for serial execution.)
+///   - **Job and plan attribution by id.** Before each iteration it takes
+///     the engine's NextJobId() and NextPlanId() watermarks and afterwards
+///     snapshots PipelineSince(job watermark, plan watermark) — jobs and
+///     plans belong to the iteration whose id range they fall in, which
+///     stays correct when a PlanScheduler completes jobs out of submission
+///     order and keeps plans that run no engine job (in-core, sketch).
+///     (The legacy drivers sliced pipeline().jobs by position, which only
+///     works for serial execution.)
 ///   - **Convergence gating.** The test fires only from the second metric
 ///     on (`prev >= 0` gate, so e.g. a negative PARAFAC fit never
 ///     converges), comparing |metric − prev| against

@@ -4,8 +4,7 @@
 #include <memory>
 #include <utility>
 
-#include "core/dataflow_contraction.h"
-#include "core/incore_contraction.h"
+#include "core/contraction_strategy.h"
 #include "core/records.h"
 #include "mapreduce/cost_model.h"
 #include "util/string_util.h"
@@ -120,30 +119,11 @@ Result<std::shared_ptr<const CsfLayout>> ContractCache::Layout(
 
 DenseMatrix SliceBlocks::ToDenseMatrix() const {
   DenseMatrix out(free_dim, BlockSize());
-  for (const auto& [slice, block] : rows) {
-    double* row = out.RowPtr(slice);
-    for (size_t j = 0; j < block.size(); ++j) row[j] = block[j];
+  for (size_t k = 0; k < slice_ids.size(); ++k) {
+    const double* row = values.RowPtr(static_cast<int64_t>(k));
+    std::copy(row, row + values.cols(), out.RowPtr(slice_ids[k]));
   }
   return out;
-}
-
-DenseMatrix SliceBlocks::GramOfRows() const {
-  const int64_t n = BlockSize();
-  DenseMatrix gram(n, n);
-  for (const auto& [slice, block] : rows) {
-    for (int64_t a = 0; a < n; ++a) {
-      double va = block[static_cast<size_t>(a)];
-      if (va == 0.0) continue;
-      double* grow = gram.RowPtr(a);
-      for (int64_t b = a; b < n; ++b) {
-        grow[b] += va * block[static_cast<size_t>(b)];
-      }
-    }
-  }
-  for (int64_t a = 0; a < n; ++a) {
-    for (int64_t b = 0; b < a; ++b) gram(a, b) = gram(b, a);
-  }
-  return gram;
 }
 
 Result<SliceBlocks> MultiModeContract(
@@ -206,24 +186,16 @@ Result<SliceBlocks> MultiModeContract(
     }
   }
 
-  // Strategy selection (ClusterConfig::contraction, validated upstream).
-  // Both implementations are stateless, so a single const instance of each
-  // serves every evaluation.
-  static const DataflowContraction kDataflow;
-  static const InCoreContraction kInCore;
+  // Path selection (ClusterConfig::contraction, validated upstream).
   const ClusterConfig& config = engine->config();
-  const ContractionStrategy* strategy = &kDataflow;
-  if (config.contraction == "incore") {
-    strategy = &kInCore;
-  } else if (config.contraction == "auto") {
+  bool incore = config.contraction == "incore";
+  if (config.contraction == "auto") {
     const uint64_t budget = static_cast<uint64_t>(config.incore_memory_mb)
                             << 20;
-    if (CostModel::EstimateInCoreLayoutBytes(x.nnz(), ctx.num_streams()) <=
-        budget) {
-      strategy = &kInCore;
-    }
+    incore = CostModel::EstimateInCoreLayoutBytes(
+                 x.nnz(), ctx.num_streams()) <= budget;
   }
-  return strategy->Contract(ctx);
+  return incore ? ContractInCore(ctx) : ContractDataflow(ctx);
 }
 
 }  // namespace haten2

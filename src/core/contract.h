@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/records.h"
@@ -121,19 +120,27 @@ enum class MergeKind {
 };
 
 /// \brief Result of one bottleneck-op evaluation Y: one dense block per
-/// *nonempty* index of the free mode (row i of Y₍ₙ₎).
+/// *nonempty* index of the free mode (row i of Y₍ₙ₎), as sorted flat rows.
 ///
 /// For kCross the block is the row of Y₍free₎ ∈ R^{I_free × ΠQ_s}, laid out
 /// in Kolda column order (first contracted mode varies fastest). For
 /// kPairwise the block is the length-R row of the MTTKRP result. Absent rows
 /// are all-zero (the free-mode slice of X was empty), matching the sparsity
 /// the paper exploits: only nnz-touched slices materialize.
+///
+/// Rows are stored in ascending slice order, so any sum a consumer runs
+/// over them (Gram(values), the Tucker core) has one order whichever
+/// strategy or variant produced them.
 struct SliceBlocks {
   int64_t free_dim = 0;
   /// Column counts of the contracted factors, in ascending mode order.
   /// For kPairwise this has a single entry R.
   std::vector<int64_t> block_dims;
-  std::unordered_map<int64_t, std::vector<double>> rows;
+  /// Free-mode indices of the rows present, strictly ascending.
+  std::vector<int64_t> slice_ids;
+  /// slice_ids.size() x BlockSize(), row-major: row k is the block of
+  /// slice slice_ids[k].
+  DenseMatrix values;
 
   int64_t BlockSize() const {
     int64_t n = 1;
@@ -143,14 +150,10 @@ struct SliceBlocks {
 
   /// Densifies to the full free_dim x BlockSize() matrix (Y₍free₎).
   DenseMatrix ToDenseMatrix() const;
-
-  /// Accumulates the small Gram matrix Y₍free₎ᵀ Y₍free₎ (BlockSize² entries)
-  /// without densifying.
-  DenseMatrix GramOfRows() const;
 };
 
 /// \brief Evaluates the bottleneck operation of the decompositions with the
-/// selected HaTen2 variant, through a ContractionStrategy chosen by
+/// selected HaTen2 variant, through the contraction path chosen by
 /// ClusterConfig::contraction.
 ///
 /// Contracts every mode of `x` except `free_mode` with the corresponding
@@ -160,13 +163,13 @@ struct SliceBlocks {
 ///   - kind == kPairwise:  Y = X₍ₙ₎ (⊙_{m≠n} A_m)    (PARAFAC, Lemma 2)
 ///
 /// With contraction == "dataflow" (the default) the evaluation runs through
-/// DataflowContraction: the jobs executed (and hence the engine's pipeline
+/// ContractDataflow: the jobs executed (and hence the engine's pipeline
 /// counters) follow the paper exactly — Tables III/IV per-variant job counts
 /// and intermediate-data sizes are reproduced by construction. On an
 /// exceeded shuffle-memory budget returns kResourceExhausted ("o.o.m.").
-/// With "incore" it runs through InCoreContraction's shuffle-free kernels;
+/// With "incore" it runs through ContractInCore's shuffle-free kernels;
 /// "auto" picks in-core when CostModel::EstimateInCoreLayoutBytes fits the
-/// incore_memory_mb budget, dataflow otherwise. The selected strategy is
+/// incore_memory_mb budget, dataflow otherwise. The selected path is
 /// recorded per plan node in haten2-stats-v9.
 ///
 /// Note on CrossMerge/PairwiseMerge keying: the paper's MAP prose keys on

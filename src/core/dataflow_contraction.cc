@@ -1,10 +1,10 @@
-#include "core/dataflow_contraction.h"
-
 #include <algorithm>
 #include <array>
 #include <cstring>
 #include <memory>
+#include <utility>
 
+#include "core/contraction_strategy.h"
 #include "core/records.h"
 #include "mapreduce/plan.h"
 #include "mapreduce/scheduler.h"
@@ -64,6 +64,27 @@ std::vector<int64_t> BlockWeights(const ContractionContext& ctx) {
     w[s] = w[s - 1] * ctx.block_dims[s - 1];
   }
   return w;
+}
+
+/// Merge-job output: one (slice, block) pair per reduce key, in no
+/// particular order.
+using SliceRows = std::vector<std::pair<int64_t, std::vector<double>>>;
+
+/// Packs merge-job output into SliceBlocks: sorts by slice, then copies
+/// each block into its row.
+SliceBlocks SortedBlocks(const ContractionContext& ctx, SliceRows rows) {
+  std::sort(rows.begin(), rows.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  SliceBlocks blocks = MakeEmptyBlocks(ctx);
+  blocks.values =
+      DenseMatrix(static_cast<int64_t>(rows.size()), blocks.BlockSize());
+  blocks.slice_ids.reserve(rows.size());
+  for (size_t k = 0; k < rows.size(); ++k) {
+    blocks.slice_ids.push_back(rows[k].first);
+    std::copy(rows[k].second.begin(), rows[k].second.end(),
+              blocks.values.RowPtr(static_cast<int64_t>(k)));
+  }
+  return blocks;
 }
 
 // ---------------------------------------------------------------------------
@@ -209,8 +230,7 @@ Result<std::vector<KeyedHadamard>> RunDrnHadamardJob(const ContractionContext& c
 Result<SliceBlocks> RunMergeJob(const ContractionContext& ctx,
                                 const std::vector<KeyedHadamard>& input) {
   const int num_streams = ctx.num_streams();
-  SliceBlocks blocks = MakeEmptyBlocks(ctx);
-  const int64_t block_size = blocks.BlockSize();
+  const int64_t block_size = MakeEmptyBlocks(ctx).BlockSize();
   const std::vector<int64_t> weights = BlockWeights(ctx);
 
   auto reader = [&input](int64_t i,
@@ -297,22 +317,11 @@ Result<SliceBlocks> RunMergeJob(const ContractionContext& ctx,
   const char* name =
       ctx.kind == MergeKind::kCross ? "CrossMerge" : "PairwiseMerge";
   HATEN2_ASSIGN_OR_RETURN(
-      auto out,
+      SliceRows out,
       (ctx.engine->Run<int64_t, HadamardRecord, int64_t,
                        std::vector<double>>(
           name, static_cast<int64_t>(input.size()), reader, reducer)));
-  // Canonical row-insertion order: every strategy inserts SliceBlocks rows
-  // in ascending slice order, so the map's iteration order (which downstream
-  // float sums like GramOfRows depend on) is strategy-independent.
-  std::sort(out.begin(), out.end(),
-            [](const std::pair<int64_t, std::vector<double>>& a,
-               const std::pair<int64_t, std::vector<double>>& b) {
-              return a.first < b.first;
-            });
-  for (auto& [slice, block] : out) {
-    blocks.rows[slice] = std::move(block);
-  }
-  return blocks;
+  return SortedBlocks(ctx, std::move(out));
 }
 
 // ---------------------------------------------------------------------------
@@ -407,16 +416,13 @@ Result<std::vector<TensorRecord>> RunDnnCollapseJob(
   return result;
 }
 
-/// Pre-inserts one zero row per slice touched by `record_sets`, in ascending
-/// slice order. Accumulation afterwards lands in existing rows, so the
-/// accumulation float order is unchanged while the map's insertion order —
-/// and hence its iteration order, which downstream float sums like
-/// GramOfRows depend on — is canonical and strategy-independent.
-void PreinsertRowsAscending(
+/// Zeroed blocks with one row per slice `record_sets` touch: the sorted
+/// unique free-mode coordinates of their records.
+SliceBlocks BlocksForRecords(
     const ContractionContext& ctx,
-    const std::vector<const std::vector<TensorRecord>*>& record_sets,
-    int64_t block_size, SliceBlocks* blocks) {
-  std::vector<int64_t> slices;
+    const std::vector<const std::vector<TensorRecord>*>& record_sets) {
+  SliceBlocks blocks = MakeEmptyBlocks(ctx);
+  std::vector<int64_t>& slices = blocks.slice_ids;
   for (const auto* records : record_sets) {
     for (const TensorRecord& rec : *records) {
       slices.push_back(rec.coord.c[static_cast<size_t>(ctx.free_mode)]);
@@ -424,21 +430,27 @@ void PreinsertRowsAscending(
   }
   std::sort(slices.begin(), slices.end());
   slices.erase(std::unique(slices.begin(), slices.end()), slices.end());
-  for (int64_t slice : slices) {
-    blocks->rows.emplace(
-        slice, std::vector<double>(static_cast<size_t>(block_size), 0.0));
-  }
+  blocks.values =
+      DenseMatrix(static_cast<int64_t>(slices.size()), blocks.BlockSize());
+  return blocks;
+}
+
+/// The row of `rec`'s slice in blocks made by BlocksForRecords.
+double* RowOf(const ContractionContext& ctx, const TensorRecord& rec,
+              SliceBlocks* blocks) {
+  const int64_t slice = rec.coord.c[static_cast<size_t>(ctx.free_mode)];
+  auto it = std::lower_bound(blocks->slice_ids.begin(),
+                             blocks->slice_ids.end(), slice);
+  return blocks->values.RowPtr(it - blocks->slice_ids.begin());
 }
 
 /// Assembles Y from the final cross-variant records: coordinates at
-/// contracted modes hold factor-column indices. Record order is the merge
-/// order, so identical inputs give bit-identical float sums.
+/// contracted modes hold factor-column indices. Cells accumulate in record
+/// order (the merge order), so identical inputs give bit-identical sums.
 SliceBlocks AssembleCrossBlocks(const ContractionContext& ctx,
                                 const std::vector<TensorRecord>& records) {
-  SliceBlocks blocks = MakeEmptyBlocks(ctx);
+  SliceBlocks blocks = BlocksForRecords(ctx, {&records});
   const std::vector<int64_t> weights = BlockWeights(ctx);
-  const int64_t block_size = blocks.BlockSize();
-  PreinsertRowsAscending(ctx, {&records}, block_size, &blocks);
   for (const TensorRecord& rec : records) {
     int64_t off = 0;
     for (int s = 0; s < ctx.num_streams(); ++s) {
@@ -446,26 +458,23 @@ SliceBlocks AssembleCrossBlocks(const ContractionContext& ctx,
                  s)])] *
              weights[static_cast<size_t>(s)];
     }
-    int64_t slice = rec.coord.c[static_cast<size_t>(ctx.free_mode)];
-    auto [it, inserted] = blocks.rows.try_emplace(slice);
-    if (inserted) it->second.assign(static_cast<size_t>(block_size), 0.0);
-    it->second[static_cast<size_t>(off)] += rec.value;
+    RowOf(ctx, rec, &blocks)[off] += rec.value;
   }
   return blocks;
 }
 
-/// Accumulates one pairwise chain's final records into column `r` of the
-/// blocks. Called in ascending-r order so blocks.rows insertion order (and
-/// hence downstream map-iteration float sums) match the serial evaluation.
-void AccumulatePairwiseColumn(const ContractionContext& ctx, int64_t rank, int64_t r,
-                              const std::vector<TensorRecord>& records,
-                              SliceBlocks* blocks) {
-  for (const TensorRecord& rec : records) {
-    int64_t slice = rec.coord.c[static_cast<size_t>(ctx.free_mode)];
-    auto [it, inserted] = blocks->rows.try_emplace(slice);
-    if (inserted) it->second.assign(static_cast<size_t>(rank), 0.0);
-    it->second[static_cast<size_t>(r)] += rec.value;
+/// Assembles Y from the pairwise chains' final records: chain r fills
+/// column r, its cells accumulating in record order.
+SliceBlocks AssemblePairwiseBlocks(
+    const ContractionContext& ctx,
+    const std::vector<const std::vector<TensorRecord>*>& chains) {
+  SliceBlocks blocks = BlocksForRecords(ctx, chains);
+  for (size_t r = 0; r < chains.size(); ++r) {
+    for (const TensorRecord& rec : *chains[r]) {
+      RowOf(ctx, rec, &blocks)[r] += rec.value;
+    }
   }
+  return blocks;
 }
 
 Result<SliceBlocks> RunDnnCross(const ContractionContext& ctx,
@@ -525,11 +534,9 @@ Result<SliceBlocks> RunDnnCross(const ContractionContext& ctx,
 
 Result<SliceBlocks> RunDnnPairwise(const ContractionContext& ctx,
                                    const std::vector<TensorRecord>& base) {
-  SliceBlocks blocks = MakeEmptyBlocks(ctx);
-  const int64_t rank = blocks.block_dims[0];
+  const int64_t rank = ctx.block_dims[0];
   // One Hadamard→Collapse chain per rank column; chains share no data, so
-  // the scheduler overlaps them. Accumulation into the blocks happens after
-  // the plan, in ascending-r order (see AccumulatePairwiseColumn).
+  // the scheduler overlaps them. Assembly happens after the plan.
   Plan plan("contract-dnn-pairwise");
   struct Chain {
     std::vector<std::vector<HadamardRecord>> scaled;   // per stream
@@ -570,13 +577,7 @@ Result<SliceBlocks> RunDnnPairwise(const ContractionContext& ctx,
   HATEN2_RETURN_IF_ERROR(scheduler.Execute(plan));
   std::vector<const std::vector<TensorRecord>*> finals;
   for (const Chain& ch : chains) finals.push_back(&ch.collapsed.back());
-  PreinsertRowsAscending(ctx, finals, rank, &blocks);
-  for (int64_t r = 0; r < rank; ++r) {
-    AccumulatePairwiseColumn(ctx, rank, r,
-                             chains[static_cast<size_t>(r)].collapsed.back(),
-                             &blocks);
-  }
-  return blocks;
+  return AssemblePairwiseBlocks(ctx, finals);
 }
 
 // ---------------------------------------------------------------------------
@@ -722,10 +723,9 @@ Result<SliceBlocks> RunNaiveCross(const ContractionContext& ctx,
 
 Result<SliceBlocks> RunNaivePairwise(const ContractionContext& ctx,
                                      const std::vector<TensorRecord>& base) {
-  SliceBlocks blocks = MakeEmptyBlocks(ctx);
-  const int64_t rank = blocks.block_dims[0];
+  const int64_t rank = ctx.block_dims[0];
   // One TTV chain per rank column, independent across columns; blocks are
-  // accumulated after the plan in ascending-r order.
+  // assembled after the plan.
   Plan plan("contract-naive-pairwise");
   struct Chain {
     std::vector<std::vector<TensorRecord>> current;  // per stream
@@ -767,13 +767,7 @@ Result<SliceBlocks> RunNaivePairwise(const ContractionContext& ctx,
   HATEN2_RETURN_IF_ERROR(scheduler.Execute(plan));
   std::vector<const std::vector<TensorRecord>*> finals;
   for (const Chain& ch : chains) finals.push_back(&ch.current.back());
-  PreinsertRowsAscending(ctx, finals, rank, &blocks);
-  for (int64_t r = 0; r < rank; ++r) {
-    AccumulatePairwiseColumn(ctx, rank, r,
-                             chains[static_cast<size_t>(r)].current.back(),
-                             &blocks);
-  }
-  return blocks;
+  return AssemblePairwiseBlocks(ctx, finals);
 }
 
 const char* MergeName(MergeKind kind) {
@@ -835,22 +829,11 @@ Result<SliceBlocks> RunSketchFused(const ContractionContext& ctx) {
   };
 
   HATEN2_ASSIGN_OR_RETURN(
-      auto out,
+      SliceRows out,
       (ctx.engine->Run<int64_t, HadamardRecord, int64_t,
                        std::vector<double>>("SketchFusedMerge", domain,
                                             reader, reducer)));
-  SliceBlocks blocks = MakeEmptyBlocks(ctx);
-  // Ascending-slice insertion, as in RunMergeJob: downstream float sums
-  // depend on the rows map's iteration order.
-  std::sort(out.begin(), out.end(),
-            [](const std::pair<int64_t, std::vector<double>>& a,
-               const std::pair<int64_t, std::vector<double>>& b) {
-              return a.first < b.first;
-            });
-  for (auto& [slice, block] : out) {
-    blocks.rows[slice] = std::move(block);
-  }
-  return blocks;
+  return SortedBlocks(ctx, std::move(out));
 }
 
 Result<SliceBlocks> RunSketchFusedPlan(const ContractionContext& ctx) {
@@ -931,8 +914,7 @@ Result<SliceBlocks> RunDrn(const ContractionContext& ctx) {
 
 }  // namespace
 
-Result<SliceBlocks> DataflowContraction::Contract(
-    const ContractionContext& ctx) const {
+Result<SliceBlocks> ContractDataflow(const ContractionContext& ctx) {
   // The DNN/Naive variants start from the decoded coordinate records of x —
   // an input scan that is invariant across ALS iterations, so a
   // per-decomposition ContractCache serves it without re-decoding.

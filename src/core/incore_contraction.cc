@@ -1,9 +1,7 @@
-#include "core/incore_contraction.h"
-
 #include <memory>
 #include <utility>
-#include <vector>
 
+#include "core/contraction_strategy.h"
 #include "linalg/sparse_kernels.h"
 #include "mapreduce/plan.h"
 #include "mapreduce/scheduler.h"
@@ -12,8 +10,7 @@
 
 namespace haten2 {
 
-Result<SliceBlocks> InCoreContraction::Contract(
-    const ContractionContext& ctx) const {
+Result<SliceBlocks> ContractInCore(const ContractionContext& ctx) {
   Plan plan("contract-incore");
   auto timing = std::make_shared<ContractionTiming>();
   SliceBlocks blocks;
@@ -35,34 +32,24 @@ Result<SliceBlocks> InCoreContraction::Contract(
         }
         timing->layout_build_seconds = build_timer.ElapsedSeconds();
 
-        WallTimer eval_timer;
-        std::vector<std::vector<double>> rows;
-        if (ctx.kind != MergeKind::kCross) {
-          const int rank = static_cast<int>(ctx.block_dims[0]);
-          HATEN2_RETURN_IF_ERROR(
-              CsfMttkrp(*layout, ctx.cfactors, rank, &rows));
-        } else {
-          HATEN2_RETURN_IF_ERROR(
-              CsfCrossContract(*layout, ctx.cfactors, ctx.block_dims, &rows));
-        }
-        timing->evaluate_seconds = eval_timer.ElapsedSeconds();
-
+        // The layout stores exactly the nonempty slices, ascending: its
+        // slice ids are the output's, and the kernels fill one row each.
         SliceBlocks out;
         out.free_dim = ctx.x->dim(ctx.free_mode);
+        out.slice_ids = layout->slice_ids;
+        WallTimer eval_timer;
         if (ctx.kind != MergeKind::kCross) {
-          out.block_dims = {ctx.block_dims.empty() ? 0 : ctx.block_dims[0]};
+          out.block_dims = {ctx.block_dims[0]};
+          const int rank = static_cast<int>(ctx.block_dims[0]);
+          HATEN2_RETURN_IF_ERROR(
+              CsfMttkrp(*layout, ctx.cfactors, rank, &out.values));
         } else {
           out.block_dims = ctx.block_dims;
+          HATEN2_RETURN_IF_ERROR(CsfCrossContract(*layout, ctx.cfactors,
+                                                  ctx.block_dims,
+                                                  &out.values));
         }
-        // No reserve: the rows map must share the dataflow path's rehash
-        // history (insertions ascending, default growth) so its iteration
-        // order — which downstream float sums depend on — matches.
-        for (int64_t si = 0; si < layout->num_slices(); ++si) {
-          // The kernels emit only nnz-touched slices, matching the dataflow
-          // merges; all-zero rows stay absent.
-          out.rows.emplace(layout->slice_ids[static_cast<size_t>(si)],
-                           std::move(rows[static_cast<size_t>(si)]));
-        }
+        timing->evaluate_seconds = eval_timer.ElapsedSeconds();
         return out;
       },
       &blocks);

@@ -195,14 +195,15 @@ Result<TuckerModel> Haten2NonnegativeTuckerAls(
       const int64_t jn = g_n.rows();
       // Numerator: Y₍ₙ₎ G₍ₙ₎ᵀ, accumulated over nonempty slices only.
       DenseMatrix numerator(x.dim(n), jn);
-      for (const auto& [slice, row] : y.rows) {
+      for (size_t k = 0; k < y.slice_ids.size(); ++k) {
+        const double* row = y.values.RowPtr(static_cast<int64_t>(k));
         for (int64_t p = 0; p < jn; ++p) {
           double dot = 0.0;
           const double* grow = g_n.RowPtr(p);
-          for (size_t c = 0; c < row.size(); ++c) {
+          for (int64_t c = 0; c < y.values.cols(); ++c) {
             dot += row[c] * grow[c];
           }
-          numerator(slice, p) = dot;
+          numerator(y.slice_ids[k], p) = dot;
         }
       }
       // Denominator: A⁽ⁿ⁾ · [G₍ₙ₎ (⊗ grams) G₍ₙ₎ᵀ].
@@ -232,12 +233,13 @@ Result<TuckerModel> Haten2NonnegativeTuckerAls(
     const DenseMatrix& a_last = model.factors[static_cast<size_t>(order - 1)];
     DenseMatrix p_unfolded(core_dims[static_cast<size_t>(order - 1)],
                            y_last.BlockSize());
-    for (const auto& [slice, row] : y_last.rows) {
+    for (size_t k = 0; k < y_last.slice_ids.size(); ++k) {
+      const double* row = y_last.values.RowPtr(static_cast<int64_t>(k));
       for (int64_t p = 0; p < p_unfolded.rows(); ++p) {
-        double w = a_last(slice, p);
+        double w = a_last(y_last.slice_ids[k], p);
         if (w == 0.0) continue;
         double* prow = p_unfolded.RowPtr(p);
-        for (size_t c = 0; c < row.size(); ++c) prow[c] += w * row[c];
+        for (int64_t c = 0; c < p_unfolded.cols(); ++c) prow[c] += w * row[c];
       }
     }
     HATEN2_ASSIGN_OR_RETURN(

@@ -29,7 +29,7 @@ namespace haten2 {
 ///      enough to broadcast into map-task memory, so one integrated job
 ///      emits the already-multiplied partials and the shuffle carries
 ///      nnz·s records instead of the exact path's join cells plus
-///      nnz·ΣQ partials — on whichever ContractionStrategy (dataflow or
+///      nnz·ΣQ partials — on whichever contraction path (dataflow or
 ///      in-core) ClusterConfig::contraction selects.
 ///   3. Range-find — A⁽ⁿ⁾ = `Q_n` leading left singular vectors of Z via
 ///      TuckerLeadingFactor: the same Gram-trick SVD as the exact driver,

@@ -22,7 +22,7 @@ Result<DenseMatrix> TuckerLeadingFactor(const SliceBlocks& y, int64_t count) {
     return Status::InvalidArgument(
         "core dimension exceeds the tensor mode size");
   }
-  DenseMatrix gram = y.GramOfRows();
+  DenseMatrix gram = Gram(y.values);
   HATEN2_ASSIGN_OR_RETURN(EigResult eig, SymmetricEigen(gram));
   double smax_sq = eig.eigenvalues.empty()
                        ? 0.0
@@ -39,22 +39,23 @@ Result<DenseMatrix> TuckerLeadingFactor(const SliceBlocks& y, int64_t count) {
     if (ev <= cutoff_sq || ev == 0.0) break;
     double inv_s = 1.0 / std::sqrt(ev);
     double norm_sq = 0.0;
-    for (const auto& [slice, row] : y.rows) {
+    for (size_t k = 0; k < y.slice_ids.size(); ++k) {
+      const double* row = y.values.RowPtr(static_cast<int64_t>(k));
       double dot = 0.0;
       for (int64_t c = 0; c < block; ++c) {
-        dot += row[static_cast<size_t>(c)] * eig.eigenvectors(c, p);
+        dot += row[c] * eig.eigenvectors(c, p);
       }
       double value = dot * inv_s;
-      a(slice, p) = value;
+      a(y.slice_ids[k], p) = value;
       norm_sq += value * value;
     }
     // Guard against numerically unreliable directions; re-normalize drift.
     double norm = std::sqrt(norm_sq);
     if (norm < 0.5 || norm > 2.0) {
-      for (const auto& [slice, row] : y.rows) a(slice, p) = 0.0;
+      for (int64_t slice : y.slice_ids) a(slice, p) = 0.0;
       break;
     }
-    for (const auto& [slice, row] : y.rows) a(slice, p) /= norm;
+    for (int64_t slice : y.slice_ids) a(slice, p) /= norm;
     ++valid;
   }
   // Complete any deficient columns to keep A orthonormal.
@@ -97,13 +98,14 @@ Result<DenseTensor> TuckerCoreFromBlocks(const SliceBlocks& last_y,
                                          int last_mode) {
   DenseMatrix core_unfolded(core_dims[static_cast<size_t>(last_mode)],
                             last_y.BlockSize());
-  for (const auto& [slice, row] : last_y.rows) {
+  for (size_t k = 0; k < last_y.slice_ids.size(); ++k) {
+    const double* row = last_y.values.RowPtr(static_cast<int64_t>(k));
     for (int64_t p = 0; p < core_unfolded.rows(); ++p) {
-      double w = a_last(slice, p);
+      double w = a_last(last_y.slice_ids[k], p);
       if (w == 0.0) continue;
       double* crow = core_unfolded.RowPtr(p);
       for (int64_t c = 0; c < core_unfolded.cols(); ++c) {
-        crow[c] += w * row[static_cast<size_t>(c)];
+        crow[c] += w * row[c];
       }
     }
   }

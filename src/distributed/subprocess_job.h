@@ -477,6 +477,9 @@ Result<std::vector<std::pair<KOut, VOut>>> RunSubprocessJob(
     charged_bytes = 0;
   };
   auto worker_lost = [&](int w, const Status& cause) -> Status {
+    // The loss counts as a restart whether or not the worker is still
+    // exiting when the gang is reaped.
+    pool->MarkLost(w);
     pool->FinishGang(/*kill=*/true);
     release_all();
     stats->failure = "worker_lost";

@@ -153,6 +153,11 @@ void WorkerPool::FinishGang(bool kill) {
   gang_active_ = false;
 }
 
+void WorkerPool::MarkLost(int w) {
+  std::lock_guard<std::mutex> lock(mu_);
+  slots_[static_cast<size_t>(w)].needs_restart = true;
+}
+
 void WorkerPool::NoteTasksCompleted(int w, int64_t tasks) {
   std::lock_guard<std::mutex> lock(mu_);
   slots_[static_cast<size_t>(w)].stats.tasks += tasks;

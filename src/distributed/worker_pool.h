@@ -78,6 +78,13 @@ class WorkerPool {
   /// abnormal either way, so their next spawn counts as a restart.
   void FinishGang(bool kill);
 
+  /// Records that the coordinator lost worker `w` of the active gang (its
+  /// channel hit EOF, a broken frame or a timeout): the slot's next spawn
+  /// counts as a restart. Call before FinishGang(kill=true) — a worker
+  /// still exiting when the gang is reaped is SIGKILLed, and the reap
+  /// alone would then take its death for a deliberate kill.
+  void MarkLost(int w);
+
   /// Credits `tasks` completed map tasks to slot `w`.
   void NoteTasksCompleted(int w, int64_t tasks);
 

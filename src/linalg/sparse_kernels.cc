@@ -299,7 +299,7 @@ Result<CsfLayout> PatchCsfLayout(const CsfLayout& old_layout,
 
 Status CsfMttkrp(const CsfLayout& layout,
                  const std::vector<const DenseMatrix*>& cfactors, int rank,
-                 std::vector<std::vector<double>>* rows) {
+                 DenseMatrix* out) {
   Status st = ValidateKernelArgs(layout, cfactors);
   if (!st.ok()) return st;
   if (rank <= 0) {
@@ -312,20 +312,19 @@ Status CsfMttkrp(const CsfLayout& layout,
                     static_cast<long long>(f->cols()), rank));
     }
   }
-  if (rows == nullptr) {
+  if (out == nullptr) {
     return Status::InvalidArgument("CsfMttkrp: null output");
   }
 
   const int s = layout.num_streams;
   const int64_t num_slices = layout.num_slices();
-  rows->assign(static_cast<size_t>(num_slices),
-               std::vector<double>(static_cast<size_t>(rank), 0.0));
+  *out = DenseMatrix(num_slices, rank);
 
   double t[kRankBlock];
   for (int r0 = 0; r0 < rank; r0 += kRankBlock) {
     const int rb = std::min(kRankBlock, rank - r0);
     for (int64_t si = 0; si < num_slices; ++si) {
-      double* row = (*rows)[static_cast<size_t>(si)].data() + r0;
+      double* row = out->RowPtr(si) + r0;
       const int64_t fb = layout.slice_fiber_begin[static_cast<size_t>(si)];
       const int64_t fe = layout.slice_fiber_begin[static_cast<size_t>(si) + 1];
       for (int64_t f = fb; f < fe; ++f) {
@@ -360,7 +359,7 @@ Status CsfMttkrp(const CsfLayout& layout,
 Status CsfCrossContract(const CsfLayout& layout,
                         const std::vector<const DenseMatrix*>& cfactors,
                         const std::vector<int64_t>& block_dims,
-                        std::vector<std::vector<double>>* rows) {
+                        DenseMatrix* out) {
   Status st = ValidateKernelArgs(layout, cfactors);
   if (!st.ok()) return st;
   if (static_cast<int>(block_dims.size()) != layout.num_streams) {
@@ -375,20 +374,19 @@ Status CsfCrossContract(const CsfLayout& layout,
     }
     block *= block_dims[k];
   }
-  if (rows == nullptr) {
+  if (out == nullptr) {
     return Status::InvalidArgument("CsfCrossContract: null output");
   }
 
   const int s = layout.num_streams;
   const int64_t num_slices = layout.num_slices();
   const int64_t r0dim = block_dims[0];
-  rows->assign(static_cast<size_t>(num_slices),
-               std::vector<double>(static_cast<size_t>(block), 0.0));
+  *out = DenseMatrix(num_slices, block);
 
   std::vector<double> t(static_cast<size_t>(r0dim));
   std::vector<int64_t> q(static_cast<size_t>(s), 0);
   for (int64_t si = 0; si < num_slices; ++si) {
-    double* row = (*rows)[static_cast<size_t>(si)].data();
+    double* row = out->RowPtr(si);
     const int64_t fb = layout.slice_fiber_begin[static_cast<size_t>(si)];
     const int64_t fe = layout.slice_fiber_begin[static_cast<size_t>(si) + 1];
     for (int64_t f = fb; f < fe; ++f) {

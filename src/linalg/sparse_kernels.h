@@ -15,16 +15,17 @@ namespace haten2 {
 // shuffles one record per (nonzero, rank-cell); when the tensor fits in a
 // worker's memory the same contraction collapses to two sparse
 // matrix-vector style passes over a compressed slice-major layout. These
-// kernels implement that fast path; `src/core/incore_contraction.cc` wraps
-// them behind the ContractionStrategy interface.
+// kernels implement that fast path; `src/core/incore_contraction.cc` runs
+// them as the in-core contraction path, writing straight into the row
+// block of the SliceBlocks it returns.
 //
 // Accumulation-order contract: every kernel forms each entry's contribution
 // as ((x · b_{c0}) · b_{c1}) · b_{c2}..., multiplying contracted-mode factor
 // cells in ascending mode order — exactly the association the dataflow
 // merge uses. Slices or fibers holding a single nonzero therefore produce
 // bit-identical cells to the dataflow path; multi-entry sums agree to
-// rounding (the dataflow reducer's hash-map iteration order is not
-// reproducible either way).
+// rounding (the dataflow reducer joins entries in hash-map order, which
+// the kernels' fiber order does not reproduce).
 
 /// Compressed slice-major layout of one (tensor, free mode) pair — "CSF-lite".
 ///
@@ -67,13 +68,13 @@ Result<CsfLayout> BuildCsfLayout(const SparseTensor& x, int free_mode);
 ///   out[i][r] = sum over entries in slice i of
 ///               x(e) * prod_s cfactors[s](coord_s(e), r).
 /// `cfactors[s]` is the factor for mode `layout.cmodes[s]`; all must share
-/// `rank` columns. `rows` is resized to layout.num_slices(), each row of
-/// length `rank`, in `slice_ids` order. Evaluated as DFacTo's two passes:
-/// an inner SpMV over the first contracted mode per fiber, then outer
-/// scaling in ascending mode order — cache-blocked over rank.
+/// `rank` columns. `out` is reset to a zeroed layout.num_slices() x `rank`
+/// matrix whose row k is slice `slice_ids[k]`. Evaluated as DFacTo's two
+/// passes: an inner SpMV over the first contracted mode per fiber, then
+/// outer scaling in ascending mode order — cache-blocked over rank.
 Status CsfMttkrp(const CsfLayout& layout,
                  const std::vector<const DenseMatrix*>& cfactors, int rank,
-                 std::vector<std::vector<double>>* rows);
+                 DenseMatrix* out);
 
 /// Cross contraction over the layout (kCross): for each stored slice i the
 /// output row is the dense block over all rank combinations,
@@ -81,12 +82,12 @@ Status CsfMttkrp(const CsfLayout& layout,
 ///       x(e) * cfactors[0](i0, q0) * cfactors[1](i1, q1) * ...
 /// with stream 0 varying fastest (w1 = block_dims[0], Kolda ordering — the
 /// same weights the dataflow merge uses). `block_dims[s]` must equal
-/// `cfactors[s]->cols()`. `rows` is resized to layout.num_slices(), each row
-/// of length prod(block_dims).
+/// `cfactors[s]->cols()`. `out` is reset to a zeroed layout.num_slices() x
+/// prod(block_dims) matrix whose row k is slice `slice_ids[k]`.
 Status CsfCrossContract(const CsfLayout& layout,
                         const std::vector<const DenseMatrix*>& cfactors,
                         const std::vector<int64_t>& block_dims,
-                        std::vector<std::vector<double>>* rows);
+                        DenseMatrix* out);
 
 /// Per-layout accounting of what PatchCsfLayout salvaged: clean slices
 /// whose segments were copied verbatim vs dirty slices rebuilt from the

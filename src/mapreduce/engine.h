@@ -83,31 +83,22 @@ class Engine {
     return pipeline_;
   }
 
-  /// Locked copy restricted to jobs with job_id >= first_job_id (and the
-  /// plans whose jobs all fall in that range). This is how drivers
-  /// attribute jobs to one ALS iteration: by id watermark, which is stable
-  /// under concurrent scheduling, rather than by position in the log.
-  PipelineStats PipelineSince(int64_t first_job_id) const {
+  /// Locked copy restricted to jobs with job_id >= first_job_id and plans
+  /// with plan_id >= first_plan_id. This is how drivers attribute work to
+  /// one ALS iteration: by the NextJobId() / NextPlanId() watermarks taken
+  /// before it, which are stable under concurrent scheduling, rather than
+  /// by position in the log. Plans are selected by their own id, so plans
+  /// that run no engine job (the in-core path, failed plans) land in the
+  /// window they were scheduled in, and only there.
+  PipelineStats PipelineSince(int64_t first_job_id,
+                              int64_t first_plan_id) const {
     std::lock_guard<std::mutex> lock(mu_);
     PipelineStats out;
     for (const JobStats& j : pipeline_.jobs) {
       if (j.job_id >= first_job_id) out.jobs.push_back(j);
     }
     for (const PlanStats& p : pipeline_.plans) {
-      // A plan is in range when it has at least one job id and all of them
-      // are at or past the watermark. The any_jobs guard matters: a plan
-      // whose nodes recorded no job ids (e.g. every node failed before its
-      // first job, or an empty plan) would otherwise be vacuously in range
-      // and attributed to *every* later iteration.
-      bool any_jobs = false;
-      bool in_range = true;
-      for (const PlanNodeStats& n : p.nodes) {
-        for (int64_t id : n.job_ids) {
-          any_jobs = true;
-          in_range &= id >= first_job_id;
-        }
-      }
-      if (any_jobs && in_range) out.plans.push_back(p);
+      if (p.plan_id >= first_plan_id) out.plans.push_back(p);
     }
     return out;
   }
@@ -118,12 +109,18 @@ class Engine {
   }
 
   /// The id the next job started on this engine will receive. Taken before
-  /// a batch of work, it is the watermark PipelineSince() filters by.
+  /// a batch of work, it is the job watermark PipelineSince() filters by.
   int64_t NextJobId() const {
     return job_sequence_.load(std::memory_order_relaxed);
   }
 
-  /// The id the next scheduled plan will receive (used by PlanScheduler).
+  /// The id the next scheduled plan will receive: the plan watermark
+  /// PipelineSince() filters by.
+  int64_t NextPlanId() const {
+    return plan_sequence_.load(std::memory_order_relaxed);
+  }
+
+  /// Assigns the next plan id (PlanScheduler takes one per plan).
   int64_t TakePlanId() {
     return plan_sequence_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -1,12 +1,16 @@
-// Tests for the contraction-strategy layer: strategy selection via
-// ClusterConfig::contraction, bit-identity of all four ALS drivers between
-// the dataflow and in-core paths on superdiagonal tensors, the v7 stats
-// surface (per-node strategy, incore/dataflow node counters), and the
-// ContractCache content-fingerprint regression (in-place tensor rebuilds
-// must invalidate, not alias).
+// Tests for the two contraction paths: selection via
+// ClusterConfig::contraction, the SliceBlocks output contract (ascending
+// slice_ids, one slice_ids.size() x BlockSize() row block) for every
+// variant and merge kind, bit-identity of all four ALS drivers between the
+// dataflow and in-core paths on superdiagonal tensors, the stats surface
+// (per-node strategy, incore/dataflow node counters, in-core plans in every
+// iteration's trace), and the ContractCache content-fingerprint regression
+// (in-place tensor rebuilds must invalidate, not alias).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -29,8 +33,9 @@ using ::haten2::testing::RandomSparseTensor;
 // Every fiber and slice of a superdiagonal tensor holds exactly one nonzero,
 // so the in-core kernels' accumulation-order contract guarantees
 // bit-identical contraction values to the dataflow merges (see
-// linalg/sparse_kernels.h). With SliceBlocks' canonical ascending row
-// insertion, every downstream float sum is then bit-identical too.
+// linalg/sparse_kernels.h). SliceBlocks stores its rows in ascending slice
+// order on both paths, so every downstream float sum is then bit-identical
+// too.
 SparseTensor SuperdiagonalTensor(int64_t n, int order, Rng* rng) {
   std::vector<int64_t> dims(static_cast<size_t>(order), n);
   Result<SparseTensor> r = SparseTensor::Create(dims);
@@ -121,6 +126,18 @@ TEST(ContractionSelection, AutoFollowsTheMemoryBudget) {
   EXPECT_GT(tight_engine.pipeline().DataflowNodes(), 0);
 }
 
+// The output contract every producer keeps: strictly ascending slice ids
+// and one flat row block of slice_ids.size() x BlockSize().
+void ExpectSortedFlatRows(const SliceBlocks& y, const std::string& where) {
+  EXPECT_EQ(std::adjacent_find(y.slice_ids.begin(), y.slice_ids.end(),
+                               std::greater_equal<int64_t>()),
+            y.slice_ids.end())
+      << where << ": slice_ids not strictly ascending";
+  EXPECT_EQ(y.values.rows(), static_cast<int64_t>(y.slice_ids.size()))
+      << where;
+  EXPECT_EQ(y.values.cols(), y.BlockSize()) << where;
+}
+
 TEST(ContractionSelection, InCoreMatchesDataflowValuesOnRandomTensors) {
   // On general tensors the two paths agree to rounding (the bit-identity
   // contract only covers singleton fibers); pin them together within 1e-9.
@@ -133,19 +150,28 @@ TEST(ContractionSelection, InCoreMatchesDataflowValuesOnRandomTensors) {
   }
   for (auto& f : owned) factors.push_back(&f);
 
-  for (MergeKind kind : {MergeKind::kPairwise, MergeKind::kCross}) {
-    for (int free_mode = 0; free_mode < 3; ++free_mode) {
-      Engine dataflow(ConfigWithStrategy("dataflow"));
-      Engine incore(ConfigWithStrategy("incore"));
-      Result<SliceBlocks> want = MultiModeContract(
-          &dataflow, x, factors, free_mode, kind, Variant::kDri);
-      Result<SliceBlocks> got = MultiModeContract(&incore, x, factors,
-                                                  free_mode, kind,
-                                                  Variant::kDri);
-      ASSERT_OK(want.status());
-      ASSERT_OK(got.status());
-      EXPECT_LT(got->ToDenseMatrix().MaxAbsDiff(want->ToDenseMatrix()), 1e-9)
-          << "kind " << static_cast<int>(kind) << " mode " << free_mode;
+  for (Variant variant : kAllVariants) {
+    for (MergeKind kind : {MergeKind::kPairwise, MergeKind::kCross,
+                           MergeKind::kSketchFused}) {
+      for (int free_mode = 0; free_mode < 3; ++free_mode) {
+        const std::string where =
+            std::string(VariantName(variant)) + " kind " +
+            std::to_string(static_cast<int>(kind)) + " mode " +
+            std::to_string(free_mode);
+        Engine dataflow(ConfigWithStrategy("dataflow"));
+        Engine incore(ConfigWithStrategy("incore"));
+        Result<SliceBlocks> want = MultiModeContract(
+            &dataflow, x, factors, free_mode, kind, variant);
+        Result<SliceBlocks> got = MultiModeContract(&incore, x, factors,
+                                                    free_mode, kind, variant);
+        ASSERT_OK(want.status());
+        ASSERT_OK(got.status());
+        ExpectSortedFlatRows(*want, "dataflow " + where);
+        ExpectSortedFlatRows(*got, "incore " + where);
+        EXPECT_LT(got->ToDenseMatrix().MaxAbsDiff(want->ToDenseMatrix()),
+                  1e-9)
+            << where;
+      }
     }
   }
 }
@@ -320,6 +346,26 @@ TEST(ContractionStats, V7RecordsStrategyAndTimings) {
       << json2;
   EXPECT_EQ(json2.find("\"layout_build_seconds\""), std::string::npos)
       << json2;
+}
+
+TEST(ContractionStats, EveryTraceIterationHoldsItsInCorePlans) {
+  // Regression: iterations used to select plans by job-id watermark, and
+  // an in-core plan runs no engine job, so every iteration's pipeline came
+  // out empty while the top-level pipeline held all the in-core nodes.
+  Rng rng(8109);
+  SparseTensor x = RandomSparseTensor({12, 10, 8}, 120, &rng);
+  Haten2Options options = FixedSeedOptions();
+  DecompositionTrace trace;
+  options.trace = &trace;
+
+  Engine engine(ConfigWithStrategy("incore"));
+  ASSERT_OK(Haten2ParafacAls(&engine, x, 3, options).status());
+  ASSERT_EQ(trace.iterations.size(), 3u);
+  for (const IterationStats& it : trace.iterations) {
+    EXPECT_EQ(it.pipeline.IncoreNodes(), x.order())
+        << "iteration " << it.iteration;
+  }
+  EXPECT_EQ(engine.pipeline().IncoreNodes(), 3 * x.order());
 }
 
 // ---------------------------------------------------------------------------

@@ -111,15 +111,16 @@ TEST(SliceBlocksType, DenseConversionAndGram) {
   blocks.free_dim = 4;
   blocks.block_dims = {2, 3};
   EXPECT_EQ(blocks.BlockSize(), 6);
-  blocks.rows[1] = {1, 0, 0, 0, 0, 0};
-  blocks.rows[3] = {0, 2, 0, 0, 0, 1};
+  blocks.slice_ids = {1, 3};
+  blocks.values = DenseMatrix::FromRows({{1, 0, 0, 0, 0, 0},
+                                         {0, 2, 0, 0, 0, 1}});
   DenseMatrix dense = blocks.ToDenseMatrix();
   EXPECT_EQ(dense.rows(), 4);
   EXPECT_EQ(dense.cols(), 6);
   EXPECT_DOUBLE_EQ(dense(1, 0), 1.0);
   EXPECT_DOUBLE_EQ(dense(3, 1), 2.0);
   EXPECT_DOUBLE_EQ(dense(0, 0), 0.0);  // absent slice = zero row
-  DenseMatrix gram = blocks.GramOfRows();
+  DenseMatrix gram = Gram(blocks.values);
   DenseMatrix want = Gram(dense);
   EXPECT_LT(gram.MaxAbsDiff(want), 1e-12);
 }
@@ -168,7 +169,7 @@ TEST(SliceBlocksType, GramMatchesDenseOnRealContraction) {
                                             Variant::kDri);
   ASSERT_OK(y.status());
   DenseMatrix dense = y->ToDenseMatrix();
-  EXPECT_LT(y->GramOfRows().MaxAbsDiff(Gram(dense)), 1e-10);
+  EXPECT_LT(Gram(y->values).MaxAbsDiff(Gram(dense)), 1e-10);
 }
 
 TEST(GigaTensorAlias, RunsDrnRegardlessOfRequestedVariant) {

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <numeric>
 #include <vector>
 
@@ -197,9 +196,7 @@ TEST(CostModelRetry, SpillDiskCostInvariantUnderFailureProbability) {
   // End-to-end: the same spilling workload run with and without failure
   // injection yields identical simulated disk cost. Simulating with zero
   // per-record CPU isolates the disk term: retries may only ever move CPU.
-  std::string spill_dir =
-      std::string(::testing::TempDir()) + "/haten2_cost_model_spills";
-  std::filesystem::create_directories(spill_dir);
+  const std::string spill_dir = testing::PerTestDir();
   auto run = [&](double failure_prob) {
     ClusterConfig config = ClusterConfig::ForTesting();
     config.spill_directory = spill_dir;

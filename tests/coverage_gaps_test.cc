@@ -93,7 +93,8 @@ TEST(SliceBlocksEmpty, AllZeroFactorsYieldEmptyRows) {
                                             MergeKind::kCross,
                                             Variant::kDri);
   ASSERT_OK(y.status());
-  EXPECT_TRUE(y->rows.empty());
+  EXPECT_TRUE(y->slice_ids.empty());
+  EXPECT_EQ(y->values.rows(), 0);
   DenseMatrix dense = y->ToDenseMatrix();
   EXPECT_DOUBLE_EQ(dense.FrobeniusNorm(), 0.0);
 }

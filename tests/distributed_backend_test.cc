@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,16 +30,9 @@ namespace {
 using distributed::WithSubprocessBackend;
 using distributed::WorkerStats;
 
-std::string BackendSpillDir() {
-  std::string dir =
-      std::string(::testing::TempDir()) + "/haten2_backend_spills";
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
 ClusterConfig BaseConfig() {
   ClusterConfig config = ClusterConfig::ForTesting();
-  config.spill_directory = BackendSpillDir();
+  config.spill_directory = testing::PerTestDir();
   return config;
 }
 

@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cctype>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -25,23 +24,8 @@
 namespace haten2 {
 namespace {
 
-// Per-test spill directory: ctest runs each TEST as its own process in
-// parallel, so tests that assert "no .spill files remain" must not share a
-// directory with tests that are actively spilling.
-std::string SpillDir(const std::string& test) {
-  std::string dir =
-      std::string(::testing::TempDir()) + "/haten2_stats_spills_" + test;
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
-int64_t SpillFilesIn(const std::string& dir) {
-  int64_t n = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() == ".spill") ++n;
-  }
-  return n;
-}
+using ::haten2::testing::PerTestDir;
+using ::haten2::testing::SpillFilesIn;
 
 /// Runs word count and returns the histogram; asserts success.
 std::map<int64_t, int64_t> WordCount(Engine* engine,
@@ -176,7 +160,7 @@ TEST(EngineStats, CountersIdenticalAcrossThreadCounts) {
 
 TEST(EngineStats, OomJobKeepsSpillAndVolumeCounters) {
   ClusterConfig config = ClusterConfig::ForTesting();
-  config.spill_directory = SpillDir("oom");
+  config.spill_directory = PerTestDir();
   config.spill_threshold_records = 64;
   config.total_shuffle_memory_bytes = 64 * 1024;
   Engine engine(config);
@@ -220,7 +204,7 @@ TEST(EngineStats, AbortedJobRecordsFailureKindAndSpills) {
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     ClusterConfig config = ClusterConfig::ForTesting();
     config.num_machines = 8;
-    config.spill_directory = SpillDir("aborted");
+    config.spill_directory = PerTestDir();
     config.spill_threshold_records = 16;
     config.task_failure_probability = 0.4;
     config.max_task_attempts = 1;
@@ -307,11 +291,13 @@ TEST(EngineStats, PipelineSinceExcludesPlansWithoutJobIds) {
   // Regression: a plan whose nodes recorded no job ids (every node failed
   // before its first job, or a pure-assembly plan) used to be vacuously
   // "in range" and show up in every later iteration's PipelineSince()
-  // slice. It must not appear in any watermarked slice.
+  // slice. Plans are attributed by their own plan id, so such a plan
+  // appears only in the window it was scheduled in — never after a
+  // watermark taken later.
   Engine engine(ClusterConfig::ForTesting());
 
   PlanStats before;
-  before.plan_id = 0;
+  before.plan_id = engine.TakePlanId();
   before.name = "with-early-jobs";
   before.nodes.emplace_back();
   before.nodes[0].label = "n0";
@@ -334,7 +320,7 @@ TEST(EngineStats, PipelineSinceExcludesPlansWithoutJobIds) {
   engine.RecordPlan(before);
 
   PlanStats empty;
-  empty.plan_id = 1;
+  empty.plan_id = engine.TakePlanId();
   empty.name = "no-jobs-anywhere";
   empty.nodes.emplace_back();
   empty.nodes[0].label = "failed-before-first-job";
@@ -342,28 +328,30 @@ TEST(EngineStats, PipelineSinceExcludesPlansWithoutJobIds) {
   engine.RecordPlan(empty);
 
   const int64_t watermark = engine.NextJobId();
+  const int64_t plan_watermark = engine.NextPlanId();
   run_one();
   PlanStats after;
-  after.plan_id = 2;
+  after.plan_id = engine.TakePlanId();
   after.name = "with-late-jobs";
   after.nodes.emplace_back();
   after.nodes[0].label = "n0";
   after.nodes[0].job_ids = {engine.pipeline().jobs.back().job_id};
   engine.RecordPlan(after);
 
-  PipelineStats slice = engine.PipelineSince(watermark);
+  PipelineStats slice = engine.PipelineSince(watermark, plan_watermark);
   ASSERT_EQ(slice.jobs.size(), 1u);
   EXPECT_GE(slice.jobs[0].job_id, watermark);
   ASSERT_EQ(slice.plans.size(), 1u);
   EXPECT_EQ(slice.plans[0].name, "with-late-jobs");
 
-  // Even a slice of everything excludes the job-less plan: it belongs to no
-  // iteration window.
-  PipelineStats all = engine.PipelineSince(0);
+  // A window opened before the job-less plan was scheduled holds it: the
+  // plan belongs to the window it ran in, jobs or not.
+  PipelineStats all = engine.PipelineSince(0, 0);
   EXPECT_EQ(all.jobs.size(), 2u);
-  ASSERT_EQ(all.plans.size(), 2u);
+  ASSERT_EQ(all.plans.size(), 3u);
   EXPECT_EQ(all.plans[0].name, "with-early-jobs");
-  EXPECT_EQ(all.plans[1].name, "with-late-jobs");
+  EXPECT_EQ(all.plans[1].name, "no-jobs-anywhere");
+  EXPECT_EQ(all.plans[2].name, "with-late-jobs");
 }
 
 // ---------------------------------------------------------------------------
@@ -379,7 +367,7 @@ TEST(EngineStats, ConcurrentRunsWithSpillingProduceCorrectOutputs) {
   std::map<int64_t, int64_t> want_b = WordCount(&reference, words_b, "ref-b");
 
   ClusterConfig spilling = plain;
-  spilling.spill_directory = SpillDir("volume");
+  spilling.spill_directory = PerTestDir();
   spilling.spill_threshold_records = 32;  // force many spill files
   for (int round = 0; round < 4; ++round) {
     Engine engine(spilling);

@@ -300,7 +300,7 @@ TEST(Scheduler, PipelineSinceFiltersByJobIdWatermark) {
   ASSERT_OK(run_job("before"));
   const int64_t watermark = engine.NextJobId();
   ASSERT_OK(run_job("after"));
-  PipelineStats since = engine.PipelineSince(watermark);
+  PipelineStats since = engine.PipelineSince(watermark, engine.NextPlanId());
   ASSERT_EQ(since.jobs.size(), 1u);
   EXPECT_EQ(since.jobs[0].name, "after");
   EXPECT_GE(since.jobs[0].job_id, watermark);
@@ -363,15 +363,9 @@ TEST(Scheduler, ContractIsIdenticalSerialAndConcurrent) {
       ASSERT_OK(got.status());
 
       // Bit-identical outputs regardless of the scheduling interleaving.
-      ASSERT_EQ(want->rows.size(), got->rows.size());
-      for (const auto& [slice, row] : want->rows) {
-        auto it = got->rows.find(slice);
-        ASSERT_NE(it, got->rows.end());
-        ASSERT_EQ(row.size(), it->second.size());
-        for (size_t i = 0; i < row.size(); ++i) {
-          EXPECT_EQ(row[i], it->second[i]);
-        }
-      }
+      ASSERT_EQ(want->slice_ids, got->slice_ids);
+      ASSERT_TRUE(want->values.SameShape(got->values));
+      EXPECT_EQ(want->values.data(), got->values.data());
       // Same jobs either way — concurrency must not change paper counts.
       EXPECT_EQ(serial_engine.PipelineSnapshot().NumJobs(),
                 conc_engine.PipelineSnapshot().NumJobs());

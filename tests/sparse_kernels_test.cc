@@ -76,11 +76,11 @@ TEST(SparseKernelsLayout, EmptyTensorYieldsEmptyLayout) {
   // Kernels on an empty layout produce zero rows, not errors.
   DenseMatrix b(5, 3), c(6, 3);
   std::vector<const DenseMatrix*> cfactors = {&b, &c};
-  std::vector<std::vector<double>> rows;
-  ASSERT_OK(CsfMttkrp(*layout, cfactors, 3, &rows));
-  EXPECT_TRUE(rows.empty());
-  ASSERT_OK(CsfCrossContract(*layout, cfactors, {3, 3}, &rows));
-  EXPECT_TRUE(rows.empty());
+  DenseMatrix out;
+  ASSERT_OK(CsfMttkrp(*layout, cfactors, 3, &out));
+  EXPECT_EQ(out.rows(), 0);
+  ASSERT_OK(CsfCrossContract(*layout, cfactors, {3, 3}, &out));
+  EXPECT_EQ(out.rows(), 0);
 }
 
 TEST(SparseKernelsLayout, SingleNonzeroLayoutAndKernels) {
@@ -98,23 +98,22 @@ TEST(SparseKernelsLayout, SingleNonzeroLayoutAndKernels) {
   DenseMatrix b = DenseMatrix::RandomNormal(5, 2, &rng);
   DenseMatrix c = DenseMatrix::RandomNormal(6, 2, &rng);
   std::vector<const DenseMatrix*> cfactors = {&b, &c};
-  std::vector<std::vector<double>> rows;
-  ASSERT_OK(CsfMttkrp(*layout, cfactors, 2, &rows));
-  ASSERT_EQ(rows.size(), 1u);
+  DenseMatrix out;
+  ASSERT_OK(CsfMttkrp(*layout, cfactors, 2, &out));
+  ASSERT_EQ(out.rows(), 1);
   for (int r = 0; r < 2; ++r) {
     // A single nonzero must be *bit*-identical to the scalar product chain
     // in ascending contracted-mode order (the accumulation-order contract).
-    EXPECT_EQ(rows[0][static_cast<size_t>(r)], 2.5 * b(3, r) * c(4, r));
+    EXPECT_EQ(out(0, r), 2.5 * b(3, r) * c(4, r));
   }
 
-  ASSERT_OK(CsfCrossContract(*layout, cfactors, {2, 2}, &rows));
-  ASSERT_EQ(rows.size(), 1u);
-  ASSERT_EQ(rows[0].size(), 4u);
+  ASSERT_OK(CsfCrossContract(*layout, cfactors, {2, 2}, &out));
+  ASSERT_EQ(out.rows(), 1);
+  ASSERT_EQ(out.cols(), 4);
   // Stream 0 varies fastest: offset = q0 + 2*q1.
   for (int q1 = 0; q1 < 2; ++q1) {
     for (int q0 = 0; q0 < 2; ++q0) {
-      EXPECT_EQ(rows[0][static_cast<size_t>(q0 + 2 * q1)],
-                2.5 * b(3, q0) * c(4, q1));
+      EXPECT_EQ(out(0, q0 + 2 * q1), 2.5 * b(3, q0) * c(4, q1));
     }
   }
 }
@@ -136,10 +135,10 @@ TEST(SparseKernelsLayout, DuplicateCoordinatesShareOneFiberAndSum) {
     c(i, 0) = 1.0;
   }
   std::vector<const DenseMatrix*> cfactors = {&b, &c};
-  std::vector<std::vector<double>> rows;
-  ASSERT_OK(CsfMttkrp(*layout, cfactors, 1, &rows));
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(rows[0][0], 7.0);
+  DenseMatrix out;
+  ASSERT_OK(CsfMttkrp(*layout, cfactors, 1, &out));
+  ASSERT_EQ(out.rows(), 1);
+  EXPECT_DOUBLE_EQ(out(0, 0), 7.0);
 }
 
 TEST(SparseKernelsLayout, ExtremeFreeDimensionStaysCompressed) {
@@ -161,13 +160,13 @@ TEST(SparseKernelsLayout, ExtremeFreeDimensionStaysCompressed) {
   DenseMatrix b = DenseMatrix::RandomNormal(3, 2, &rng);
   DenseMatrix c = DenseMatrix::RandomNormal(3, 2, &rng);
   std::vector<const DenseMatrix*> cfactors = {&b, &c};
-  std::vector<std::vector<double>> rows;
-  ASSERT_OK(CsfMttkrp(*layout, cfactors, 2, &rows));
-  ASSERT_EQ(rows.size(), 3u);
+  DenseMatrix out;
+  ASSERT_OK(CsfMttkrp(*layout, cfactors, 2, &out));
+  ASSERT_EQ(out.rows(), 3);
   for (int r = 0; r < 2; ++r) {
-    EXPECT_EQ(rows[0][static_cast<size_t>(r)], 1.0 * b(1, r) * c(1, r));
-    EXPECT_EQ(rows[1][static_cast<size_t>(r)], 2.0 * b(0, r) * c(2, r));
-    EXPECT_EQ(rows[2][static_cast<size_t>(r)], 3.0 * b(2, r) * c(0, r));
+    EXPECT_EQ(out(0, r), 1.0 * b(1, r) * c(1, r));
+    EXPECT_EQ(out(1, r), 2.0 * b(0, r) * c(2, r));
+    EXPECT_EQ(out(2, r), 3.0 * b(2, r) * c(0, r));
   }
 }
 
@@ -179,16 +178,16 @@ TEST(SparseKernelsLayout, RejectsBadArguments) {
   Result<CsfLayout> layout = BuildCsfLayout(x, 0);
   ASSERT_OK(layout.status());
   DenseMatrix b(3, 2), c(3, 2);
-  std::vector<std::vector<double>> rows;
+  DenseMatrix out;
   // Wrong factor count.
-  EXPECT_TRUE(CsfMttkrp(*layout, {&b}, 2, &rows).IsInvalidArgument());
+  EXPECT_TRUE(CsfMttkrp(*layout, {&b}, 2, &out).IsInvalidArgument());
   // Null factor.
   EXPECT_TRUE(
-      CsfMttkrp(*layout, {&b, nullptr}, 2, &rows).IsInvalidArgument());
+      CsfMttkrp(*layout, {&b, nullptr}, 2, &out).IsInvalidArgument());
   // Rank mismatch.
-  EXPECT_TRUE(CsfMttkrp(*layout, {&b, &c}, 3, &rows).IsInvalidArgument());
+  EXPECT_TRUE(CsfMttkrp(*layout, {&b, &c}, 3, &out).IsInvalidArgument());
   // Cross: block_dims disagreeing with factor columns.
-  EXPECT_TRUE(CsfCrossContract(*layout, {&b, &c}, {2, 3}, &rows)
+  EXPECT_TRUE(CsfCrossContract(*layout, {&b, &c}, {2, 3}, &out)
                   .IsInvalidArgument());
   // Null output.
   EXPECT_TRUE(CsfMttkrp(*layout, {&b, &c}, 2, nullptr).IsInvalidArgument());
@@ -235,15 +234,16 @@ TEST(SparseKernelsProperty, MttkrpMatchesReferenceOnRandomTensors) {
           if (m != free_mode) cfactors.push_back(&owned[static_cast<size_t>(m)]);
         }
 
-        std::vector<std::vector<double>> rows;
-        ASSERT_OK(CsfMttkrp(*layout, cfactors, rank, &rows));
-        ASSERT_EQ(rows.size(), static_cast<size_t>(layout->num_slices()));
+        DenseMatrix out;
+        ASSERT_OK(CsfMttkrp(*layout, cfactors, rank, &out));
+        ASSERT_EQ(out.rows(), layout->num_slices());
         std::vector<std::vector<double>> want =
             NaiveMttkrp(x, *layout, cfactors, rank);
-        for (size_t si = 0; si < rows.size(); ++si) {
+        for (int64_t si = 0; si < out.rows(); ++si) {
           for (int r = 0; r < rank; ++r) {
-            EXPECT_NEAR(rows[si][static_cast<size_t>(r)],
-                        want[si][static_cast<size_t>(r)], kTol)
+            EXPECT_NEAR(out(si, r),
+                        want[static_cast<size_t>(si)][static_cast<size_t>(r)],
+                        kTol)
                 << "slice " << si << " rank " << r << " free " << free_mode;
           }
         }
@@ -251,11 +251,10 @@ TEST(SparseKernelsProperty, MttkrpMatchesReferenceOnRandomTensors) {
         // Cross-check against the library MTTKRP (densified).
         Result<DenseMatrix> lib = Mttkrp(x, all_factors, free_mode);
         ASSERT_OK(lib.status());
-        for (size_t si = 0; si < rows.size(); ++si) {
-          int64_t slice = layout->slice_ids[si];
+        for (int64_t si = 0; si < out.rows(); ++si) {
+          int64_t slice = layout->slice_ids[static_cast<size_t>(si)];
           for (int r = 0; r < rank; ++r) {
-            EXPECT_NEAR(rows[si][static_cast<size_t>(r)], (*lib)(slice, r),
-                        kTol);
+            EXPECT_NEAR(out(si, r), (*lib)(slice, r), kTol);
           }
         }
       }
@@ -281,13 +280,13 @@ TEST(SparseKernelsProperty, CrossContractMatchesNaiveReference) {
     std::vector<const DenseMatrix*> cfactors;
     for (auto& f : owned) cfactors.push_back(&f);
 
-    std::vector<std::vector<double>> rows;
-    ASSERT_OK(CsfCrossContract(*layout, cfactors, block_dims, &rows));
-    ASSERT_EQ(rows.size(), static_cast<size_t>(layout->num_slices()));
+    DenseMatrix out;
+    ASSERT_OK(CsfCrossContract(*layout, cfactors, block_dims, &out));
+    ASSERT_EQ(out.rows(), layout->num_slices());
 
     // Naive reference with Kolda offsets (stream 0 fastest).
     std::vector<std::vector<double>> want(
-        rows.size(),
+        static_cast<size_t>(out.rows()),
         std::vector<double>(
             static_cast<size_t>(block_dims[0] * block_dims[1]), 0.0));
     for (int64_t e = 0; e < x.nnz(); ++e) {
@@ -303,10 +302,11 @@ TEST(SparseKernelsProperty, CrossContractMatchesNaiveReference) {
         }
       }
     }
-    for (size_t si = 0; si < rows.size(); ++si) {
-      ASSERT_EQ(rows[si].size(), want[si].size());
-      for (size_t j = 0; j < rows[si].size(); ++j) {
-        EXPECT_NEAR(rows[si][j], want[si][j], kTol);
+    for (size_t si = 0; si < want.size(); ++si) {
+      ASSERT_EQ(static_cast<size_t>(out.cols()), want[si].size());
+      for (size_t j = 0; j < want[si].size(); ++j) {
+        EXPECT_NEAR(out(static_cast<int64_t>(si), static_cast<int64_t>(j)),
+                    want[si][j], kTol);
       }
     }
   }

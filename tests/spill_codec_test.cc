@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
 #include <limits>
 #include <string>
 #include <utility>
@@ -305,16 +304,9 @@ TEST(SpillCodecBlock, RejectsTrailingGarbage) {
 
 // --- end-to-end bit-identity -----------------------------------------------
 
-std::string CodecSpillDir() {
-  std::string dir =
-      std::string(::testing::TempDir()) + "/haten2_codec_spills";
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
 ClusterConfig SpillingConfig(SpillCompression codec) {
   ClusterConfig config = ClusterConfig::ForTesting();
-  config.spill_directory = CodecSpillDir();
+  config.spill_directory = testing::PerTestDir();
   config.spill_threshold_records = 32;
   config.spill_compression = codec;
   return config;

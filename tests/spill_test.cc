@@ -17,19 +17,8 @@
 namespace haten2 {
 namespace {
 
-std::string SpillDir() {
-  std::string dir = std::string(::testing::TempDir()) + "/haten2_spills";
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
-int64_t SpillFilesIn(const std::string& dir) {
-  int64_t n = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() == ".spill") ++n;
-  }
-  return n;
-}
+using ::haten2::testing::PerTestDir;
+using ::haten2::testing::SpillFilesIn;
 
 std::map<int64_t, int64_t> WordCount(Engine* engine,
                                      const std::vector<int64_t>& words) {
@@ -61,7 +50,7 @@ TEST(Spill, OutputIdenticalWithAndWithoutSpilling) {
   std::map<int64_t, int64_t> want = WordCount(&reference, words);
 
   ClusterConfig spilling = plain;
-  spilling.spill_directory = SpillDir();
+  spilling.spill_directory = PerTestDir();
   spilling.spill_threshold_records = 64;  // force many spills
   Engine engine(spilling);
   std::map<int64_t, int64_t> got = WordCount(&engine, words);
@@ -75,7 +64,7 @@ TEST(Spill, OutputIdenticalWithAndWithoutSpilling) {
 
 TEST(Spill, NoSpillBelowThreshold) {
   ClusterConfig config = ClusterConfig::ForTesting();
-  config.spill_directory = SpillDir();
+  config.spill_directory = PerTestDir();
   config.spill_threshold_records = 1 << 20;
   Engine engine(config);
   std::vector<int64_t> words(100, 1);
@@ -88,7 +77,7 @@ TEST(Spill, CombinerAppliesToResidentRecordsOnly) {
   // the reducer still aggregates them; results are unchanged.
   std::vector<int64_t> words(5000, 42);
   ClusterConfig config = ClusterConfig::ForTesting();
-  config.spill_directory = SpillDir();
+  config.spill_directory = PerTestDir();
   config.spill_threshold_records = 128;
   Engine engine(config);
   auto result = engine.Run<int64_t, int64_t, int64_t, int64_t>(
@@ -112,7 +101,7 @@ TEST(Spill, SpilledRecordsStillCountAgainstBudget) {
   // Spilling bounds resident memory but not the intermediate-data budget:
   // the o.o.m. semantics (the paper's failure mode) are unchanged.
   ClusterConfig config = ClusterConfig::ForTesting();
-  config.spill_directory = SpillDir();
+  config.spill_directory = PerTestDir();
   config.spill_threshold_records = 64;
   config.total_shuffle_memory_bytes = 16 * 1024;
   Engine engine(config);
@@ -146,7 +135,7 @@ TEST(Spill, DecompositionUnchangedUnderSpilling) {
   ASSERT_OK(want.status());
 
   ClusterConfig spilling = plain;
-  spilling.spill_directory = SpillDir();
+  spilling.spill_directory = PerTestDir();
   spilling.spill_threshold_records = 32;
   Engine engine(spilling);
   Result<KruskalModel> got = Haten2ParafacAls(&engine, x, 3, options);
@@ -168,7 +157,7 @@ TEST(Spill, AbortedJobCleansUpSpillFiles) {
   // remove every spill file that was written.
   ClusterConfig config = ClusterConfig::ForTesting();
   config.num_machines = 8;  // several map tasks
-  config.spill_directory = SpillDir();
+  config.spill_directory = PerTestDir();
   config.spill_threshold_records = 16;
   config.task_failure_probability = 0.4;
   config.max_task_attempts = 1;  // any sampled failure aborts the job
@@ -225,7 +214,7 @@ TEST(Spill, SimulatedTimeReflectsActualSpillTraffic) {
   WordCount(&in_memory, words);
 
   ClusterConfig spilling = plain;
-  spilling.spill_directory = SpillDir();
+  spilling.spill_directory = PerTestDir();
   spilling.spill_threshold_records = 64;
   Engine engine(spilling);
   WordCount(&engine, words);
@@ -248,7 +237,7 @@ TEST(Spill, CompressionLowersSimulatedTime) {
     words.push_back(static_cast<int64_t>(rng.UniformInt(uint64_t{64})));
   }
   ClusterConfig raw = ClusterConfig::ForTesting();
-  raw.spill_directory = SpillDir();
+  raw.spill_directory = PerTestDir();
   raw.spill_threshold_records = 64;
   ClusterConfig packed = raw;
   packed.spill_compression = SpillCompression::kDeltaVarint;
@@ -269,7 +258,7 @@ TEST(Spill, TornFirstSpillWriteLeavesNoOrphan) {
   // partial file must be removed at failure time — spilled_counts_ is still
   // 0 for that partition and RemoveAllSpills would skip it.
   ClusterConfig config = ClusterConfig::ForTesting();
-  config.spill_directory = SpillDir();
+  config.spill_directory = PerTestDir();
   config.spill_threshold_records = 64;
   config.inject_spill_failure_after_bytes = 1;
   Engine engine(config);
@@ -297,7 +286,7 @@ TEST(Spill, TornLaterSpillWriteRollsBackAndCleansUp) {
   // path removes the file. Nothing with partition count 0 is leaked.
   using Record = std::pair<int64_t, int64_t>;
   ClusterConfig config = ClusterConfig::ForTesting();
-  config.spill_directory = SpillDir();
+  config.spill_directory = PerTestDir();
   config.spill_threshold_records = 64;
   // One committed run per emitter (64 records), tear on the second.
   config.inject_spill_failure_after_bytes =
@@ -327,7 +316,7 @@ TEST(Spill, DrainSpillSurfacesShortReadWithPathAndOffset) {
   // return an IOError naming the file and offset, keep its counts so
   // cleanup still works, and must not invoke the consumer past the tear.
   using Record = std::pair<int64_t, int64_t>;
-  std::string prefix = SpillDir() + "/drain_direct";
+  std::string prefix = PerTestDir() + "/drain_direct";
   ShuffleEmitter<int64_t, int64_t> em(/*num_partitions=*/1, nullptr, prefix,
                                       /*spill_threshold=*/4);
   for (int64_t i = 0; i < 8; ++i) em.Emit(1, i);  // two runs of 4
@@ -350,7 +339,7 @@ TEST(Spill, DrainSpillSurfacesShortReadWithPathAndOffset) {
 }
 
 TEST(Spill, DrainSpillRejectsCorruptCompressedBlock) {
-  std::string prefix = SpillDir() + "/drain_corrupt";
+  std::string prefix = PerTestDir() + "/drain_corrupt";
   ShuffleEmitter<int64_t, int64_t> em(
       /*num_partitions=*/1, nullptr, prefix, /*spill_threshold=*/4,
       SpillCompression::kDeltaVarint);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "tensor/dense_matrix.h"
@@ -31,6 +34,34 @@ inline SparseTensor RandomSparseTensor(const std::vector<int64_t>& dims,
   }
   t.Canonicalize();
   return t;
+}
+
+/// A scratch directory under TempDir() named after the running test
+/// (created if missing). ctest runs every test case as its own process, in
+/// parallel under -j, so a directory shared between cases lets one case
+/// see — and count — another case's spill files.
+inline std::string PerTestDir() {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = "haten2";
+  if (info != nullptr) {
+    name += std::string("_") + info->test_suite_name() + "." + info->name();
+  }
+  for (char& c : name) {
+    if (c == '/') c = '_';  // parameterized test names
+  }
+  std::string dir = std::string(::testing::TempDir()) + "/" + name;
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+/// Number of spill files (*.spill) directly in `dir`.
+inline int64_t SpillFilesIn(const std::string& dir) {
+  int64_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".spill") ++n;
+  }
+  return n;
 }
 
 #define ASSERT_OK(expr)                                               \

@@ -1,10 +1,12 @@
 // Tests for the subprocess backend's worker pool: gang spawn/echo over the
 // wire channels, restart accounting (abnormal death vs clean exit vs
-// deliberate kill), and the one-shot worker-kill injection latch.
+// deliberate kill vs a loss the coordinator observed), and the one-shot
+// worker-kill injection latch.
 
 #include "distributed/worker_pool.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <memory>
 #include <string>
@@ -107,6 +109,36 @@ TEST(WorkerPoolTest, DeliberateKillIsNotCountedAsRestart) {
   pool.FinishGang(/*kill=*/false);
   const std::vector<WorkerStats> stats = pool.StatsSnapshot();
   EXPECT_EQ(stats[0].restarts, 0);
+  EXPECT_EQ(stats[1].restarts, 0);
+}
+
+TEST(WorkerPoolTest, LostWorkerCountsAsRestartWhileStillExiting) {
+  WorkerPool pool(2);
+  // Worker 0 drops its channel but is still alive when the coordinator,
+  // having read EOF, reaps the gang: the reap SIGKILLs it, which on its own
+  // looks like a deliberate kill. The loss the coordinator observed must
+  // count anyway. Worker 1 only ever sees the deliberate kill.
+  ASSERT_TRUE(pool.SpawnGang([](int fd, int worker) {
+                    if (worker == 0) {
+                      ::close(fd);
+                      ::sleep(10);  // SIGKILLed long before this returns
+                      return 0;
+                    }
+                    WireChannel channel(fd, "coordinator");
+                    WireFrame frame;
+                    (void)channel.ReadFrame(/*timeout_seconds=*/0.0, &frame);
+                    return 0;
+                  })
+                  .ok());
+  WireFrame frame;
+  ASSERT_FALSE(pool.channel(0)->ReadFrame(30.0, &frame).ok());
+  pool.MarkLost(0);
+  pool.FinishGang(/*kill=*/true);
+
+  ASSERT_TRUE(pool.SpawnGang([](int, int) { return 0; }).ok());
+  pool.FinishGang(/*kill=*/false);
+  const std::vector<WorkerStats> stats = pool.StatsSnapshot();
+  EXPECT_EQ(stats[0].restarts, 1);
   EXPECT_EQ(stats[1].restarts, 0);
 }
 
