@@ -22,13 +22,14 @@ std::vector<TensorRecord> TensorToRecords(const SparseTensor& x) {
 }
 
 bool ContractCache::MatchesOrReset(const SparseTensor& x) {
-  const uint64_t fp = TensorFingerprint(x);
-  if (has_key_ && fp == fingerprint_) return true;
+  // A non-canonical tensor's stamp is stale (appends take none), so it
+  // is never a hit and never becomes the key.
+  if (!x.canonical()) return false;
+  if (x.generation() == generation_) return true;
   // New (or rebuilt-in-place) tensor: every cached form is stale.
   records_.reset();
   for (auto& slot : layouts_) slot.reset();
-  has_key_ = true;
-  fingerprint_ = fp;
+  generation_ = x.generation();
   return false;
 }
 
@@ -36,15 +37,17 @@ std::shared_ptr<const std::vector<TensorRecord>> ContractCache::Records(
     Engine* engine, const SparseTensor& x) {
   const bool key_match = MatchesOrReset(x);
   const bool hit = key_match && records_ != nullptr;
+  std::shared_ptr<const std::vector<TensorRecord>> out = records_;
   if (hit) {
     ++hits_;
   } else {
-    records_ = std::make_shared<const std::vector<TensorRecord>>(
+    out = std::make_shared<const std::vector<TensorRecord>>(
         TensorToRecords(x));
+    if (x.canonical()) records_ = out;
     ++misses_;
   }
   if (engine != nullptr) engine->NoteInvariantCache(hit);
-  return records_;
+  return out;
 }
 
 Status ContractCache::ApplyDelta(const SparseTensor& new_x,
@@ -61,12 +64,6 @@ Status ContractCache::ApplyDelta(const SparseTensor& new_x,
   }
   ++delta_patches_;
   records_.reset();
-  if (!has_key_) {
-    for (auto& slot : layouts_) slot.reset();
-    has_key_ = true;
-    fingerprint_ = TensorFingerprint(new_x);
-    return Status::OK();
-  }
   const int order = new_x.order();
   for (int m = 0; m < order && m < kMaxMrOrder; ++m) {
     auto& slot = layouts_[static_cast<size_t>(m)];
@@ -94,7 +91,7 @@ Status ContractCache::ApplyDelta(const SparseTensor& new_x,
     layout_slices_reused_ += pc.slices_reused;
     layout_slices_rebuilt_ += pc.slices_rebuilt;
   }
-  fingerprint_ = TensorFingerprint(new_x);
+  generation_ = new_x.generation();
   return Status::OK();
 }
 
@@ -112,9 +109,10 @@ Result<std::shared_ptr<const CsfLayout>> ContractCache::Layout(
     return slot;
   }
   HATEN2_ASSIGN_OR_RETURN(CsfLayout built, BuildCsfLayout(x, free_mode));
-  slot = std::make_shared<const CsfLayout>(std::move(built));
+  auto out = std::make_shared<const CsfLayout>(std::move(built));
+  if (x.canonical()) slot = out;
   ++layout_misses_;
-  return slot;
+  return out;
 }
 
 DenseMatrix SliceBlocks::ToDenseMatrix() const {

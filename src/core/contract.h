@@ -32,13 +32,15 @@ std::vector<TensorRecord> TensorToRecords(const SparseTensor& x);
 /// accounted in the engine's pipeline log (invariant_cache_hits / misses);
 /// layout lookups in the local layout_hits() / layout_misses() counters.
 ///
-/// The cache keys on a full-content fingerprint of the tensor (shape, nnz,
-/// every coordinate and value bit — see TensorFingerprint), not on its
-/// address: a tensor rebuilt in place with different contents invalidates
-/// every cached form instead of aliasing stale data. Tensors that genuinely
-/// change every evaluation — e.g. the EM residual in missing_values.cc —
-/// should still bypass the cache (pass nullptr to MultiModeContract): the
-/// fingerprint makes them correct but each call would pay a rebuild anyway.
+/// The cache keys on the tensor's content stamp (SparseTensor::generation()),
+/// not on its address, so a lookup is O(1): a tensor edited in place takes
+/// a new stamp and invalidates every cached form instead of aliasing stale
+/// data, while a copy keeps the stamp and hits. A non-canonical tensor is
+/// always a miss and never becomes the key (its stamp predates its last
+/// appends); every production caller passes canonical tensors anyway.
+/// Tensors that genuinely change every evaluation — e.g. the EM residual in
+/// missing_values.cc — should still bypass the cache (pass nullptr to
+/// MultiModeContract): every lookup would miss and pay for a rebuild.
 /// Not thread-safe; call from the driver thread during plan construction,
 /// never from inside plan nodes.
 class ContractCache {
@@ -84,12 +86,12 @@ class ContractCache {
   }
 
  private:
-  /// True iff `x` matches the cached fingerprint. On mismatch, drops every
-  /// cached form and re-keys to `x`.
+  /// True iff `x` is canonical and carries the keyed stamp. On a canonical
+  /// mismatch, drops every cached form and re-keys to `x`.
   bool MatchesOrReset(const SparseTensor& x);
 
-  bool has_key_ = false;
-  uint64_t fingerprint_ = 0;
+  /// Stamp of the keyed tensor; 0 (never a stamp) while nothing is keyed.
+  uint64_t generation_ = 0;
   std::shared_ptr<const std::vector<TensorRecord>> records_;
   std::array<std::shared_ptr<const CsfLayout>, kMaxMrOrder> layouts_;
   int64_t hits_ = 0;

@@ -7,6 +7,7 @@
 #include "core/als_harness.h"
 #include "core/records.h"
 #include "linalg/linalg.h"
+#include "tensor/tensor_ops.h"
 #include "util/random.h"
 #include "util/string_util.h"
 
@@ -33,6 +34,29 @@ Status CheckKruskalShape(const KruskalModel& init, const SparseTensor& x,
     }
   }
   return Status::OK();
+}
+
+/// <X, M> from the sweep's last MTTKRP Y = X₍N₎(⊙_{m<N} A_m). Every other
+/// factor is final by the time Y is taken, so
+/// <X, M> = Σ_r λ_r Σ_i A_N(i, r) · Y(i, r) — O(I_N·R), no pass over X.
+double InnerProductFromLastMttkrp(const DenseMatrix& a_last,
+                                  const DenseMatrix& y_last,
+                                  const std::vector<double>& lambda) {
+  const int64_t rank = a_last.cols();
+  std::vector<double> column_dots(static_cast<size_t>(rank), 0.0);
+  for (int64_t i = 0; i < a_last.rows(); ++i) {
+    const double* a = a_last.RowPtr(i);
+    const double* y = y_last.RowPtr(i);
+    for (int64_t r = 0; r < rank; ++r) {
+      column_dots[static_cast<size_t>(r)] += a[r] * y[r];
+    }
+  }
+  double inner = 0.0;
+  for (int64_t r = 0; r < rank; ++r) {
+    inner += lambda[static_cast<size_t>(r)] *
+             column_dots[static_cast<size_t>(r)];
+  }
+  return inner;
 }
 
 }  // namespace
@@ -101,6 +125,8 @@ Result<KruskalModel> Haten2ParafacAls(Engine* engine, const SparseTensor& x,
   std::vector<DenseMatrix> grams;
   grams.reserve(static_cast<size_t>(order));
   for (int m = 0; m < order; ++m) grams.push_back(Gram(model.factors[m]));
+  // The fit needs ||X||² once; <X, M> and ||M||² come from the sweep.
+  const double x_sq = x.SumSquares();
 
   AlsHarness::Options harness_options;
   harness_options.max_iterations = options.max_iterations;
@@ -128,6 +154,7 @@ Result<KruskalModel> Haten2ParafacAls(Engine* engine, const SparseTensor& x,
   AlsHarness harness(engine, harness_options);
   Status loop_status = harness.Run(
       [&](int iter, AlsIterationOutcome* outcome) -> Status {
+      DenseMatrix last_mttkrp;
       for (int n = 0; n < order; ++n) {
         HATEN2_ASSIGN_OR_RETURN(
             SliceBlocks y,
@@ -171,10 +198,20 @@ Result<KruskalModel> Haten2ParafacAls(Engine* engine, const SparseTensor& x,
         model.factors[static_cast<size_t>(n)] = std::move(updated);
         grams[static_cast<size_t>(n)] =
             Gram(model.factors[static_cast<size_t>(n)]);
+        if (n == order - 1) last_mttkrp = std::move(mttkrp);
       }
       model.iterations = iter;
       if (options.compute_fit) {
-        HATEN2_ASSIGN_OR_RETURN(double fit, KruskalFit(x, model));
+        if (x_sq == 0.0) {
+          return Status::InvalidArgument(
+              "fit undefined for an all-zero tensor");
+        }
+        // Same terms as KruskalFit, from state the sweep already holds.
+        HATEN2_ASSIGN_OR_RETURN(
+            double model_sq, KruskalNormSquaredFromGrams(model.lambda, grams));
+        const double inner = InnerProductFromLastMttkrp(
+            model.factors.back(), last_mttkrp, model.lambda);
+        const double fit = KruskalFitFromTerms(x_sq, inner, model_sq);
         model.fit = fit;
         model.fit_history.push_back(fit);
         outcome->has_fit = true;

@@ -31,7 +31,9 @@ struct Haten2Options {
   /// least-squares update. Factors stay entrywise >= 0.
   bool nonnegative = false;
 
-  /// Compute the fit after every iteration (costs one O(nnz·R) pass).
+  /// Compute the fit after every iteration. It is derived from the sweep's
+  /// Grams and last-mode MTTKRP, so it costs O(I_N·R + N·R²) and no pass
+  /// over X.
   bool compute_fit = true;
 
   /// Optional warm starts (checkpoint/resume): when non-null, the matching

@@ -55,24 +55,6 @@ Result<DenseMatrix> MatMulTransA(const DenseMatrix& a, const DenseMatrix& b) {
   return c;
 }
 
-DenseMatrix Gram(const DenseMatrix& a) {
-  DenseMatrix g(a.cols(), a.cols());
-  for (int64_t k = 0; k < a.rows(); ++k) {
-    const double* arow = a.RowPtr(k);
-    for (int64_t i = 0; i < a.cols(); ++i) {
-      double av = arow[i];
-      if (av == 0.0) continue;
-      double* grow = g.RowPtr(i);
-      for (int64_t j = i; j < a.cols(); ++j) grow[j] += av * arow[j];
-    }
-  }
-  // Mirror the upper triangle.
-  for (int64_t i = 0; i < a.cols(); ++i) {
-    for (int64_t j = 0; j < i; ++j) g(i, j) = g(j, i);
-  }
-  return g;
-}
-
 Result<QrResult> QrDecompose(const DenseMatrix& a) {
   const int64_t m = a.rows();
   const int64_t n = a.cols();
@@ -359,14 +341,20 @@ Result<DenseMatrix> LeadingLeftSingularVectors(const DenseMatrix& a,
 }
 
 void NormalizeColumns(DenseMatrix* m, std::vector<double>* norms) {
-  norms->assign(static_cast<size_t>(m->cols()), 0.0);
-  for (int64_t j = 0; j < m->cols(); ++j) {
-    double s = 0.0;
-    for (int64_t i = 0; i < m->rows(); ++i) s += (*m)(i, j) * (*m)(i, j);
-    s = std::sqrt(s);
-    (*norms)[static_cast<size_t>(j)] = s;
-    if (s > 0.0) {
-      for (int64_t i = 0; i < m->rows(); ++i) (*m)(i, j) /= s;
+  // Row-major passes; each column's sum runs over rows in order, so the
+  // result matches a column-by-column loop bit for bit.
+  const int64_t cols = m->cols();
+  norms->assign(static_cast<size_t>(cols), 0.0);
+  double* s = norms->data();
+  for (int64_t i = 0; i < m->rows(); ++i) {
+    const double* row = m->RowPtr(i);
+    for (int64_t j = 0; j < cols; ++j) s[j] += row[j] * row[j];
+  }
+  for (int64_t j = 0; j < cols; ++j) s[j] = std::sqrt(s[j]);
+  for (int64_t i = 0; i < m->rows(); ++i) {
+    double* row = m->RowPtr(i);
+    for (int64_t j = 0; j < cols; ++j) {
+      if (s[j] > 0.0) row[j] /= s[j];
     }
   }
 }

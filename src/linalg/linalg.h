@@ -19,9 +19,6 @@ Result<DenseMatrix> MatMul(const DenseMatrix& a, const DenseMatrix& b);
 /// C = Aᵀ · B (avoids materializing the transpose).
 Result<DenseMatrix> MatMulTransA(const DenseMatrix& a, const DenseMatrix& b);
 
-/// Gram matrix AᵀA (cols(A) x cols(A)), symmetric by construction.
-DenseMatrix Gram(const DenseMatrix& a);
-
 /// Thin Householder QR of an m x n matrix with m >= n:
 /// a = q · r with q m x n having orthonormal columns and r n x n upper
 /// triangular.

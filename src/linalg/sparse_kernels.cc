@@ -443,11 +443,9 @@ uint64_t TensorFingerprint(const SparseTensor& x) {
   for (int64_t d : x.dims()) h = HashCombine(h, static_cast<uint64_t>(d));
   const int64_t nnz = x.nnz();
   h = HashCombine(h, static_cast<uint64_t>(nnz));
-  // Hash every entry's full coordinate tuple and raw value bits. This must
-  // be full-content: the cache guards against in-place rebuilds, and an
+  // Hash every entry's full coordinate tuple and raw value bits: an
   // epoch-delta merge routinely changes a handful of values at arbitrary
-  // positions without moving nnz, which an evenly-sampled hash misses. The
-  // O(nnz) pass is noise next to the O(nnz·rank) contraction a hit saves.
+  // positions without moving nnz, which an evenly-sampled hash misses.
   const int order = x.order();
   for (int64_t e = 0; e < nnz; ++e) {
     const int64_t* c = x.IndexPtr(e);

@@ -115,11 +115,10 @@ Result<CsfLayout> PatchCsfLayout(const CsfLayout& old_layout,
                                  CsfPatchCounters* counters = nullptr);
 
 /// Content fingerprint of a tensor: mixes order, dims, nnz and every
-/// (coordinate, value) entry. Used by ContractCache so a tensor rebuilt in
-/// place (same address, same nnz, different content) is not mistaken for
-/// the cached one. Full-content by design: an earlier sampled variant
-/// collided on same-nnz edits at unsampled positions, exactly the shape of
-/// an epoch-delta merge.
+/// (coordinate, value) entry, in one O(nnz) pass. ContractCache keys on
+/// the O(1) SparseTensor::generation() instead; this full hash is the
+/// reference the stamp's tests check it against (whenever the fingerprint
+/// changes, the stamp must change too).
 uint64_t TensorFingerprint(const SparseTensor& x);
 
 }  // namespace haten2

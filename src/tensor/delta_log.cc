@@ -57,11 +57,20 @@ void PutEntries(std::string* out, const SparseTensor& t) {
   }
 }
 
-Status GetEntries(std::istream& in, const std::string& path,
+/// Reads one entry block from the in-memory body `in` of `body_bytes`
+/// bytes. The claimed entry count is checked against the bytes left
+/// before anything is reserved, so a forged count cannot drive the
+/// allocation.
+Status GetEntries(std::istream& in, size_t body_bytes, const std::string& path,
                   SparseTensor* t) {
   int64_t nnz = 0;
   if (!Get(in, &nnz) || nnz < 0 || nnz > kMaxReasonableNnz) {
     return Status::InvalidArgument(path + ": implausible delta nnz");
+  }
+  const size_t entry_bytes = static_cast<size_t>(t->order()) * 8 + 8;
+  const size_t bytes_left = body_bytes - static_cast<size_t>(in.tellg());
+  if (static_cast<size_t>(nnz) > bytes_left / entry_bytes) {
+    return Status::InvalidArgument(path + ": truncated delta entries");
   }
   t->Reserve(nnz);
   std::vector<int64_t> idx(static_cast<size_t>(t->order()));
@@ -261,14 +270,15 @@ Result<DeltaLog> ReadDeltaLogBinary(const std::string& path) {
   std::istringstream body_in(body, std::ios::binary);
   for (int64_t i = 0; i < num_epochs; ++i) {
     HATEN2_ASSIGN_OR_RETURN(SparseTensor epoch, SparseTensor::Create(dims));
-    HATEN2_RETURN_IF_ERROR(GetEntries(body_in, path, &epoch));
+    HATEN2_RETURN_IF_ERROR(GetEntries(body_in, body.size(), path, &epoch));
     // Sealed epochs were canonical when written; restore the invariant
     // (idempotent) rather than trust the file.
     epoch.Canonicalize();
     log.epochs_.push_back(std::move(epoch));
   }
   // The unsealed tail keeps its append order — it has not been sealed yet.
-  HATEN2_RETURN_IF_ERROR(GetEntries(body_in, path, &log.open_));
+  HATEN2_RETURN_IF_ERROR(
+      GetEntries(body_in, body.size(), path, &log.open_));
   return log;
 }
 

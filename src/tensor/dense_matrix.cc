@@ -103,4 +103,22 @@ void DenseMatrix::SetColumn(int64_t j, const std::vector<double>& v) {
   for (int64_t i = 0; i < rows_; ++i) (*this)(i, j) = v[i];
 }
 
+DenseMatrix Gram(const DenseMatrix& a) {
+  DenseMatrix g(a.cols(), a.cols());
+  for (int64_t k = 0; k < a.rows(); ++k) {
+    const double* arow = a.RowPtr(k);
+    for (int64_t i = 0; i < a.cols(); ++i) {
+      double av = arow[i];
+      if (av == 0.0) continue;
+      double* grow = g.RowPtr(i);
+      for (int64_t j = i; j < a.cols(); ++j) grow[j] += av * arow[j];
+    }
+  }
+  // Mirror the upper triangle.
+  for (int64_t i = 0; i < a.cols(); ++i) {
+    for (int64_t j = 0; j < i; ++j) g(i, j) = g(j, i);
+  }
+  return g;
+}
+
 }  // namespace haten2

@@ -98,6 +98,13 @@ class DenseMatrix {
   std::vector<double> data_;
 };
 
+/// Gram matrix AᵀA (cols(A) x cols(A)), symmetric by construction. Each
+/// entry sums its row products in row order, skipping rows where the left
+/// factor is an exact zero (bit-identical to the plain sum for finite
+/// inputs: a sum that starts at +0 never becomes -0, so adding ±0 is a
+/// no-op).
+DenseMatrix Gram(const DenseMatrix& a);
+
 }  // namespace haten2
 
 #endif  // HATEN2_TENSOR_DENSE_MATRIX_H_

@@ -17,6 +17,10 @@ Result<double> KruskalFit(const SparseTensor& x, const KruskalModel& model) {
                           InnerProductKruskal(x, model.lambda, factors));
   HATEN2_ASSIGN_OR_RETURN(double model_sq,
                           KruskalNormSquared(model.lambda, factors));
+  return KruskalFitFromTerms(x_sq, inner, model_sq);
+}
+
+double KruskalFitFromTerms(double x_sq, double inner, double model_sq) {
   double resid_sq = x_sq - 2.0 * inner + model_sq;
   // Guard tiny negative values from floating-point cancellation.
   resid_sq = std::max(resid_sq, 0.0);

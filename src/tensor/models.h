@@ -54,9 +54,14 @@ struct TuckerModel {
 };
 
 /// Fit of a Kruskal model against x:
-/// 1 - sqrt(||X||² - 2<X, M> + ||M||²) / ||X||, computed in O(nnz·R + N·R²)
+/// 1 - sqrt(||X||² - 2<X, M> + ||M||²) / ||X||, computed in O(nnz·R + N·I·R²)
 /// without materializing the reconstruction.
 Result<double> KruskalFit(const SparseTensor& x, const KruskalModel& model);
+
+/// KruskalFit's final step, from its three terms: ||X||² (x_sq, nonzero),
+/// <X, M> and ||M||². A residual that cancels to a tiny negative value is
+/// clamped to zero. ALS drivers that already hold the terms call this.
+double KruskalFitFromTerms(double x_sq, double inner, double model_sq);
 
 /// Fit of a Tucker model with orthonormal factors:
 /// ||X - M||² = ||X||² - ||G||², so fit = 1 - sqrt(||X||² - ||G||²) / ||X||.

@@ -1,6 +1,7 @@
 #include "tensor/sparse_tensor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -23,6 +24,40 @@ Result<SparseTensor> SparseTensor::Create(std::vector<int64_t> dims) {
     }
   }
   return SparseTensor(std::move(dims));
+}
+
+uint64_t SparseTensor::NextGeneration() {
+  static std::atomic<uint64_t> counter{0};
+  return counter.fetch_add(1) + 1;
+}
+
+SparseTensor::SparseTensor(SparseTensor&& other) noexcept
+    : dims_(std::move(other.dims_)),
+      indices_(std::move(other.indices_)),
+      values_(std::move(other.values_)),
+      canonical_(other.canonical_),
+      generation_(other.generation_) {
+  other.BecomeEmpty();
+}
+
+SparseTensor& SparseTensor::operator=(SparseTensor&& other) noexcept {
+  if (this != &other) {
+    dims_ = std::move(other.dims_);
+    indices_ = std::move(other.indices_);
+    values_ = std::move(other.values_);
+    canonical_ = other.canonical_;
+    generation_ = other.generation_;
+    other.BecomeEmpty();
+  }
+  return *this;
+}
+
+void SparseTensor::BecomeEmpty() {
+  dims_.clear();
+  indices_.clear();
+  values_.clear();
+  canonical_ = true;
+  generation_ = NextGeneration();
 }
 
 double SparseTensor::Density() const {
@@ -75,6 +110,7 @@ void SparseTensor::AppendUnchecked(const int64_t* idx, double value) {
 }
 
 void SparseTensor::Canonicalize() {
+  generation_ = NextGeneration();
   const size_t n = values_.size();
   const size_t ord = dims_.size();
   if (n == 0) {
@@ -127,6 +163,7 @@ void SparseTensor::Canonicalize() {
 SparseTensor SparseTensor::Binarized() const {
   SparseTensor out(*this);
   std::fill(out.values_.begin(), out.values_.end(), 1.0);
+  out.generation_ = NextGeneration();
   return out;
 }
 

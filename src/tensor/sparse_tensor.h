@@ -35,10 +35,13 @@ class SparseTensor {
     return Create({i, j, k});
   }
 
+  /// Copies keep the source's generation(): their content is equal.
   SparseTensor(const SparseTensor&) = default;
   SparseTensor& operator=(const SparseTensor&) = default;
-  SparseTensor(SparseTensor&&) = default;
-  SparseTensor& operator=(SparseTensor&&) = default;
+  /// The destination takes the source's content and generation(); the
+  /// source is left an empty 0-way tensor under a new generation.
+  SparseTensor(SparseTensor&& other) noexcept;
+  SparseTensor& operator=(SparseTensor&& other) noexcept;
 
   int order() const { return static_cast<int>(dims_.size()); }
   const std::vector<int64_t>& dims() const { return dims_; }
@@ -67,7 +70,10 @@ class SparseTensor {
                     static_cast<size_t>(mode)];
   }
   double value(int64_t e) const { return values_[static_cast<size_t>(e)]; }
-  void set_value(int64_t e, double v) { values_[static_cast<size_t>(e)] = v; }
+  void set_value(int64_t e, double v) {
+    values_[static_cast<size_t>(e)] = v;
+    generation_ = NextGeneration();
+  }
 
   /// Pointer to entry e's coordinate tuple (order() consecutive int64s).
   const int64_t* IndexPtr(int64_t e) const {
@@ -79,6 +85,17 @@ class SparseTensor {
   void Canonicalize();
 
   bool canonical() const { return canonical_; }
+
+  /// Content stamp, drawn from one process-wide counter. A tensor takes a
+  /// new stamp at construction, in Canonicalize() and set_value(), as the
+  /// result of Binarized(), and as the moved-from side of a move; copies
+  /// keep the stamp. Append/AppendUnchecked/Reserve take none (the load
+  /// path stays free): appends clear canonical(), which only Canonicalize()
+  /// or an assignment from a canonical tensor sets again. So two
+  /// *canonical* tensors with equal stamps hold equal content; a
+  /// non-canonical tensor's stamp says nothing. ContractCache keys on this
+  /// instead of hashing every entry.
+  uint64_t generation() const { return generation_; }
 
   /// Returns bin(X): same pattern, every stored value replaced by 1.0.
   SparseTensor Binarized() const;
@@ -116,10 +133,17 @@ class SparseTensor {
   explicit SparseTensor(std::vector<int64_t> dims)
       : dims_(std::move(dims)) {}
 
+  /// The moved-from state: an empty 0-way tensor under a new generation.
+  void BecomeEmpty();
+
+  /// A value no tensor has held before (thread-safe).
+  static uint64_t NextGeneration();
+
   std::vector<int64_t> dims_;
   std::vector<int64_t> indices_;  // nnz * order, row-major per entry
   std::vector<double> values_;
   bool canonical_ = true;  // empty tensor is trivially canonical
+  uint64_t generation_ = NextGeneration();
 };
 
 }  // namespace haten2

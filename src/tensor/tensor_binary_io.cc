@@ -1,7 +1,9 @@
 #include "tensor/tensor_binary_io.h"
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 #include "tensor/tensor_io.h"
 #include "util/string_util.h"
@@ -121,10 +123,20 @@ Result<SparseTensor> ReadTensorBinary(const std::string& path) {
   if (!Get(in, &nnz) || nnz < 0 || nnz > kMaxReasonableNnz) {
     return Status::InvalidArgument(path + ": implausible nnz");
   }
+  // Check the claimed entries against what the file holds before
+  // allocating for them: a forged nnz must not drive the allocation.
+  const size_t entry_bytes = static_cast<size_t>(order) * 8 + 8;
+  const size_t header_bytes = sizeof(kMagic) + sizeof(version) +
+                              sizeof(order) + dims.size() * 8 + sizeof(nnz);
+  std::error_code size_error;
+  const uintmax_t file_bytes = std::filesystem::file_size(path, size_error);
+  if (size_error || file_bytes < header_bytes ||
+      static_cast<uintmax_t>(nnz) > (file_bytes - header_bytes) / entry_bytes) {
+    return Status::InvalidArgument(path + ": truncated entries");
+  }
 
   HATEN2_ASSIGN_OR_RETURN(SparseTensor tensor, SparseTensor::Create(dims));
   tensor.Reserve(nnz);
-  const size_t entry_bytes = static_cast<size_t>(order) * 8 + 8;
   std::string body(static_cast<size_t>(nnz) * entry_bytes, '\0');
   in.read(body.data(), static_cast<std::streamsize>(body.size()));
   if (in.gcount() != static_cast<std::streamsize>(body.size())) {

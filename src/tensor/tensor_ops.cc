@@ -345,15 +345,19 @@ Result<double> InnerProductKruskal(
   if (static_cast<int64_t>(lambda.size()) != rank) {
     return Status::InvalidArgument("lambda length must equal rank");
   }
+  const int order = x.order();
+  std::vector<const double*> rows(static_cast<size_t>(order));
   double total = 0.0;
   for (int64_t e = 0; e < x.nnz(); ++e) {
     const int64_t* idx = x.IndexPtr(e);
+    for (int m = 0; m < order; ++m) {
+      rows[static_cast<size_t>(m)] =
+          factors[static_cast<size_t>(m)]->RowPtr(idx[m]);
+    }
     double per_entry = 0.0;
     for (int64_t r = 0; r < rank; ++r) {
       double p = lambda[static_cast<size_t>(r)];
-      for (int m = 0; m < x.order(); ++m) {
-        p *= (*factors[static_cast<size_t>(m)])(idx[m], r);
-      }
+      for (int m = 0; m < order; ++m) p *= rows[static_cast<size_t>(m)][r];
       per_entry += p;
     }
     total += x.value(e) * per_entry;
@@ -367,32 +371,37 @@ Result<double> KruskalNormSquared(
   if (factors.empty()) {
     return Status::InvalidArgument("need at least one factor matrix");
   }
-  int64_t rank = factors[0]->cols();
+  const int64_t rank = factors[0]->cols();
   if (static_cast<int64_t>(lambda.size()) != rank) {
     return Status::InvalidArgument("lambda length must equal rank");
   }
-  // Gram(r, s) = prod_m (A_m^T A_m)(r, s)
-  DenseMatrix gram(rank, rank);
-  gram.Fill(1.0);
+  std::vector<DenseMatrix> grams;
+  grams.reserve(factors.size());
   for (const DenseMatrix* f : factors) {
     if (f == nullptr || f->cols() != rank) {
       return Status::InvalidArgument("inconsistent factor matrices");
     }
-    for (int64_t r = 0; r < rank; ++r) {
-      for (int64_t s = 0; s < rank; ++s) {
-        double dot = 0.0;
-        for (int64_t i = 0; i < f->rows(); ++i) {
-          dot += (*f)(i, r) * (*f)(i, s);
-        }
-        gram(r, s) *= dot;
-      }
+    grams.push_back(Gram(*f));
+  }
+  return KruskalNormSquaredFromGrams(lambda, grams);
+}
+
+Result<double> KruskalNormSquaredFromGrams(
+    const std::vector<double>& lambda, const std::vector<DenseMatrix>& grams) {
+  const int64_t rank = static_cast<int64_t>(lambda.size());
+  for (const DenseMatrix& g : grams) {
+    if (g.rows() != rank || g.cols() != rank) {
+      return Status::InvalidArgument("lambda length must equal rank");
     }
   }
   double total = 0.0;
   for (int64_t r = 0; r < rank; ++r) {
     for (int64_t s = 0; s < rank; ++s) {
+      // Π_m G_m(r, s), multiplied into 1.0 in mode order.
+      double prod = 1.0;
+      for (const DenseMatrix& g : grams) prod *= g(r, s);
       total += lambda[static_cast<size_t>(r)] *
-               lambda[static_cast<size_t>(s)] * gram(r, s);
+               lambda[static_cast<size_t>(s)] * prod;
     }
   }
   return total;

@@ -80,9 +80,15 @@ Result<double> InnerProductKruskal(
     const std::vector<const DenseMatrix*>& factors);
 
 /// Squared norm of a Kruskal model: sum_{r,s} λ_r λ_s ∏_m (A_mᵀA_m)_{rs}.
+/// Takes each factor's Gram() and defers to KruskalNormSquaredFromGrams.
 Result<double> KruskalNormSquared(
     const std::vector<double>& lambda,
     const std::vector<const DenseMatrix*>& factors);
+
+/// The same sum from precomputed Grams (grams[m] = A_mᵀA_m, each R x R
+/// with R = lambda.size()) — for ALS drivers, which already hold them.
+Result<double> KruskalNormSquaredFromGrams(
+    const std::vector<double>& lambda, const std::vector<DenseMatrix>& grams);
 
 /// Mode-n matricization of a sparse tensor as an order-2 sparse tensor
 /// (I_mode × prod of other dims), Kolda column ordering.

@@ -44,7 +44,9 @@ class Rng {
 
   /// Samples from a Zipf distribution over {0, ..., n-1} with exponent s,
   /// by inverse-CDF over precomputed weights. Intended for modest n
-  /// (entity-popularity modeling in workload generators).
+  /// (entity-popularity modeling in workload generators). The CDFs of the
+  /// last few distinct (n, s) pairs stay cached, so interleaving draws
+  /// from several distributions does not rebuild a table per draw.
   uint64_t Zipf(uint64_t n, double s);
 
   /// Fisher-Yates shuffle.
@@ -63,11 +65,14 @@ class Rng {
   std::uniform_real_distribution<double> unit_{0.0, 1.0};
   std::normal_distribution<double> normal_{0.0, 1.0};
 
-  // Cached Zipf CDF for the last (n, s) pair; regenerating the table per call
-  // would make bulk sampling quadratic.
-  uint64_t zipf_n_ = 0;
-  double zipf_s_ = 0.0;
-  std::vector<double> zipf_cdf_;
+  // Cached Zipf CDFs, most recently built last; regenerating a table per
+  // call would make bulk sampling quadratic.
+  struct ZipfTable {
+    uint64_t n;
+    double s;
+    std::vector<double> cdf;
+  };
+  std::vector<ZipfTable> zipf_tables_;
 };
 
 }  // namespace haten2

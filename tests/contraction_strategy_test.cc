@@ -22,6 +22,7 @@
 #include "core/variant.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/stats_json.h"
+#include "tensor/delta_log.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -434,6 +435,151 @@ TEST(ContractCacheFingerprint, DistinctTensorsDoNotAlias) {
   auto rb = cache.Records(/*engine=*/nullptr, b);
   EXPECT_EQ(cache.misses(), 2);
   EXPECT_NE(ra.get(), rb.get());
+}
+
+// ---------------------------------------------------------------------------
+// The cache's key is SparseTensor::generation(): the stamp contract, checked
+// against TensorFingerprint as the full-content reference.
+// ---------------------------------------------------------------------------
+
+TEST(ContractCacheStamp, ContentChangesAlwaysTakeANewGeneration) {
+  const std::vector<int64_t> dims = {6, 5, 4};
+  Rng rng(8110);
+  std::vector<SparseTensor> pool;
+  for (int i = 0; i < 3; ++i) {
+    pool.push_back(RandomSparseTensor(dims, 20, &rng));
+  }
+  std::vector<uint64_t> fingerprints;
+  std::vector<uint64_t> generations;
+  for (const SparseTensor& t : pool) {
+    fingerprints.push_back(TensorFingerprint(t));
+    generations.push_back(t.generation());
+  }
+  auto pick = [&](int64_t n) {
+    return static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(n)));
+  };
+  auto random_entry = [&](std::vector<int64_t>* idx) {
+    for (size_t m = 0; m < dims.size(); ++m) (*idx)[m] = pick(dims[m]);
+  };
+  // A moved-from slot is a 0-way tensor; reuse it by assigning a shape.
+  auto revive = [&](SparseTensor* t) {
+    if (t->order() == 0) *t = SparseTensor::Create(dims).value();
+  };
+  ContractCache cache;
+  std::vector<int64_t> idx(dims.size());
+  for (int step = 0; step < 400; ++step) {
+    const size_t i = static_cast<size_t>(pick(3));
+    const size_t j = (i + 1 + static_cast<size_t>(pick(2))) % 3;
+    SparseTensor& t = pool[i];
+    const int64_t op = pick(7);
+    switch (op) {
+      case 0: {  // Append / AppendUnchecked, then Canonicalize.
+        revive(&t);
+        const int64_t n = pick(3);
+        for (int64_t k = 0; k < n; ++k) {
+          random_entry(&idx);
+          if (k % 2 == 0) {
+            ASSERT_OK(t.Append(idx.data(), t.order(), rng.Uniform(-1, 1)));
+          } else {
+            t.AppendUnchecked(idx.data(), rng.Uniform(-1, 1));
+          }
+        }
+        t.Canonicalize();
+        break;
+      }
+      case 1:  // set_value, sometimes rewriting the same value.
+        if (t.nnz() > 0) {
+          const int64_t e = pick(t.nnz());
+          t.set_value(e, rng.Bernoulli(0.5) ? t.value(e) : t.value(e) + 0.5);
+        }
+        break;
+      case 2:  // Copy-assignment.
+        t = pool[j];
+        break;
+      case 3:  // Move-assignment; the source slot is reused later.
+        t = std::move(pool[j]);
+        break;
+      case 4:  // Binarized.
+        t = t.Binarized();
+        break;
+      case 5: {  // MergeDelta.
+        revive(&t);
+        SparseTensor delta = SparseTensor::Create(dims).value();
+        random_entry(&idx);
+        delta.AppendUnchecked(idx.data(), rng.Uniform(-1, 1));
+        delta.Canonicalize();
+        ASSERT_OK(MergeDelta(&t, delta));
+        break;
+      }
+      default:  // Copy-construct over the slot.
+        t = SparseTensor(pool[j]);
+        break;
+    }
+    for (size_t k = 0; k < pool.size(); ++k) {
+      ASSERT_TRUE(pool[k].canonical());
+      const uint64_t fp = TensorFingerprint(pool[k]);
+      if (fp != fingerprints[k]) {
+        ASSERT_NE(pool[k].generation(), generations[k])
+            << "step " << step << " op " << op << " slot " << k;
+      }
+      fingerprints[k] = fp;
+      generations[k] = pool[k].generation();
+    }
+    for (size_t a = 0; a < pool.size(); ++a) {
+      for (size_t b = a + 1; b < pool.size(); ++b) {
+        if (pool[a].generation() == pool[b].generation()) {
+          ASSERT_EQ(fingerprints[a], fingerprints[b]) << "step " << step;
+        }
+      }
+    }
+    // Whatever the cache keyed before, it serves the current content.
+    const SparseTensor& probe = pool[static_cast<size_t>(pick(3))];
+    if (probe.order() == 3) {
+      ASSERT_TRUE(*cache.Records(/*engine=*/nullptr, probe) ==
+                  TensorToRecords(probe))
+          << "stale records at step " << step;
+    }
+  }
+  EXPECT_GT(cache.hits(), 0);
+}
+
+TEST(ContractCacheStamp, CopiesHitAndNonCanonicalTensorsNeverDo) {
+  Rng rng(8111);
+  SparseTensor x = RandomSparseTensor({6, 5, 4}, 20, &rng);
+  ContractCache cache;
+  ASSERT_OK(cache.Layout(x, 0).status());
+
+  // A copy holds equal content under the same stamp: a hit.
+  SparseTensor copy = x;
+  EXPECT_EQ(copy.generation(), x.generation());
+  ASSERT_OK(cache.Layout(copy, 0).status());
+  EXPECT_EQ(cache.layout_hits(), 1);
+
+  // Appends take no stamp (the load path stays free) but clear
+  // canonical(), so the edited copy misses even with the keyed stamp, and
+  // it does not become the key.
+  const int64_t idx[3] = {5, 4, 3};
+  copy.AppendUnchecked(idx, 7.0);
+  ASSERT_FALSE(copy.canonical());
+  Result<std::shared_ptr<const CsfLayout>> edited = cache.Layout(copy, 0);
+  ASSERT_OK(edited.status());
+  EXPECT_EQ(cache.layout_misses(), 2);
+  EXPECT_EQ((*edited)->values.size(), static_cast<size_t>(copy.nnz()));
+  auto unkeyed = cache.Records(/*engine=*/nullptr, copy);
+  EXPECT_EQ(cache.misses(), 1);
+  EXPECT_EQ(unkeyed->size(), static_cast<size_t>(copy.nnz()));
+  ASSERT_OK(cache.Layout(x, 0).status());
+  EXPECT_EQ(cache.layout_hits(), 2);
+  auto keyed = cache.Records(/*engine=*/nullptr, x);
+  EXPECT_EQ(cache.misses(), 2);
+  EXPECT_EQ(cache.Records(/*engine=*/nullptr, x).get(), keyed.get());
+  EXPECT_EQ(cache.hits(), 1);
+
+  // Canonicalize takes a new stamp: the edited copy is a different tensor.
+  copy.Canonicalize();
+  EXPECT_NE(copy.generation(), x.generation());
+  ASSERT_OK(cache.Layout(copy, 0).status());
+  EXPECT_EQ(cache.layout_misses(), 3);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -174,6 +175,55 @@ TEST(DeltaLog, BinaryReadRejectsCorruption) {
   }
   Result<DeltaLog> truncated = ReadDeltaLogBinary(path);
   EXPECT_FALSE(truncated.ok());
+  std::remove(path.c_str());
+}
+
+template <typename T>
+void PutRaw(std::string* out, T value) {
+  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
+}
+
+/// The delta-log body checksum (an XOR-fold, mirrored from
+/// src/tensor/delta_log.cc) so a forged body passes the integrity check and
+/// reaches the entry parser.
+uint64_t BodyChecksum(const std::string& body) {
+  uint64_t acc = 0x9e3779b97f4a7c15ULL;
+  const size_t full = body.size() / 8;
+  for (size_t i = 0; i < full; ++i) {
+    uint64_t word;
+    std::memcpy(&word, body.data() + i * 8, 8);
+    acc ^= word + (acc << 7) + (acc >> 3);
+  }
+  for (size_t i = full * 8; i < body.size(); ++i) {
+    acc ^= static_cast<uint64_t>(static_cast<unsigned char>(body[i]))
+           << ((i % 8) * 8);
+  }
+  return acc;
+}
+
+// An epoch block may claim any entry count up to the format's sanity cap;
+// the reader must check it against the bytes the body holds before
+// reserving for it, or a forged count aborts the process.
+TEST(DeltaLog, ForgedEntryCountIsRejectedBeforeAllocating) {
+  std::string body;
+  PutRaw<int64_t>(&body, int64_t{1} << 40);  // epoch 0 claims 2^40 entries
+  PutRaw<int64_t>(&body, 0);                 // empty unsealed tail
+  std::string file("HATEN2D\0", 8);
+  PutRaw<uint32_t>(&file, 1);  // version
+  PutRaw<int32_t>(&file, 2);   // order
+  PutRaw<int64_t>(&file, 4);
+  PutRaw<int64_t>(&file, 4);
+  PutRaw<int64_t>(&file, 1);  // one sealed epoch
+  file += body;
+  PutRaw<uint64_t>(&file, BodyChecksum(body));
+  const std::string path = TempPath("forged.bin");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(file.data(), static_cast<std::streamsize>(file.size()));
+  }
+  Result<DeltaLog> read = ReadDeltaLogBinary(path);
+  ASSERT_FALSE(read.ok());
+  EXPECT_TRUE(read.status().IsInvalidArgument()) << read.status().ToString();
   std::remove(path.c_str());
 }
 

@@ -133,6 +133,13 @@ TEST(ModelFits, ZeroModelHasFitZero) {
   EXPECT_NEAR(*fit, 0.0, 1e-12);
 }
 
+// KruskalFit and the PARAFAC driver share the final step. A residual that
+// cancels to just below zero must clamp to a perfect fit, not a NaN.
+TEST(ModelFits, FitFromTermsClampsCancellationToFitOne) {
+  EXPECT_DOUBLE_EQ(KruskalFitFromTerms(4.0, 1.0, 1.0), 1.0 - std::sqrt(0.75));
+  EXPECT_EQ(KruskalFitFromTerms(4.0, 4.0, std::nextafter(4.0, 0.0)), 1.0);
+}
+
 TEST(ModelFits, RejectsZeroTensor) {
   Result<SparseTensor> empty = SparseTensor::Create3(3, 3, 3);
   ASSERT_OK(empty.status());

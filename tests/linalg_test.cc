@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "tensor/tensor_ops.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -269,6 +272,147 @@ TEST(RelativeErrorOp, ZeroForIdenticalMatrices) {
   EXPECT_DOUBLE_EQ(*err, 0.0);
   DenseMatrix b(3, 3);
   EXPECT_TRUE(RelativeError(a, b).status().IsInvalidArgument());
+}
+
+// ---------------------------------------------------------------------------
+// The shared dense helpers run row-major, but each sum keeps the order of
+// the plain column-by-column loops below, so their outputs are bit-identical
+// for finite inputs — including exact zeros, which Gram skips.
+// ---------------------------------------------------------------------------
+
+void PlainNormalizeColumns(DenseMatrix* m, std::vector<double>* norms) {
+  norms->assign(static_cast<size_t>(m->cols()), 0.0);
+  for (int64_t j = 0; j < m->cols(); ++j) {
+    double s = 0.0;
+    for (int64_t i = 0; i < m->rows(); ++i) s += (*m)(i, j) * (*m)(i, j);
+    s = std::sqrt(s);
+    (*norms)[static_cast<size_t>(j)] = s;
+    if (s > 0.0) {
+      for (int64_t i = 0; i < m->rows(); ++i) (*m)(i, j) /= s;
+    }
+  }
+}
+
+DenseMatrix PlainGram(const DenseMatrix& a) {
+  DenseMatrix g(a.cols(), a.cols());
+  for (int64_t r = 0; r < a.cols(); ++r) {
+    for (int64_t s = 0; s < a.cols(); ++s) {
+      double dot = 0.0;
+      for (int64_t i = 0; i < a.rows(); ++i) dot += a(i, r) * a(i, s);
+      g(r, s) = dot;
+    }
+  }
+  return g;
+}
+
+double PlainKruskalNormSquared(const std::vector<double>& lambda,
+                               const std::vector<const DenseMatrix*>& f) {
+  const int64_t rank = static_cast<int64_t>(lambda.size());
+  DenseMatrix gram(rank, rank);
+  gram.Fill(1.0);
+  for (const DenseMatrix* a : f) {
+    DenseMatrix g = PlainGram(*a);
+    for (int64_t r = 0; r < rank; ++r) {
+      for (int64_t s = 0; s < rank; ++s) gram(r, s) *= g(r, s);
+    }
+  }
+  double total = 0.0;
+  for (int64_t r = 0; r < rank; ++r) {
+    for (int64_t s = 0; s < rank; ++s) {
+      total += lambda[static_cast<size_t>(r)] *
+               lambda[static_cast<size_t>(s)] * gram(r, s);
+    }
+  }
+  return total;
+}
+
+double PlainInnerProductKruskal(const SparseTensor& x,
+                                const std::vector<double>& lambda,
+                                const std::vector<const DenseMatrix*>& f) {
+  double total = 0.0;
+  for (int64_t e = 0; e < x.nnz(); ++e) {
+    double per_entry = 0.0;
+    for (size_t r = 0; r < lambda.size(); ++r) {
+      double p = lambda[r];
+      for (int m = 0; m < x.order(); ++m) {
+        p *= (*f[static_cast<size_t>(m)])(x.index(e, m),
+                                          static_cast<int64_t>(r));
+      }
+      per_entry += p;
+    }
+    total += x.value(e) * per_entry;
+  }
+  return total;
+}
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+void ExpectBitIdentical(const DenseMatrix& a, const DenseMatrix& b) {
+  ASSERT_TRUE(a.SameShape(b));
+  for (size_t i = 0; i < a.data().size(); ++i) {
+    ASSERT_EQ(Bits(a.data()[i]), Bits(b.data()[i])) << "entry " << i;
+  }
+}
+
+/// A tall normal matrix with about a quarter of its entries exact zeros
+/// (some of them -0.0) and one all-zero column.
+DenseMatrix TallWithZeros(int64_t rows, int64_t cols, Rng* rng) {
+  DenseMatrix a = DenseMatrix::RandomNormal(rows, cols, rng);
+  for (double& v : a.data()) {
+    const double u = rng->Uniform();
+    if (u < 0.2) v = 0.0;
+    if (u > 0.95) v = -0.0;
+  }
+  for (int64_t i = 0; i < rows; ++i) a(i, cols - 1) = 0.0;
+  return a;
+}
+
+TEST(DenseHelpersBitIdentity, GramAndNormalizeColumnsMatchPlainLoops) {
+  Rng rng(4301);
+  for (int64_t cols : {1, 5, 16}) {
+    DenseMatrix a = TallWithZeros(3000, cols, &rng);
+    ExpectBitIdentical(Gram(a), PlainGram(a));
+
+    DenseMatrix fast = a;
+    DenseMatrix plain = a;
+    std::vector<double> fast_norms;
+    std::vector<double> plain_norms;
+    NormalizeColumns(&fast, &fast_norms);
+    PlainNormalizeColumns(&plain, &plain_norms);
+    ExpectBitIdentical(fast, plain);
+    ASSERT_EQ(fast_norms.size(), plain_norms.size());
+    for (size_t j = 0; j < fast_norms.size(); ++j) {
+      EXPECT_EQ(Bits(fast_norms[j]), Bits(plain_norms[j])) << "column " << j;
+    }
+    EXPECT_EQ(fast_norms.back(), 0.0);
+  }
+}
+
+TEST(DenseHelpersBitIdentity, KruskalTermsMatchPlainLoops) {
+  Rng rng(4302);
+  const int64_t rank = 6;
+  SparseTensor x = testing::RandomSparseTensor({900, 700, 50}, 4000, &rng);
+  DenseMatrix a = TallWithZeros(900, rank, &rng);
+  DenseMatrix b = TallWithZeros(700, rank, &rng);
+  DenseMatrix c = TallWithZeros(50, rank, &rng);
+  std::vector<double> lambda = {2.5, 1.0, 0.0, 0.75, 3.0, 1.25};
+  const std::vector<const DenseMatrix*> factors = {&a, &b, &c};
+
+  Result<double> norm_sq = KruskalNormSquared(lambda, factors);
+  ASSERT_OK(norm_sq.status());
+  EXPECT_EQ(Bits(*norm_sq), Bits(PlainKruskalNormSquared(lambda, factors)));
+  Result<double> from_grams =
+      KruskalNormSquaredFromGrams(lambda, {Gram(a), Gram(b), Gram(c)});
+  ASSERT_OK(from_grams.status());
+  EXPECT_EQ(Bits(*from_grams), Bits(*norm_sq));
+
+  Result<double> inner = InnerProductKruskal(x, lambda, factors);
+  ASSERT_OK(inner.status());
+  EXPECT_EQ(Bits(*inner), Bits(PlainInnerProductKruskal(x, lambda, factors)));
 }
 
 }  // namespace

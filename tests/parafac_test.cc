@@ -13,6 +13,7 @@
 #include "baseline/toolbox.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
+#include "util/string_util.h"
 #include "workload/random_tensor.h"
 
 namespace haten2 {
@@ -234,6 +235,42 @@ TEST(Haten2Parafac, NonnegativeFitImprovesOverIterations) {
   ASSERT_OK(model.status());
   ASSERT_GE(model->fit_history.size(), 2u);
   EXPECT_GT(model->fit_history.back(), model->fit_history.front());
+}
+
+// The driver takes its fit from the sweep (Grams and the last mode's
+// MTTKRP) instead of re-walking X. Whatever the update rule, contraction
+// path, order or sweep count, it must agree with the public KruskalFit of
+// the model it returns.
+TEST(Haten2Parafac, SweepFitMatchesKruskalFit) {
+  Rng rng(31);
+  const SparseTensor x3 = RandomSparseTensor({12, 10, 9}, 150, &rng);
+  const SparseTensor x4 = RandomSparseTensor({7, 6, 5, 4}, 150, &rng);
+  for (const SparseTensor* x : {&x3, &x4}) {
+    for (bool nonnegative : {false, true}) {
+      for (const char* contraction : {"incore", "dataflow"}) {
+        for (int iterations = 1; iterations <= 4; ++iterations) {
+          SCOPED_TRACE(StrFormat("order %d nonnegative %d %s iterations %d",
+                                 x->order(), nonnegative, contraction,
+                                 iterations));
+          ClusterConfig config = ClusterConfig::ForTesting();
+          config.contraction = contraction;
+          Engine engine(config);
+          Haten2Options options;
+          options.max_iterations = iterations;
+          options.tolerance = 0.0;
+          options.nonnegative = nonnegative;
+          Result<KruskalModel> model =
+              Haten2ParafacAls(&engine, *x, 3, options);
+          ASSERT_OK(model.status());
+          ASSERT_EQ(model->iterations, iterations);
+          Result<double> reference = KruskalFit(*x, *model);
+          ASSERT_OK(reference.status());
+          EXPECT_NEAR(model->fit, *reference, 1e-12 * std::fabs(*reference));
+          EXPECT_EQ(model->fit_history.back(), model->fit);
+        }
+      }
+    }
+  }
 }
 
 TEST(Haten2Parafac, RejectsBadInput) {

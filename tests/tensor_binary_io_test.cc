@@ -120,6 +120,31 @@ TEST(TensorBinaryIo, RejectsWrongMagicAndMissingFile) {
   std::remove(path.c_str());
 }
 
+// A header may claim any nnz up to the format's sanity cap; the reader must
+// check the claim against the bytes the file holds before allocating for
+// it, or a 48-byte file aborts the process.
+TEST(TensorBinaryIo, ForgedNnzIsRejectedBeforeAllocating) {
+  std::string file("HATEN2T\0", 8);
+  auto put = [&file](auto value) {
+    file.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  put(uint32_t{1});  // version
+  put(int32_t{3});   // order
+  for (int m = 0; m < 3; ++m) put(int64_t{10});
+  put(int64_t{1} << 40);  // nnz; no entries follow
+  ASSERT_EQ(file.size(), 48u);
+  std::string path = TempPath("forged.htb");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(file.data(), static_cast<std::streamsize>(file.size()));
+  }
+  Result<SparseTensor> r = ReadTensorBinary(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+  EXPECT_TRUE(ReadTensorAuto(path).status().IsInvalidArgument());
+  std::remove(path.c_str());
+}
+
 TEST(TensorBinaryIo, BinaryIsSmallerThanTextForLargeTensors) {
   // The advantage appears at the paper's billion-scale index widths, where
   // a text record is ~50 characters vs 32 binary bytes.

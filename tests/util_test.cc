@@ -161,6 +161,25 @@ TEST(RngTest, ZipfSkewsTowardsSmallIndices) {
   EXPECT_EQ(rng.Zipf(1, 1.0), 0u);
 }
 
+// Interleaving draws from several (n, s) pairs — more pairs than the
+// cached tables, so some are rebuilt — yields exactly the draws of the
+// single-table cache this sequence was pinned against.
+TEST(RngTest, InterleavedZipfDrawsArePinned) {
+  Rng rng(20261017);
+  const struct {
+    uint64_t n;
+    double s;
+  } dists[] = {{1000, 1.1}, {50000, 1.1}, {400, 1.1},
+               {7, 0.5},    {1000, 2.0},  {3, 1.0}};
+  const uint64_t pinned[] = {11, 1, 0, 2,  259, 1,  0,  12, 1, 0, 1, 34,
+                             2,  0, 1, 0,  1,   2,  3,  0,  13, 366, 2, 0,
+                             0,  0, 40, 13, 70, 0,  0,  0,  2, 1, 0, 3};
+  for (int k = 0; k < 36; ++k) {
+    const auto& d = dists[(k * 5 + k / 6) % 6];
+    EXPECT_EQ(rng.Zipf(d.n, d.s), pinned[k]) << "draw " << k;
+  }
+}
+
 TEST(RngTest, BernoulliAndNormalSanity) {
   Rng rng(3);
   int heads = 0;

@@ -150,6 +150,23 @@ TEST(KnowledgeBaseGen, Validation) {
   EXPECT_TRUE(GenerateKnowledgeBase(spec).status().IsInvalidArgument());
 }
 
+// The background loop interleaves subject, object and relation draws from
+// one Rng. Caching a single Zipf table made every draw rebuild a 10⁵-entry
+// CDF, so this size ran for minutes; the TIMEOUT set on this binary in
+// tests/CMakeLists.txt turns that regression into a failure.
+TEST(KnowledgeBaseGen, BuildsLargeZipfBackgroundWithinTimeout) {
+  KnowledgeBaseSpec spec;
+  spec.num_subjects = 100000;
+  spec.num_objects = 100000;
+  spec.num_relations = 400;
+  spec.noise_facts = 100000;
+  Result<KnowledgeBase> kb = GenerateKnowledgeBase(spec);
+  ASSERT_OK(kb.status());
+  EXPECT_EQ(kb->tensor.dims(), (std::vector<int64_t>{100000, 100000, 400}));
+  EXPECT_GT(kb->tensor.nnz(), spec.noise_facts / 2);
+  EXPECT_OK(kb->tensor.Validate());
+}
+
 TEST(Preprocess, DropsScarceAndFrequentRelationsAndReweights) {
   Result<SparseTensor> t = SparseTensor::Create3(10, 10, 5);
   ASSERT_OK(t.status());
