@@ -2,6 +2,7 @@
 #include <array>
 #include <cstring>
 #include <memory>
+#include <tuple>
 #include <utility>
 
 #include "core/contraction_strategy.h"
@@ -38,12 +39,6 @@ struct NaiveValue {
   int64_t j;  // index along the contracted mode
   double value;
   uint8_t kind;  // 0 = tensor entry, 1 = broadcast vector element
-};
-
-struct CoordStdHash {
-  size_t operator()(const Coord& c) const {
-    return static_cast<size_t>(ShuffleHash<Coord>()(c));
-  }
 };
 
 SliceBlocks MakeEmptyBlocks(const ContractionContext& ctx) {
@@ -239,44 +234,43 @@ Result<SliceBlocks> RunMergeJob(const ContractionContext& ctx,
     em->Emit(rec.first, rec.second);
   };
 
-  auto reducer = [&](const int64_t& /*slice*/,
+  auto reducer = [&](const int64_t& slice,
                      std::vector<HadamardRecord>& values,
                      OutputEmitter<int64_t, std::vector<double>>* out) {
-    // Join the streams on the original tensor coordinate.
-    struct PerCoord {
-      std::array<std::vector<double>, kMaxMrOrder - 1> stream_vals;
-    };
-    std::unordered_map<Coord, PerCoord, CoordStdHash> joins;
-    joins.reserve(values.size() / std::max(1, num_streams));
-    for (const HadamardRecord& rec : values) {
-      PerCoord& pc = joins[rec.coord];
-      auto& vals = pc.stream_vals[static_cast<size_t>(rec.stream)];
-      if (vals.empty()) {
-        vals.assign(
-            static_cast<size_t>(ctx.block_dims[static_cast<size_t>(
-                rec.stream)]),
-            0.0);
-      }
-      vals[static_cast<size_t>(rec.col)] += rec.value;
+    // Secondary sort on (coord, stream, col): each original tensor
+    // coordinate's records become one run with its streams in order, so the
+    // join is a walk and the block sums run in coordinate order.
+    std::sort(values.begin(), values.end(),
+              [](const HadamardRecord& a, const HadamardRecord& b) {
+                return std::tie(a.coord, a.stream, a.col) <
+                       std::tie(b.coord, b.stream, b.col);
+              });
+    std::array<std::vector<double>, kMaxMrOrder - 1> stream_vals;
+    for (int s = 0; s < num_streams; ++s) {
+      stream_vals[static_cast<size_t>(s)].resize(
+          static_cast<size_t>(ctx.block_dims[static_cast<size_t>(s)]));
     }
     std::vector<double> block(static_cast<size_t>(block_size), 0.0);
-    for (auto& [coord, pc] : joins) {
+    for (size_t i = 0; i < values.size();) {
+      const Coord& coord = values[i].coord;
+      std::array<bool, kMaxMrOrder - 1> present{};
+      for (auto& vals : stream_vals) std::fill(vals.begin(), vals.end(), 0.0);
+      for (; i < values.size() && values[i].coord == coord; ++i) {
+        const HadamardRecord& rec = values[i];
+        present[static_cast<size_t>(rec.stream)] = true;
+        stream_vals[static_cast<size_t>(rec.stream)]
+                   [static_cast<size_t>(rec.col)] += rec.value;
+      }
       // A coordinate missing any stream contributes nothing (its factor row
       // was entirely zero).
-      bool complete = true;
-      for (int s = 0; s < num_streams; ++s) {
-        if (pc.stream_vals[static_cast<size_t>(s)].empty()) {
-          complete = false;
-          break;
-        }
+      if (std::count(present.begin(), present.end(), true) < num_streams) {
+        continue;
       }
-      if (!complete) continue;
       if (ctx.kind == MergeKind::kPairwise) {
         for (int64_t r = 0; r < block_size; ++r) {
           double p = 1.0;
           for (int s = 0; s < num_streams; ++s) {
-            p *= pc.stream_vals[static_cast<size_t>(s)]
-                              [static_cast<size_t>(r)];
+            p *= stream_vals[static_cast<size_t>(s)][static_cast<size_t>(r)];
           }
           block[static_cast<size_t>(r)] += p;
         }
@@ -287,9 +281,8 @@ Result<SliceBlocks> RunMergeJob(const ContractionContext& ctx,
           double p = 1.0;
           int64_t off = 0;
           for (int s = 0; s < num_streams; ++s) {
-            p *= pc.stream_vals[static_cast<size_t>(s)]
-                              [static_cast<size_t>(q[static_cast<size_t>(
-                                  s)])];
+            p *= stream_vals[static_cast<size_t>(s)]
+                            [static_cast<size_t>(q[static_cast<size_t>(s)])];
             off += q[static_cast<size_t>(s)] * weights[static_cast<size_t>(s)];
           }
           if (p != 0.0) block[static_cast<size_t>(off)] += p;
@@ -306,12 +299,7 @@ Result<SliceBlocks> RunMergeJob(const ContractionContext& ctx,
         }
       }
     }
-    // Re-use the slice id stored in any record's coordinate.
-    if (!values.empty()) {
-      int64_t slice = values.front()
-                          .coord.c[static_cast<size_t>(ctx.free_mode)];
-      out->Emit(slice, std::move(block));
-    }
+    out->Emit(slice, std::move(block));
   };
 
   const char* name =

@@ -2,6 +2,7 @@
 #define HATEN2_CORE_RECORDS_H_
 
 #include <array>
+#include <compare>
 #include <cstdint>
 
 #include "mapreduce/hash.h"
@@ -16,8 +17,9 @@ namespace haten2 {
 /// single-machine baseline has no limit at all.
 inline constexpr int kMaxMrOrder = 6;
 
-/// Fixed-size coordinate tuple for intermediate records. Unused trailing
-/// slots are set to -1 so equality/hashing are order-independent.
+/// Fixed-size coordinate tuple for intermediate records, ordered
+/// lexicographically. Unused trailing slots are set to -1 so equality,
+/// ordering and hashing are order-independent.
 struct Coord {
   std::array<int64_t, kMaxMrOrder> c;
 
@@ -28,7 +30,7 @@ struct Coord {
     return out;
   }
 
-  friend bool operator==(const Coord& a, const Coord& b) = default;
+  friend auto operator<=>(const Coord& a, const Coord& b) = default;
 };
 
 template <>

@@ -19,8 +19,9 @@
 //                                    <- kRunsDone
 //   forwards each run to the owner
 //   of its partition (p % W == w),
-//   task-ascending per partition
+//   in arrival order
 //   kReduceRun* -> ... kStartReduce ->
+//                                       places runs by task id, then
 //                                       groups + reduces owned
 //                                       partitions ascending
 //                                    <- kOutputRun* (per partition)
@@ -29,12 +30,12 @@
 //   ascending; reaps the gang
 //
 // Bit-identity with the in-process engine: a worker shuffles with the same
-// ShuffleEmitter, combines with the same fold, and groups with the same
-// hash map in the same insertion order — per partition, runs are inserted
-// task-ascending with each run's spill-drained records before its buffered
-// records, which is exactly the in-process drain order — so reducer value
-// order, reducer iteration order, and the partition-ascending output
-// concatenation all match byte for byte. Oversized partitions spill
+// ShuffleEmitter, combines with the same fold, and reduces each owned
+// partition with the same sort-merge grouping (ReducePartition) over the
+// same runs — one per map task, its spilled records reloaded in front of
+// its resident ones, placed by task id — so reducer inputs, reducer call
+// order, and the partition-ascending output concatenation all match byte
+// for byte whatever order the runs arrive in. Oversized partitions spill
 // through the existing codec in the worker, and each shuffled run crosses
 // the wire as a spill-codec block.
 //
@@ -48,16 +49,14 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <map>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "distributed/wire.h"
 #include "distributed/worker_pool.h"
 #include "mapreduce/cluster.h"
-#include "mapreduce/hash.h"
 #include "mapreduce/shuffle.h"
 #include "mapreduce/spill_codec.h"
 #include "mapreduce/stats.h"
@@ -278,43 +277,32 @@ int SubprocessWorkerMain(
   }
 
   // ---- Serialize runs before kMapDone so drain failures are reported in
-  // the task flags. Run = one (task, partition)'s records, spill-drained
-  // records first, then the buffer — the in-process grouping order. ----
-  struct Run {
-    int64_t task;
-    int64_t partition;
-    std::string block;
-  };
-  std::vector<Run> runs;
+  // the task flags. A run is one (task, partition)'s records, its spilled
+  // records reloaded in front of the buffer — the in-process run. ----
+  std::vector<WireFrame> runs;
   if (!job_fatal) {
     for (size_t i = 0; i < my_tasks.size() && !job_fatal; ++i) {
       ShuffleEmitter<KMid, VMid>& em = emitters[i];
-      for (int p = 0; p < num_partitions; ++p) {
-        std::vector<Record> run;
-        run.reserve(static_cast<size_t>(
-                        em.SpilledRecords(static_cast<size_t>(p))) +
-                    em.buffers()[static_cast<size_t>(p)].size());
-        Status drained = em.DrainSpill(
-            static_cast<size_t>(p),
-            [&run](const Record& rec) { run.push_back(rec); });
-        if (!drained.ok()) {
+      for (size_t p = 0; p < static_cast<size_t>(num_partitions); ++p) {
+        if (!em.ReloadSpill(p).ok()) {
           reports[i].flags |= kTaskDrainIO;
           job_fatal = true;
           break;
         }
-        for (auto& rec : em.buffers()[static_cast<size_t>(p)]) {
-          run.push_back(rec);
-        }
-        em.buffers()[static_cast<size_t>(p)].clear();
-        em.buffers()[static_cast<size_t>(p)].shrink_to_fit();
+        std::vector<Record>& run = em.buffers()[p];
         if (run.empty()) continue;
-        Run out;
-        out.task = my_tasks[i];
-        out.partition = p;
+        WireFrame f;
+        f.type = FrameType::kMapRun;
+        f.worker = worker;
+        f.job = env.job_id;
+        f.a = my_tasks[i];
+        f.b = static_cast<int64_t>(p);
         EncodeSpillBlock(reinterpret_cast<const char*>(run.data()),
                          run.size(), sizeof(Record), sizeof(KMid),
-                         &out.block);
-        runs.push_back(std::move(out));
+                         &f.payload);
+        runs.push_back(std::move(f));
+        run.clear();
+        run.shrink_to_fit();
       }
     }
   }
@@ -333,14 +321,7 @@ int SubprocessWorkerMain(
                         reports.size() * sizeof(WireTaskReport));
   }
   if (!ch.WriteFrame(done).ok()) return kWorkerExitProtocolError;
-  for (const Run& r : runs) {
-    WireFrame f;
-    f.type = FrameType::kMapRun;
-    f.worker = worker;
-    f.job = env.job_id;
-    f.a = r.task;
-    f.b = r.partition;
-    f.payload = r.block;
+  for (const WireFrame& f : runs) {
     if (!ch.WriteFrame(f).ok()) return kWorkerExitProtocolError;
   }
   WireFrame runs_done;
@@ -351,58 +332,58 @@ int SubprocessWorkerMain(
   // The coordinator fails the job from the reports; nothing left to do.
   if (job_fatal) return 0;
 
-  // ---- Group: insert forwarded runs in arrival order — the coordinator
-  // sends task-ascending per partition, mirroring the in-process drain. ----
-  struct StdHashAdapter {
-    size_t operator()(const KMid& k) const {
-      return static_cast<size_t>(ShuffleHash<KMid>()(k));
-    }
-  };
-  using GroupMap = std::unordered_map<KMid, std::vector<VMid>, StdHashAdapter>;
-  std::unordered_map<int64_t, GroupMap> partition_groups;
+  // ---- Group: partition_runs[p / W][t] holds task t's run for owned
+  // partition p, so runs are in task order whatever order they arrive in.
+  std::vector<std::vector<std::vector<Record>>> partition_runs(
+      static_cast<size_t>((num_partitions - worker + W - 1) / W),
+      std::vector<std::vector<Record>>(static_cast<size_t>(num_tasks)));
   std::string decoded;
   while (true) {
     if (!ch.ReadFrame(timeout, &frame).ok()) return kWorkerExitProtocolError;
     if (frame.type == FrameType::kStartReduce) break;
     if (frame.type != FrameType::kReduceRun) return kWorkerExitProtocolError;
-    if (frame.payload.size() < kSpillBlockHeaderBytes) {
+    if (frame.a < 0 || frame.a >= num_tasks || frame.b < 0 ||
+        frame.b >= num_partitions || frame.b % W != worker ||
+        frame.payload.size() < kSpillBlockHeaderBytes) {
       return kWorkerExitProtocolError;
     }
-    const std::string context = StrFormat(
-        "forwarded run t%lld p%lld", static_cast<long long>(frame.a),
-        static_cast<long long>(frame.b));
+    std::vector<Record>& run =
+        partition_runs[static_cast<size_t>(frame.b / W)]
+                      [static_cast<size_t>(frame.a)];
+    if (!run.empty()) return kWorkerExitProtocolError;  // duplicate run
+    // A worker reports a bad run only by its exit code, so the decode
+    // errors need no context.
     Result<SpillBlockHeader> header = ParseSpillBlockHeader(
-        frame.payload.data(), kSpillBlockHeaderBytes, context);
+        frame.payload.data(), kSpillBlockHeaderBytes, "forwarded run");
     if (!header.ok()) return kWorkerExitProtocolError;
     decoded.clear();
     if (!DecodeSpillBlockPayload(
              *header, frame.payload.data() + kSpillBlockHeaderBytes,
              frame.payload.size() - kSpillBlockHeaderBytes, sizeof(Record),
-             sizeof(KMid), context, &decoded)
+             sizeof(KMid), "forwarded run", &decoded)
              .ok()) {
       return kWorkerExitProtocolError;
     }
-    GroupMap& groups = partition_groups[frame.b];
-    Record rec;
-    for (uint64_t i = 0; i < header->record_count; ++i) {
-      std::memcpy(static_cast<void*>(&rec),
-                  decoded.data() + i * sizeof(Record), sizeof(Record));
-      groups[rec.first].push_back(rec.second);
+    run.resize(static_cast<size_t>(header->record_count));
+    if (!run.empty()) {
+      std::memcpy(static_cast<void*>(run.data()), decoded.data(),
+                  decoded.size());
     }
   }
 
   // ---- Reduce owned partitions ascending; stream outputs back. ----
   std::vector<WirePartitionReport> partition_reports;
   for (int p = worker; p < num_partitions; p += W) {
-    GroupMap& groups = partition_groups[p];
+    std::vector<std::vector<Record>>& task_runs =
+        partition_runs[static_cast<size_t>(p / W)];
+    std::vector<std::span<const Record>> spans(task_runs.begin(),
+                                               task_runs.end());
     OutputEmitter<KOut, VOut> out;
-    for (auto& [key, values] : groups) {
-      reducer(key, values, &out);
-    }
     WirePartitionReport pr;
     pr.partition = p;
-    pr.groups = static_cast<int64_t>(groups.size());
+    pr.groups = ReducePartition(spans, reducer, &out);
     partition_reports.push_back(pr);
+    task_runs = {};
     WireFrame f;
     f.type = FrameType::kOutputRun;
     f.worker = worker;
@@ -411,7 +392,6 @@ int SubprocessWorkerMain(
     f.b = static_cast<int64_t>(out.records().size());
     SerializeOutputRecords<KOut, VOut>(out.records(), &f.payload);
     if (!ch.WriteFrame(f).ok()) return kWorkerExitProtocolError;
-    partition_groups.erase(p);
   }
   WireFrame worker_done;
   worker_done.type = FrameType::kWorkerDone;
@@ -528,12 +508,12 @@ Result<std::vector<std::pair<KOut, VOut>>> RunSubprocessJob(
   bool task_gave_up = false;
   bool emitter_io = false;
   bool drain_io = false;
-  // Shuffled runs keyed (task, partition): raw spill-codec blocks forwarded
-  // to reduce owners without decoding (record counts come from the block
-  // headers). The ordered map gives the forwarding loop task-ascending
-  // order per partition — the in-process grouping order.
-  std::map<std::pair<int64_t, int64_t>, std::string> runs;
-  std::map<std::pair<int64_t, int64_t>, int64_t> run_counts;
+  // Shuffled runs in arrival order: raw spill-codec blocks forwarded to
+  // reduce owners without decoding, with their record counts from the block
+  // headers. Owners place each run by its task id, so arrival order does
+  // not reach the reducers.
+  std::vector<WireFrame> runs;
+  std::vector<int64_t> run_records;
   for (int w = 0; w < W; ++w) {
     WireChannel* ch = pool->channel(w);
     WireFrame f;
@@ -590,9 +570,8 @@ Result<std::vector<std::pair<KOut, VOut>>> RunSubprocessJob(
                     static_cast<long long>(f.a),
                     static_cast<long long>(f.b), w));
       if (!header.ok()) return worker_lost(w, header.status());
-      run_counts[{f.a, f.b}] =
-          static_cast<int64_t>(header->record_count);
-      runs[{f.a, f.b}] = std::move(f.payload);
+      run_records.push_back(static_cast<int64_t>(header->record_count));
+      runs.push_back(std::move(f));
     }
   }
   take_phase(&stats->phases.map_seconds);
@@ -638,23 +617,18 @@ Result<std::vector<std::pair<KOut, VOut>>> RunSubprocessJob(
   }
 
   // ---- Shuffle phase: forward each run to its partition's owner. ----
-  for (auto& [key, block] : runs) {
-    const int64_t t = key.first;
-    const int64_t p = key.second;
-    const int owner = static_cast<int>(p % W);
-    WireFrame f;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    WireFrame& f = runs[i];
+    const int owner = static_cast<int>(f.b % W);
     f.type = FrameType::kReduceRun;
     f.worker = owner;
     f.job = env.job_id;
-    f.a = t;
-    f.b = p;
-    f.payload = std::move(block);
     Status s = pool->channel(owner)->WriteFrame(f);
     if (!s.ok()) return worker_lost(owner, s);
-    const int64_t received = run_counts[key];
-    stats->reduce_partition_records[static_cast<size_t>(p)] += received;
-    stats->reduce_partition_bytes[static_cast<size_t>(p)] +=
-        static_cast<uint64_t>(received) * kRecordBytes;
+    const size_t p = static_cast<size_t>(f.b);
+    stats->reduce_partition_records[p] += run_records[i];
+    stats->reduce_partition_bytes[p] +=
+        static_cast<uint64_t>(run_records[i]) * kRecordBytes;
   }
   runs.clear();
   for (int w = 0; w < W; ++w) {

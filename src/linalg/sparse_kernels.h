@@ -24,8 +24,8 @@ namespace haten2 {
 // cells in ascending mode order — exactly the association the dataflow
 // merge uses. Slices or fibers holding a single nonzero therefore produce
 // bit-identical cells to the dataflow path; multi-entry sums agree to
-// rounding (the dataflow reducer joins entries in hash-map order, which
-// the kernels' fiber order does not reproduce).
+// rounding (the dataflow merge sums a slice's entries in ascending
+// coordinate order, which the kernels' fiber order does not reproduce).
 
 /// Compressed slice-major layout of one (tensor, free mode) pair — "CSF-lite".
 ///

@@ -7,14 +7,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "distributed/subprocess_job.h"
 #include "distributed/worker_pool.h"
 #include "mapreduce/cluster.h"
-#include "mapreduce/hash.h"
 #include "mapreduce/shuffle.h"
 #include "mapreduce/spill_codec.h"
 #include "mapreduce/stats.h"
@@ -34,8 +32,10 @@ namespace haten2 {
 ///     directly over SparseTensor entries plus factor-matrix rows, exactly
 ///     as the paper's MAP pseudo-code reads tensor and matrix records);
 ///   - intermediate pairs are hash-partitioned into
-///     ClusterConfig::EffectiveReduceTasks() partitions, grouped by key, and
-///     the reducer is invoked once per distinct key with all its values;
+///     ClusterConfig::EffectiveReduceTasks() partitions and grouped by a
+///     sort-merge (mapreduce/shuffle.h): the reducer is invoked once per
+///     distinct key, keys ascending, with the key's values in (map task,
+///     emission) order;
 ///   - the optional combiner (an associative fold over V) runs at the end of
 ///     each map task, like a Hadoop combiner.
 ///
@@ -177,7 +177,8 @@ class Engine {
   /// \param reducer   void(const KMid&, std::vector<VMid>&,
   ///                       OutputEmitter<KOut, VOut>*).
   /// \param combiner  optional VMid(const VMid&, const VMid&), associative.
-  /// \returns the concatenated reducer outputs (order unspecified).
+  /// \returns the concatenated reducer outputs: partition-ascending, with
+  ///          keys ascending within each partition.
   template <typename KMid, typename VMid, typename KOut, typename VOut,
             typename ReaderFn, typename ReduceFn>
   Result<std::vector<std::pair<KOut, VOut>>> Run(
@@ -368,40 +369,21 @@ class Engine {
       take_phase(&stats.phases.combine_seconds);
     }
 
-    // ---- Shuffle/group phase (parallel over partitions) ----
-    struct StdHashAdapter {
-      size_t operator()(const KMid& k) const {
-        return static_cast<size_t>(ShuffleHash<KMid>()(k));
-      }
-    };
-    using GroupMap =
-        std::unordered_map<KMid, std::vector<VMid>, StdHashAdapter>;
-    std::vector<GroupMap> partition_groups(
-        static_cast<size_t>(num_partitions));
-
+    // ---- Shuffle phase (parallel over partitions): each task's spilled
+    // runs are read back in front of its resident records. ----
     std::atomic<bool> spill_read_failed{false};
     std::mutex spill_error_mu;
     Status spill_read_status = Status::OK();
     pool_.ParallelFor(static_cast<size_t>(num_partitions), [&](size_t p) {
-      GroupMap& groups = partition_groups[p];
       int64_t received = 0;
       for (auto& em : emitters) {
-        Status drained = em.DrainSpill(
-            p, [&groups, &received](const std::pair<KMid, VMid>& rec) {
-              groups[rec.first].push_back(rec.second);
-              ++received;
-            });
-        if (!drained.ok()) {
+        Status reloaded = em.ReloadSpill(p);
+        if (!reloaded.ok()) {
           spill_read_failed.store(true, std::memory_order_relaxed);
           std::lock_guard<std::mutex> lock(spill_error_mu);
-          if (spill_read_status.ok()) spill_read_status = drained;
+          if (spill_read_status.ok()) spill_read_status = reloaded;
         }
-        for (auto& rec : em.buffers()[p]) {
-          groups[rec.first].push_back(std::move(rec.second));
-          ++received;
-        }
-        em.buffers()[p].clear();
-        em.buffers()[p].shrink_to_fit();
+        received += static_cast<int64_t>(em.buffers()[p].size());
       }
       stats.reduce_partition_records[p] = received;
       stats.reduce_partition_bytes[p] =
@@ -416,21 +398,23 @@ class Engine {
                           spill_read_status.message()));
     }
 
-    // ---- Reduce phase (parallel over partitions) ----
+    // ---- Reduce phase (parallel over partitions): sort-merge grouping. ----
     using PartitionOutput = std::vector<std::pair<KOut, VOut>>;
     std::vector<PartitionOutput> partition_outputs(
         static_cast<size_t>(num_partitions));
     std::vector<int64_t> partition_group_counts(
         static_cast<size_t>(num_partitions), 0);
     pool_.ParallelFor(static_cast<size_t>(num_partitions), [&](size_t p) {
+      std::vector<std::span<const std::pair<KMid, VMid>>> runs;
+      runs.reserve(emitters.size());
+      for (auto& em : emitters) runs.emplace_back(em.buffers()[p]);
       OutputEmitter<KOut, VOut> out;
-      for (auto& [key, values] : partition_groups[p]) {
-        reducer(key, values, &out);
-      }
-      partition_group_counts[p] =
-          static_cast<int64_t>(partition_groups[p].size());
+      partition_group_counts[p] = ReducePartition(runs, reducer, &out);
       partition_outputs[p] = std::move(out.records());
-      partition_groups[p] = GroupMap();  // free as we go
+      for (auto& em : emitters) {  // free as we go
+        em.buffers()[p].clear();
+        em.buffers()[p].shrink_to_fit();
+      }
     });
 
     std::vector<std::pair<KOut, VOut>> output;

@@ -3,21 +3,23 @@
 
 // The engine's shuffle-side building blocks, shared by both execution
 // backends: the in-process Engine (mapreduce/engine.h) and the subprocess
-// workers (distributed/subprocess_job.h) instantiate the same emitters and
-// the same combine fold, which is what makes the two backends bit-identical
-// — a worker process shuffles, spills, combines, and groups with exactly
-// the code the in-process engine uses.
+// workers (distributed/subprocess_job.h) run the same emitters, combine
+// fold, and sort-merge grouping (ReducePartition), as on Hadoop: spilled
+// and combined runs are stably sorted by key, and reducers see keys
+// ascending with each key's values in (map task, emission) order. That
+// order follows from the data alone, so both backends and every spill and
+// compression setting feed the reducers identical inputs.
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <span>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,6 +40,14 @@ struct IsFixedSizeRecord : std::is_trivially_copyable<T> {};
 template <typename A, typename B>
 struct IsFixedSizeRecord<std::pair<A, B>>
     : std::conjunction<IsFixedSizeRecord<A>, IsFixedSizeRecord<B>> {};
+
+/// Stably sorts a run of records by key: equal keys keep their order.
+template <typename K, typename V>
+void StableSortByKey(std::vector<std::pair<K, V>>* run) {
+  std::stable_sort(run->begin(), run->end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+}
 
 /// \brief Collects a map task's (key, value) emissions into per-reduce-
 /// partition buffers (the in-process equivalent of the Hadoop shuffle
@@ -62,10 +72,11 @@ class ShuffleEmitter {
   static constexpr uint64_t kRecordBytes = sizeof(Record);
 
   /// `spill_prefix` empty disables spilling; otherwise a partition's buffer
-  /// is appended to "<spill_prefix>_p<partition>.spill" and cleared once it
-  /// holds `spill_threshold` records (Hadoop's sort-spill), bounding the
-  /// task's resident memory. Spilled records remain charged against the
-  /// budget: it models the cluster's total intermediate-data capacity.
+  /// is stably sorted by key, appended to "<spill_prefix>_p<partition>.spill"
+  /// and cleared once it holds `spill_threshold` records (Hadoop's
+  /// sort-spill), bounding the task's resident memory. Spilled records
+  /// remain charged against the budget: it models the cluster's total
+  /// intermediate-data capacity.
   /// `compression` selects the on-disk run encoding (spill_codec.h);
   /// `inject_failure_after_bytes` > 0 tears the spill write that would pass
   /// that cumulative byte count (failure injection, see ClusterConfig).
@@ -106,12 +117,6 @@ class ShuffleEmitter {
 
   int64_t TotalRecords() const {
     int64_t n = TotalSpilledRecords();
-    for (const auto& b : buffers_) n += static_cast<int64_t>(b.size());
-    return n;
-  }
-
-  int64_t InMemoryRecords() const {
-    int64_t n = 0;
     for (const auto& b : buffers_) n += static_cast<int64_t>(b.size());
     return n;
   }
@@ -170,6 +175,20 @@ class ShuffleEmitter {
     return Status::OK();
   }
 
+  /// Drains partition `p`'s spill file back in front of its resident
+  /// records, so buffers()[p] holds the task's whole run for `p`, each key's
+  /// values in emission order. On error the buffer is left as it was.
+  Status ReloadSpill(size_t p) {
+    if (spilled_counts_[p] == 0) return Status::OK();
+    std::vector<Record> run;
+    run.reserve(static_cast<size_t>(spilled_counts_[p]) + buffers_[p].size());
+    HATEN2_RETURN_IF_ERROR(
+        DrainSpill(p, [&run](const Record& rec) { run.push_back(rec); }));
+    run.insert(run.end(), buffers_[p].begin(), buffers_[p].end());
+    buffers_[p] = std::move(run);
+    return Status::OK();
+  }
+
   void RemoveSpill(size_t p) {
     if (spilled_counts_[p] > 0) {
       std::remove(SpillPath(p).c_str());
@@ -186,6 +205,7 @@ class ShuffleEmitter {
 
  private:
   void SpillPartition(size_t p) {
+    StableSortByKey(&buffers_[p]);
     const char* data = reinterpret_cast<const char*>(buffers_[p].data());
     size_t nbytes = buffers_[p].size() * sizeof(Record);
     std::string encoded;
@@ -245,7 +265,9 @@ class ShuffleEmitter {
 
   /// Block-decoding drain loop for delta_varint spill files: reads
   /// header + payload per run until every spilled record is consumed,
-  /// validating counts against `spilled_counts_[p]` as it goes.
+  /// validating record counts against `spilled_counts_[p]` and payload
+  /// lengths against the bytes this emitter committed to the file, so a
+  /// corrupt header is an IOError before anything is sized from it.
   template <typename ConsumeFn>
   Status DrainCompressedSpill(size_t p, std::ifstream& in,
                               const std::string& path, ConsumeFn&& consume) {
@@ -268,6 +290,13 @@ class ShuffleEmitter {
       if (static_cast<int64_t>(header->record_count) > remaining) {
         return Status::IOError("spill block overruns the spilled record "
                                "count in " +
+                               context);
+      }
+      const uint64_t committed = spilled_disk_bytes_[p];
+      if (offset + kSpillBlockHeaderBytes > committed ||
+          header->payload_bytes > committed - offset - kSpillBlockHeaderBytes) {
+        return Status::IOError("spill block payload overruns the committed "
+                               "spill bytes in " +
                                context);
       }
       payload.resize(header->payload_bytes);
@@ -344,29 +373,58 @@ class OutputEmitter {
 };
 
 /// Folds duplicate keys of one in-memory partition buffer through the
-/// combiner, exactly as a Hadoop combiner runs at the end of a map task.
-/// Both backends apply it to in-memory buffers only (spilled runs are
-/// shuffled uncombined), and both inherit the resulting record order from
-/// the fold map's iteration order — which is what keeps the shuffled byte
-/// streams, and hence every reduction, bit-identical across backends.
+/// combiner, exactly as a Hadoop combiner runs at the end of a map task:
+/// the buffer is stably sorted by key and each run of equal keys folds, in
+/// emission order, into one record. Both backends apply it to in-memory
+/// buffers only (spilled runs are shuffled uncombined).
 template <typename K, typename V>
 void CombineShuffleBuffer(std::vector<std::pair<K, V>>* buf,
                           const std::function<V(const V&, const V&)>& fold) {
   if (buf->size() <= 1) return;
-  struct StdHashAdapter {
-    size_t operator()(const K& k) const {
-      return static_cast<size_t>(ShuffleHash<K>()(k));
+  StableSortByKey(buf);
+  size_t kept = 0;
+  for (size_t i = 0; i < buf->size(); ++i) {
+    if (kept > 0 && (*buf)[kept - 1].first == (*buf)[i].first) {
+      (*buf)[kept - 1].second = fold((*buf)[kept - 1].second, (*buf)[i].second);
+    } else {
+      (*buf)[kept++] = (*buf)[i];
     }
-  };
-  std::unordered_map<K, V, StdHashAdapter> merged;
-  merged.reserve(buf->size());
-  for (auto& rec : *buf) {
-    auto [it, inserted] = merged.try_emplace(rec.first, rec.second);
-    if (!inserted) it->second = fold(it->second, rec.second);
   }
-  buf->clear();
-  buf->reserve(merged.size());
-  for (auto& [k, v] : merged) buf->emplace_back(k, std::move(v));
+  buf->erase(buf->begin() + static_cast<std::ptrdiff_t>(kept), buf->end());
+}
+
+/// Groups one reduce partition by key and reduces it: the sort-merge
+/// shuffle's reduce side, shared by both backends. `runs` are the
+/// partition's records from every map task, in task order, each holding
+/// every key's values in emission order. An index of (key, value pointer)
+/// over them is stably sorted by key, so the records are not copied, and
+/// `reducer(key, values, out)` is called once per distinct key, keys
+/// ascending, with the key's values in (map task, emission) order in one
+/// reused buffer. Returns the number of distinct keys.
+template <typename K, typename V, typename KOut, typename VOut,
+          typename ReduceFn>
+int64_t ReducePartition(
+    const std::vector<std::span<const std::pair<K, V>>>& runs,
+    ReduceFn& reducer, OutputEmitter<KOut, VOut>* out) {
+  std::vector<std::pair<K, const V*>> index;
+  size_t total = 0;
+  for (const auto& run : runs) total += run.size();
+  index.reserve(total);
+  for (const auto& run : runs) {
+    for (const auto& rec : run) index.emplace_back(rec.first, &rec.second);
+  }
+  StableSortByKey(&index);
+  std::vector<V> values;
+  int64_t groups = 0;
+  for (size_t i = 0; i < index.size(); ++groups) {
+    const K& key = index[i].first;
+    values.clear();
+    for (; i < index.size() && index[i].first == key; ++i) {
+      values.push_back(*index[i].second);
+    }
+    reducer(key, values, out);
+  }
+  return groups;
 }
 
 /// Deterministic per-(job, task, attempt) map-task failure decision, shared

@@ -1,24 +1,27 @@
 #include "mapreduce/spill_codec.h"
 
-#include <algorithm>
 #include <cstring>
-#include <numeric>
-#include <vector>
+#include <limits>
 
 namespace haten2 {
 
 namespace {
 
 /// Little-endian read of the first min(8, key_bytes) bytes of a record's
-/// key — the sort/delta prefix. Reading fewer than 8 bytes zero-extends, so
-/// short keys order exactly by their value. The prefix is an *ordering*
-/// device, not an interpretation of the key type: any consistent total
-/// order makes deltas small on clustered keys, which is all the codec needs.
+/// key — the delta-coded prefix. Reading fewer than 8 bytes zero-extends.
+/// The prefix is a byte pattern, not an interpretation of the key type:
+/// runs sorted by key keep consecutive prefixes close on clustered keys,
+/// which is all the codec needs.
 uint64_t KeyPrefix(const char* record, size_t key_bytes) {
   uint64_t prefix = 0;
   std::memcpy(&prefix, record, key_bytes < 8 ? key_bytes : 8);
   return prefix;
 }
+
+/// Zigzag map of a wrapping 64-bit delta, so small steps in either
+/// direction take few varint bytes.
+uint64_t ZigZag(uint64_t delta) { return (delta << 1) ^ (0 - (delta >> 63)); }
+uint64_t UnZigZag(uint64_t z) { return (z >> 1) ^ (0 - (z & 1)); }
 
 void StoreU32(uint32_t v, char* out) { std::memcpy(out, &v, 4); }
 void StoreU64(uint64_t v, char* out) { std::memcpy(out, &v, 8); }
@@ -116,36 +119,13 @@ size_t EncodeSpillBlock(const char* records, size_t record_count,
                         std::string* out) {
   const size_t prefix_bytes = key_bytes < 8 ? key_bytes : 8;
   const size_t tail_bytes = record_bytes - prefix_bytes;
-
-  // Sort by key prefix so consecutive deltas are small. Stable, so the
-  // encoded bytes are deterministic for equal prefixes; the decoder undoes
-  // the reorder entirely via the stored permutation.
-  std::vector<uint32_t> order(record_count);
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](uint32_t a, uint32_t b) {
-                     return KeyPrefix(records + a * record_bytes, key_bytes) <
-                            KeyPrefix(records + b * record_bytes, key_bytes);
-                   });
-
   const size_t header_at = out->size();
   out->append(kSpillBlockHeaderBytes, '\0');
-
-  // The sort permutation (original index of each sorted position) comes
-  // first: the decoder scatters records back to their emission slots, so
-  // the decoded byte stream — and hence everything downstream of the drain,
-  // including floating-point summation order — is identical to the raw
-  // format's. Costs ~log2(run length)/7 bytes per record against the 8-byte
-  // prefix the deltas save.
-  for (size_t i = 0; i < record_count; ++i) {
-    AppendVarint(order[i], out);
-  }
-
   uint64_t prev = 0;
   for (size_t i = 0; i < record_count; ++i) {
-    const char* rec = records + static_cast<size_t>(order[i]) * record_bytes;
-    uint64_t prefix = KeyPrefix(rec, key_bytes);
-    AppendVarint(prefix - prev, out);  // sorted, so the delta is non-negative
+    const char* rec = records + i * record_bytes;
+    const uint64_t prefix = KeyPrefix(rec, key_bytes);
+    AppendVarint(ZigZag(prefix - prev), out);
     prev = prefix;
     out->append(rec + prefix_bytes, tail_bytes);
   }
@@ -164,41 +144,36 @@ Status DecodeSpillBlockPayload(const SpillBlockHeader& header,
                                size_t record_bytes, size_t key_bytes,
                                const std::string& context,
                                std::string* records_out) {
+  const size_t prefix_bytes = key_bytes < 8 ? key_bytes : 8;
+  const size_t tail_bytes = record_bytes - prefix_bytes;
+  // Nothing is sized from the header until its record count is known to
+  // fit: the raw width must not overflow, and the payload must hold at
+  // least one varint byte plus the tail for every record.
+  if (header.record_count >
+      std::numeric_limits<uint64_t>::max() / record_bytes) {
+    return Status::IOError("spill block record count overflows its raw "
+                           "width at " +
+                           context);
+  }
   if (header.raw_bytes != header.record_count * record_bytes) {
     return Status::IOError("spill block raw-byte count disagrees with its "
                            "record count at " +
                            context);
   }
-  const size_t prefix_bytes = key_bytes < 8 ? key_bytes : 8;
-  const size_t tail_bytes = record_bytes - prefix_bytes;
-  size_t pos = 0;
-
-  // Permutation first: it must be a bijection on [0, record_count) or the
-  // scatter below would silently drop or duplicate records.
-  std::vector<uint64_t> perm(header.record_count, 0);
-  std::vector<bool> seen(header.record_count, false);
-  for (uint64_t i = 0; i < header.record_count; ++i) {
-    uint64_t idx = 0;
-    size_t used = DecodeVarint(payload + pos, payload_size - pos, &idx);
-    if (used == 0) {
-      return Status::IOError("corrupt permutation varint in spill block at " +
-                             context);
-    }
-    pos += used;
-    if (idx >= header.record_count || seen[idx]) {
-      return Status::IOError("corrupt permutation in spill block at " +
-                             context);
-    }
-    seen[idx] = true;
-    perm[i] = idx;
+  if (header.record_count > payload_size / (1 + tail_bytes)) {
+    return Status::IOError("spill block record count exceeds what its "
+                           "payload can hold at " +
+                           context);
   }
 
   const size_t base = records_out->size();
   records_out->resize(base + header.record_count * record_bytes);
+  char* dst = records_out->data() + base;
+  size_t pos = 0;
   uint64_t prev = 0;
   for (uint64_t i = 0; i < header.record_count; ++i) {
-    uint64_t delta = 0;
-    size_t used = DecodeVarint(payload + pos, payload_size - pos, &delta);
+    uint64_t zigzag = 0;
+    size_t used = DecodeVarint(payload + pos, payload_size - pos, &zigzag);
     if (used == 0) {
       return Status::IOError("corrupt varint in spill block at " + context);
     }
@@ -206,12 +181,12 @@ Status DecodeSpillBlockPayload(const SpillBlockHeader& header,
     if (payload_size - pos < tail_bytes) {
       return Status::IOError("truncated spill block payload at " + context);
     }
-    prev += delta;
+    prev += UnZigZag(zigzag);
     char prefix[8];
     StoreU64(prev, prefix);
-    char* dst = records_out->data() + base + perm[i] * record_bytes;
     std::memcpy(dst, prefix, prefix_bytes);
     std::memcpy(dst + prefix_bytes, payload + pos, tail_bytes);
+    dst += record_bytes;
     pos += tail_bytes;
   }
   if (pos != payload_size) {

@@ -15,14 +15,14 @@ namespace haten2 {
 /// `kNone` writes raw fixed-size records — byte-for-byte the historical
 /// format, kept as the deterministic test double. `kDeltaVarint` writes each
 /// spill run as one self-describing block: a fixed header carrying the raw
-/// and encoded byte counts plus the record count, then the varint-coded
-/// sort permutation, then a payload in which records are sorted by an
-/// 8-byte key prefix, the prefix delta-encoded against its predecessor and
-/// varint-coded, and the rest of each record (key tail, padding, value)
-/// stored raw. The decoder scatters records back through the permutation,
-/// reproducing the spilled byte stream exactly — so the drain, the reducer
-/// inputs, and every decomposition result are bit-identical with
-/// compression on or off (docs/INTERNALS.md, Accounting).
+/// and encoded byte counts plus the record count, then the records in the
+/// order given, each as its 8-byte key prefix zigzag-delta-encoded against
+/// its predecessor's and varint-coded, followed by the rest of the record
+/// (key tail, padding, value) stored raw. Spill runs are sorted by key
+/// before they are written, so the deltas are small; decoding reproduces
+/// the run byte for byte, so the reducer inputs and every decomposition
+/// result are bit-identical with compression on or off (docs/INTERNALS.md,
+/// Accounting).
 enum class SpillCompression : int {
   kNone = 0,
   kDeltaVarint = 1,
@@ -70,18 +70,19 @@ Result<SpillBlockHeader> ParseSpillBlockHeader(const char* data, size_t size,
 
 /// Encodes one spill run of `record_count` fixed-size records
 /// (`record_bytes` wide each, key in the first `key_bytes`) as a
-/// header + permutation + delta/varint payload appended to *out. Returns
-/// the number of bytes appended. Decoding restores the records in their
-/// original order, byte for byte.
+/// header + delta/varint payload appended to *out, records in the order
+/// given. Returns the number of bytes appended. Decoding restores the
+/// records in that order, byte for byte.
 size_t EncodeSpillBlock(const char* records, size_t record_count,
                         size_t record_bytes, size_t key_bytes,
                         std::string* out);
 
 /// Decodes a block payload (its header already parsed) back into raw
-/// records appended to *records_out, in their original pre-sort order.
-/// Rejects payloads whose varints are malformed, whose permutation is not
-/// a bijection, or whose decoded size disagrees with the header. `context`
-/// names the spill file and block offset for the error message.
+/// records appended to *records_out, in their encoded order. Before
+/// allocating, rejects a record count that overflows the raw width or that
+/// the payload cannot hold (each record takes a varint byte plus its tail);
+/// then malformed varints and sizes that disagree with the header.
+/// `context` names the spill file and block offset for error messages.
 Status DecodeSpillBlockPayload(const SpillBlockHeader& header,
                                const char* payload, size_t payload_size,
                                size_t record_bytes, size_t key_bytes,

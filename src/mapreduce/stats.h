@@ -18,9 +18,9 @@ struct PhaseTimes {
   double map_seconds = 0.0;
   /// End-of-task combiners; 0 when the job has no combiner.
   double combine_seconds = 0.0;
-  /// Shuffle/group: spill drain and group-by-key into reduce partitions.
+  /// Shuffle: spilled runs read back into their reduce partitions.
   double shuffle_seconds = 0.0;
-  /// Reducer invocations and output concatenation.
+  /// Sort-merge grouping, reducer invocations and output concatenation.
   double reduce_seconds = 0.0;
 
   double Total() const {

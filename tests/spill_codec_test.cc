@@ -1,6 +1,7 @@
 // Tests for the block-compressed spill format: varint primitives, block
-// round-trips, corrupted-block rejection, compression effectiveness on
-// clustered keys, and end-to-end bit-identity of decompositions with
+// round-trips, corrupted-block rejection (including forged record counts
+// and a seeded mutation loop over valid blocks), compression effectiveness
+// on clustered keys, and end-to-end bit-identity of decompositions with
 // compression on vs off.
 
 #include "mapreduce/spill_codec.h"
@@ -141,9 +142,8 @@ TEST(SpillCodecBlock, RoundTripsSortedKeys) {
 }
 
 TEST(SpillCodecBlock, RoundTripsRandomKeysInEmissionOrder) {
-  // The codec sorts internally for small deltas, but the stored permutation
-  // restores the exact emission order — decode is byte-identical to the
-  // input, not merely equivalent up to reordering.
+  // Unsorted keys take negative deltas; decode is byte-identical to the
+  // input, in the order given, not merely equivalent up to reordering.
   Rng rng(77);
   std::vector<Record> records;
   for (int i = 0; i < 1000; ++i) {
@@ -161,29 +161,6 @@ TEST(SpillCodecBlock, RoundTripsNegativeAndExtremeKeys) {
                                  {0, 3.0},
                                  {std::numeric_limits<int64_t>::max(), 4.0}};
   EXPECT_EQ(RoundTrip(records), records);
-}
-
-TEST(SpillCodecBlock, RejectsNonBijectivePermutation) {
-  // Encode two identical keys, then clobber the second permutation entry to
-  // duplicate the first: the decoder must refuse rather than silently drop
-  // and duplicate records.
-  std::vector<Record> records = {{5, 1.0}, {5, 2.0}};
-  std::string encoded;
-  EncodeSpillBlock(RecordBytes(records).data(), records.size(),
-                   sizeof(Record), sizeof(int64_t), &encoded);
-  auto header = ParseSpillBlockHeader(encoded.data(), encoded.size(), "f");
-  ASSERT_TRUE(header.ok());
-  // Permutation of a pre-sorted run is the identity: bytes 0x00 0x01 right
-  // after the header. Duplicate index 0.
-  encoded[kSpillBlockHeaderBytes + 1] = '\0';
-  std::string decoded;
-  Status status = DecodeSpillBlockPayload(
-      *header, encoded.data() + kSpillBlockHeaderBytes,
-      encoded.size() - kSpillBlockHeaderBytes, sizeof(Record),
-      sizeof(int64_t), "f", &decoded);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("permutation"), std::string::npos)
-      << status.ToString();
 }
 
 TEST(SpillCodecBlock, CompressesClusteredKeys) {
@@ -284,6 +261,151 @@ TEST(SpillCodecBlock, RejectsGarbageVarint) {
                                           sizeof(int64_t), "f", &decoded);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("varint"), std::string::npos);
+}
+
+/// Decodes `encoded`'s payload under `header` (which may be forged).
+Status DecodeFixture(const SpillBlockHeader& header,
+                     const std::string& encoded, std::string* decoded) {
+  return DecodeSpillBlockPayload(
+      header, encoded.data() + kSpillBlockHeaderBytes,
+      encoded.size() - kSpillBlockHeaderBytes, sizeof(Record),
+      sizeof(int64_t), "f", decoded);
+}
+
+TEST(SpillCodecBlock, RejectsForgedRecordCountBeforeAllocating) {
+  // A consistent header claiming 2^40 records: sizing the output from it
+  // would ask for 16 TiB. The payload cannot hold that many records (each
+  // needs a varint byte plus its 8-byte tail), so decode refuses first.
+  std::vector<Record> records;
+  std::string encoded = EncodeFixture(&records);
+  auto header = ParseSpillBlockHeader(encoded.data(), encoded.size(), "f");
+  ASSERT_TRUE(header.ok());
+  header->record_count = uint64_t{1} << 40;
+  header->raw_bytes = header->record_count * sizeof(Record);
+  std::string decoded;
+  Status status = DecodeFixture(*header, encoded, &decoded);
+  ASSERT_FALSE(status.ok());
+  EXPECT_TRUE(status.IsIOError());
+  EXPECT_NE(status.message().find("payload can hold"), std::string::npos)
+      << status.ToString();
+  EXPECT_TRUE(decoded.empty());
+
+  // One record more than the payload holds is refused the same way.
+  header->record_count = records.size() + 1;
+  header->raw_bytes = header->record_count * sizeof(Record);
+  status = DecodeFixture(*header, encoded, &decoded);
+  ASSERT_FALSE(status.ok());
+  EXPECT_TRUE(status.IsIOError());
+}
+
+TEST(SpillCodecBlock, RejectsOverflowingRawWidth) {
+  // 2^60 records of 16 bytes wrap the raw width to 0, which a forged
+  // raw_bytes of 0 would otherwise match.
+  std::vector<Record> records;
+  std::string encoded = EncodeFixture(&records);
+  auto header = ParseSpillBlockHeader(encoded.data(), encoded.size(), "f");
+  ASSERT_TRUE(header.ok());
+  header->record_count = uint64_t{1} << 60;
+  header->raw_bytes = 0;
+  std::string decoded;
+  Status status = DecodeFixture(*header, encoded, &decoded);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("overflows"), std::string::npos)
+      << status.ToString();
+  EXPECT_TRUE(decoded.empty());
+}
+
+TEST(SpillCodecFuzz, MutatedBlocksFailCleanlyOrDecodeExactly) {
+  // Seeded mutations of valid blocks: bit flips, truncations, and
+  // overwritten record-count and length fields. Every case must parse and
+  // decode to an IOError, or decode to exactly the header's record count —
+  // never crash, throw, or allocate from an unchecked count.
+  Rng rng(20261017);
+  std::vector<std::string> blocks;
+  for (int b = 0; b < 8; ++b) {
+    std::vector<Record> records;
+    const int n = 1 + static_cast<int>(rng.UniformInt(uint64_t{120}));
+    for (int i = 0; i < n; ++i) {
+      records.push_back(
+          {static_cast<int64_t>(rng.UniformInt(uint64_t{1} << (4 * b))) -
+               (b % 2 == 0 ? 0 : 7),
+           static_cast<double>(i) * 0.25});
+    }
+    if (b % 3 != 0) StableSortByKey(&records);
+    std::string encoded;
+    EncodeSpillBlock(RecordBytes(records).data(), records.size(),
+                     sizeof(Record), sizeof(int64_t), &encoded);
+    blocks.push_back(std::move(encoded));
+  }
+  const uint64_t edge_values[] = {0,
+                                  1,
+                                  2,
+                                  uint64_t{1} << 32,
+                                  uint64_t{1} << 40,
+                                  uint64_t{1} << 63,
+                                  std::numeric_limits<uint64_t>::max()};
+  constexpr int kCases = 12000;
+  int decoded = 0;
+  int rejected = 0;
+  for (int c = 0; c < kCases; ++c) {
+    std::string block = blocks[rng.UniformInt(uint64_t{blocks.size()})];
+    switch (c % 4) {
+      case 0: {  // bit flips anywhere, header included
+        const int flips = 1 + static_cast<int>(rng.UniformInt(uint64_t{3}));
+        for (int f = 0; f < flips; ++f) {
+          const uint64_t bit = rng.UniformInt(uint64_t{block.size() * 8});
+          block[bit / 8] = static_cast<char>(block[bit / 8] ^ (1 << (bit % 8)));
+        }
+        break;
+      }
+      case 1:  // truncation
+        block.resize(rng.UniformInt(uint64_t{block.size()}));
+        break;
+      default: {  // overwritten count (8), raw (16) or payload (24) field
+        const size_t field = 8 * (1 + rng.UniformInt(uint64_t{3}));
+        uint64_t value = rng.UniformInt(uint64_t{2}) == 0
+                             ? edge_values[rng.UniformInt(uint64_t{7})]
+                             : rng.engine()();
+        if (field == 8 && rng.UniformInt(uint64_t{2}) == 0) {
+          // Keep raw_bytes consistent so only the payload bound stands.
+          value %= uint64_t{1} << 48;
+          const uint64_t raw = value * sizeof(Record);
+          std::memcpy(block.data() + 16, &raw, sizeof(raw));
+        }
+        std::memcpy(block.data() + field, &value, sizeof(value));
+        break;
+      }
+    }
+    auto header = ParseSpillBlockHeader(block.data(), block.size(), "fuzz");
+    if (!header.ok()) {
+      ASSERT_TRUE(header.status().IsIOError()) << "case " << c;
+      continue;
+    }
+    // Decode as both readers do: the spill drain takes the header's payload
+    // length (refusing one past the bytes it has), a worker takes the
+    // frame's.
+    const uint64_t available = block.size() - kSpillBlockHeaderBytes;
+    for (uint64_t payload_size : {header->payload_bytes, available}) {
+      if (payload_size > available) continue;
+      std::string out;
+      Status status = DecodeSpillBlockPayload(
+          *header, block.data() + kSpillBlockHeaderBytes,
+          static_cast<size_t>(payload_size), sizeof(Record), sizeof(int64_t),
+          "fuzz", &out);
+      if (status.ok()) {
+        ASSERT_EQ(out.size(), header->record_count * sizeof(Record))
+            << "case " << c;
+        ++decoded;
+      } else {
+        ASSERT_TRUE(status.IsIOError()) << "case " << c << ": "
+                                        << status.ToString();
+        ++rejected;
+      }
+    }
+  }
+  // Flips in record tails still decode: the loop exercised both outcomes.
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(SpillCodecBlock, RejectsTrailingGarbage) {

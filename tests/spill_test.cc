@@ -361,6 +361,53 @@ TEST(Spill, DrainSpillRejectsCorruptCompressedBlock) {
   EXPECT_FALSE(std::filesystem::exists(path));
 }
 
+TEST(Spill, DrainSpillRejectsForgedPayloadLength) {
+  // A block header claiming a 2^40-byte payload in a real spill file: the
+  // drain must check it against the bytes the emitter committed and fail
+  // with an IOError naming the file and block offset, not resize a buffer
+  // to it.
+  std::string prefix = PerTestDir() + "/drain_forged";
+  // Spills append: drop a file an aborted earlier run may have left.
+  std::filesystem::remove(prefix + "_p0.spill");
+  ShuffleEmitter<int64_t, int64_t> em(
+      /*num_partitions=*/1, nullptr, prefix, /*spill_threshold=*/4,
+      SpillCompression::kDeltaVarint);
+  for (int64_t i = 0; i < 8; ++i) em.Emit(i % 3, i);  // two blocks
+  ASSERT_EQ(em.SpilledRecords(0), 8);
+  const std::string path = em.SpillPath(0);
+  // The second block starts where the first ends; forge its payload_bytes
+  // field (header offset 24).
+  uint64_t second = 0;
+  {
+    std::ifstream in(path, std::ios::binary);
+    char header[kSpillBlockHeaderBytes];
+    in.read(header, sizeof(header));
+    auto parsed = ParseSpillBlockHeader(header, sizeof(header), path);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    second = kSpillBlockHeaderBytes + parsed->payload_bytes;
+  }
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    const uint64_t forged = uint64_t{1} << 40;
+    f.seekp(static_cast<std::streamoff>(second + 24));
+    f.write(reinterpret_cast<const char*>(&forged), sizeof(forged));
+    ASSERT_TRUE(f.good());
+  }
+  int64_t consumed = 0;
+  Status status = em.DrainSpill(
+      0, [&consumed](const std::pair<int64_t, int64_t>&) { ++consumed; });
+  ASSERT_FALSE(status.ok());
+  EXPECT_TRUE(status.IsIOError());
+  EXPECT_NE(status.message().find(path), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("offset " + std::to_string(second)),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(consumed, 4);  // the intact first block drained
+  em.RemoveAllSpills();
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
 TEST(Spill, UnwritableSpillDirectoryFailsLoudly) {
   ClusterConfig config = ClusterConfig::ForTesting();
   config.spill_directory = "/nonexistent/spills";

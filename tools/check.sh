@@ -10,9 +10,11 @@
 # MapReduce engine / spill tests, the plan-scheduler and concurrent-Run
 # stress tests, the cost-model / speculative-execution simulation and
 # cluster-config validation suites (the slot simulation is consulted from
-# worker threads via stats export), and the distributed subprocess backend
+# worker threads via stats export), the distributed subprocess backend
 # (the coordinator forks worker gangs out of a threaded process — see the
-# die_after_fork note in src/distributed/worker_pool.cc). TSan over the
+# die_after_fork note in src/distributed/worker_pool.cc), and the
+# sort-merge order-contract and layout-independence suites (threaded
+# reduce partitions on both backends). TSan over the
 # whole suite roughly
 # 10x-es the run for code
 # that is single-threaded by construction. Each sanitizer
@@ -44,7 +46,7 @@ for san in "${sanitizers[@]}"; do
   cmake --build "${build_dir}" -j
   ctest_args=()
   if [[ "${san}" == "thread" ]]; then
-    ctest_args=(-R '^(Serving|Engine|MapReduce|Spill|Scheduler|Plan|CostModel|Speculation|ClusterConfig|MachineProfile|Distributed|Worker)')
+    ctest_args=(-R '^(Serving|Engine|MapReduce|Spill|Scheduler|Plan|CostModel|Speculation|ClusterConfig|MachineProfile|Distributed|Worker|SortMergeShuffle|LayoutIndependence)')
   fi
   echo "=== ${san}: testing ==="
   (cd "${build_dir}" && ctest --output-on-failure "${ctest_args[@]}" -j)
