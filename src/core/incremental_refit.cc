@@ -80,14 +80,9 @@ Status IncrementalRefitSession::FitBase() { return Refit(); }
 Status IncrementalRefitSession::RefitWithDelta(const SparseTensor& delta) {
   const auto start = std::chrono::steady_clock::now();
   HATEN2_RETURN_IF_ERROR(MergeDelta(&tensor_, delta));
-  if (options_.incremental) {
-    // Patch the persistent cache relative to the pre-merge tensor it keys:
-    // only slices the delta touches are invalidated or rebuilt.
-    HATEN2_RETURN_IF_ERROR(cache_.ApplyDelta(tensor_, delta));
-  } else {
-    // Full-refit baseline: throw the derived forms away wholesale.
-    cache_ = ContractCache();
-  }
+  // Patch the persistent cache relative to the pre-merge tensor it keys:
+  // only slices the delta touches are invalidated or rebuilt.
+  HATEN2_RETURN_IF_ERROR(cache_.ApplyDelta(tensor_, delta));
   counters_.merge_seconds += SecondsSince(start);
   counters_.delta_nnz += delta.nnz();
   HATEN2_RETURN_IF_ERROR(Refit());

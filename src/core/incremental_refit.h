@@ -15,7 +15,7 @@
 namespace haten2 {
 
 /// Cumulative cost accounting of an ingest session, serialized into the
-/// stats export's `refit` object (haten2-stats-v9).
+/// stats export's `refit` object (haten2-stats-v10).
 struct RefitCounters {
   int64_t epochs = 0;        ///< RefitWithDelta calls completed
   int64_t delta_nnz = 0;     ///< stored delta entries merged, summed
@@ -33,24 +33,19 @@ struct IncrementalRefitOptions {
   /// normally left unset here.
   Haten2Options als;
   int64_t rank = 10;
-  /// true: patch the session's persistent ContractCache with each delta
-  /// (dirty-slice invalidation) and warm-start from the previous model.
-  /// false: "full refit" — fresh cache, but still warm-started, so the two
-  /// modes produce bit-identical factors and differ only in cost.
-  bool incremental = true;
 };
 
 /// \brief One continuously-growing decomposition: owns the merged tensor,
 /// the persistent ContractCache, and the current model; each epoch delta is
-/// merged in and the model refit warm-started from the previous factors.
+/// merged in, the cache patched in its dirty slices, and the model refit
+/// warm-started from the previous factors.
 ///
-/// The incremental mode's bit-for-bit contract: a refit over the merged
-/// tensor with a patched cache runs the exact same kernels over the exact
-/// same layouts as a refit over the merged tensor with a fresh cache
-/// (PatchCsfLayout output is array-identical to a fresh build), so
-/// `incremental = true` and `incremental = false` produce identical factor
-/// matrices at equal seeds/warm starts — incremental only changes *cost*.
-/// The determinism tests pin this.
+/// The bit-for-bit contract: a refit over the merged tensor with a patched
+/// cache runs the exact same kernels over the exact same layouts as a refit
+/// over the merged tensor with a fresh cache (PatchCsfLayout output is
+/// array-identical to a fresh build), so patching changes only *cost*: the
+/// factors equal those of Haten2ParafacAls on tensor() with a fresh cache,
+/// warm-started from the pre-epoch model. The determinism tests pin this.
 class IncrementalRefitSession {
  public:
   /// Takes ownership of the base tensor (canonicalized if needed).
@@ -71,9 +66,9 @@ class IncrementalRefitSession {
   /// session's bootstrap — and stores the model. Does not count as an epoch.
   Status FitBase();
 
-  /// Ingest one epoch: merges `delta` into the tensor, invalidates the
-  /// cache (dirty slices when incremental, fresh cache otherwise), refits
-  /// warm-started from the current model, and replaces it.
+  /// Ingest one epoch: merges `delta` into the tensor, patches the cache's
+  /// dirty slices, refits warm-started from the current model, and
+  /// replaces it.
   Status RefitWithDelta(const SparseTensor& delta);
 
   const SparseTensor& tensor() const { return tensor_; }

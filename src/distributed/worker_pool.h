@@ -11,7 +11,7 @@
 // across jobs and the monitoring/restart policy: a slot whose process died
 // abnormally (signal, nonzero exit, lost socket) is respawned for the next
 // gang and its `restarts` counter incremented, which is the signal an
-// operator reads in `haten2-stats-v9` per-worker counters during an
+// operator reads in `haten2-stats-v10` per-worker counters during an
 // incident (docs/OPERATIONS.md).
 
 #include <sys/types.h>
@@ -30,7 +30,7 @@ namespace haten2 {
 namespace distributed {
 
 /// Per-worker-slot counters exported as the `workers` array of
-/// haten2-stats-v9 (additive over the engine's lifetime).
+/// haten2-stats-v10 (additive over the engine's lifetime).
 struct WorkerStats {
   int worker = 0;
   /// Map tasks this slot completed across all jobs.

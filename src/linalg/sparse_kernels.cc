@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
-#include <unordered_map>
 
 #include "util/string_util.h"
 
@@ -47,6 +46,85 @@ Status ValidateKernelArgs(const CsfLayout& layout,
   return Status::OK();
 }
 
+// An empty layout for contracting an order-`order` tensor over every mode
+// except `free_mode`, with room for `nnz` entries.
+CsfLayout EmptyLayout(int order, int free_mode, int64_t nnz) {
+  CsfLayout layout;
+  layout.free_mode = free_mode;
+  layout.num_streams = order - 1;
+  layout.cmodes.reserve(static_cast<size_t>(order - 1));
+  for (int m = 0; m < order; ++m) {
+    if (m != free_mode) layout.cmodes.push_back(m);
+  }
+  layout.entry_inner.reserve(static_cast<size_t>(nnz));
+  layout.values.reserve(static_cast<size_t>(nnz));
+  return layout;
+}
+
+// The layout order of `x`'s entries: slice (free coordinate) major, then
+// the outer fiber coordinates cmodes[1..], then the innermost stream
+// cmodes[0], then entry index (duplicates keep append order). It covers the
+// full coordinate tuple, so on a canonical tensor the order within a slice
+// depends on that slice's entries alone — what lets PatchCsfLayout rebuild
+// some slices and copy the rest.
+auto LayoutLess(const SparseTensor& x, const CsfLayout& layout) {
+  return [&x, &layout](int64_t a, int64_t b) {
+    const int64_t* ca = x.IndexPtr(a);
+    const int64_t* cb = x.IndexPtr(b);
+    const int f = layout.free_mode;
+    if (ca[f] != cb[f]) return ca[f] < cb[f];
+    for (int k = 1; k < layout.num_streams; ++k) {
+      const int m = layout.cmodes[static_cast<size_t>(k)];
+      if (ca[m] != cb[m]) return ca[m] < cb[m];
+    }
+    const int m0 = layout.cmodes[0];
+    if (ca[m0] != cb[m0]) return ca[m0] < cb[m0];
+    return a < b;
+  };
+}
+
+// Appends `count` entries of `x`, listed by `perm` in layout order, to
+// `layout`: a slice starts where the free coordinate changes and a fiber
+// where an outer coordinate does; the first entry starts both.
+void AppendInLayoutOrder(const SparseTensor& x, const int64_t* perm,
+                         size_t count, CsfLayout* layout) {
+  const int f = layout->free_mode;
+  const int s = layout->num_streams;
+  const std::vector<int>& cmodes = layout->cmodes;
+  const int m0 = cmodes[0];
+  const int64_t* prev = nullptr;
+  for (size_t p = 0; p < count; ++p) {
+    const int64_t* c = x.IndexPtr(perm[p]);
+    const bool new_slice = prev == nullptr || c[f] != prev[f];
+    bool new_fiber = new_slice;
+    for (int k = 1; !new_fiber && k < s; ++k) {
+      const int m = cmodes[static_cast<size_t>(k)];
+      new_fiber = c[m] != prev[m];
+    }
+    if (new_slice) {
+      layout->slice_ids.push_back(c[f]);
+      layout->slice_fiber_begin.push_back(
+          static_cast<int64_t>(layout->fiber_entry_begin.size()));
+    }
+    if (new_fiber) {
+      layout->fiber_entry_begin.push_back(layout->nnz());
+      for (int k = 1; k < s; ++k) {
+        layout->fiber_coords.push_back(c[cmodes[static_cast<size_t>(k)]]);
+      }
+    }
+    layout->entry_inner.push_back(c[m0]);
+    layout->values.push_back(x.value(perm[p]));
+    prev = c;
+  }
+}
+
+// Closes the fiber and slice offset arrays after the last entry.
+void CloseLayout(CsfLayout* layout) {
+  layout->fiber_entry_begin.push_back(layout->nnz());
+  layout->slice_fiber_begin.push_back(
+      static_cast<int64_t>(layout->fiber_entry_begin.size()) - 1);
+}
+
 }  // namespace
 
 uint64_t CsfLayout::MemoryBytes() const {
@@ -72,76 +150,15 @@ Result<CsfLayout> BuildCsfLayout(const SparseTensor& x, int free_mode) {
         StrFormat("BuildCsfLayout: free_mode %d out of range for %d-way",
                   free_mode, order));
   }
-
-  CsfLayout layout;
-  layout.free_mode = free_mode;
-  layout.num_streams = order - 1;
-  layout.cmodes.reserve(static_cast<size_t>(order - 1));
-  for (int m = 0; m < order; ++m) {
-    if (m != free_mode) layout.cmodes.push_back(m);
-  }
-  const int s = layout.num_streams;
   const int64_t nnz = x.nnz();
-
-  // Sort permutation: slice (free coord) major, then outer fiber coords
-  // cmodes[1..], then the innermost stream cmodes[0]. std::sort is fine —
-  // layouts are built once and cached; stability is irrelevant because
-  // the comparison covers the full coordinate tuple.
+  CsfLayout layout = EmptyLayout(order, free_mode, nnz);
+  // std::sort is fine — layouts are built once and cached; stability is
+  // irrelevant because the comparison covers the full coordinate tuple.
   std::vector<int64_t> perm(static_cast<size_t>(nnz));
   std::iota(perm.begin(), perm.end(), int64_t{0});
-  const std::vector<int>& cmodes = layout.cmodes;
-  std::sort(perm.begin(), perm.end(), [&](int64_t a, int64_t b) {
-    const int64_t* ca = x.IndexPtr(a);
-    const int64_t* cb = x.IndexPtr(b);
-    if (ca[free_mode] != cb[free_mode]) {
-      return ca[free_mode] < cb[free_mode];
-    }
-    for (int k = 1; k < s; ++k) {
-      const int m = cmodes[static_cast<size_t>(k)];
-      if (ca[m] != cb[m]) return ca[m] < cb[m];
-    }
-    const int m0 = cmodes[0];
-    if (ca[m0] != cb[m0]) return ca[m0] < cb[m0];
-    return a < b;  // duplicates keep append order
-  });
-
-  layout.entry_inner.reserve(static_cast<size_t>(nnz));
-  layout.values.reserve(static_cast<size_t>(nnz));
-  const int m0 = cmodes.empty() ? 0 : cmodes[0];
-  for (int64_t p = 0; p < nnz; ++p) {
-    const int64_t e = perm[static_cast<size_t>(p)];
-    const int64_t* c = x.IndexPtr(e);
-    const bool new_slice =
-        p == 0 || c[free_mode] !=
-                      x.IndexPtr(perm[static_cast<size_t>(p - 1)])[free_mode];
-    bool new_fiber = new_slice;
-    if (!new_fiber) {
-      const int64_t* prev = x.IndexPtr(perm[static_cast<size_t>(p - 1)]);
-      for (int k = 1; k < s; ++k) {
-        const int m = cmodes[static_cast<size_t>(k)];
-        if (c[m] != prev[m]) {
-          new_fiber = true;
-          break;
-        }
-      }
-    }
-    if (new_slice) {
-      layout.slice_ids.push_back(c[free_mode]);
-      layout.slice_fiber_begin.push_back(
-          static_cast<int64_t>(layout.fiber_entry_begin.size()));
-    }
-    if (new_fiber) {
-      layout.fiber_entry_begin.push_back(p);
-      for (int k = 1; k < s; ++k) {
-        layout.fiber_coords.push_back(c[cmodes[static_cast<size_t>(k)]]);
-      }
-    }
-    layout.entry_inner.push_back(c[m0]);
-    layout.values.push_back(x.value(e));
-  }
-  layout.fiber_entry_begin.push_back(nnz);
-  layout.slice_fiber_begin.push_back(
-      static_cast<int64_t>(layout.fiber_entry_begin.size()) - 1);
+  std::sort(perm.begin(), perm.end(), LayoutLess(x, layout));
+  AppendInLayoutOrder(x, perm.data(), perm.size(), &layout);
+  CloseLayout(&layout);
   return layout;
 }
 
@@ -162,8 +179,6 @@ Result<CsfLayout> PatchCsfLayout(const CsfLayout& old_layout,
   }
   const int free_mode = old_layout.free_mode;
   const int s = old_layout.num_streams;
-  const std::vector<int>& cmodes = old_layout.cmodes;
-  const int m0 = cmodes[0];
 
   std::vector<int64_t> dirty(dirty_slices);
   std::sort(dirty.begin(), dirty.end());
@@ -172,45 +187,31 @@ Result<CsfLayout> PatchCsfLayout(const CsfLayout& old_layout,
     return std::binary_search(dirty.begin(), dirty.end(), id);
   };
 
-  // Bucket the new tensor's dirty-slice entries by slice id and sort each
-  // bucket exactly as BuildCsfLayout orders entries within a slice: outer
-  // fiber coords cmodes[1..], then the innermost stream cmodes[0]. The
-  // entry-index tiebreak matches the build comparator's; on a canonical
-  // tensor coordinates are unique so it never decides the order.
-  std::unordered_map<int64_t, std::vector<int64_t>> buckets;
+  CsfLayout out = EmptyLayout(order, free_mode, new_x.nnz());
+  // The new tensor's dirty-slice entries in BuildCsfLayout's order:
+  // grouped by slice, slices ascending.
+  std::vector<int64_t> rebuilt;
   for (int64_t e = 0; e < new_x.nnz(); ++e) {
-    const int64_t id = new_x.IndexPtr(e)[free_mode];
-    if (is_dirty(id)) buckets[id].push_back(e);
+    if (is_dirty(new_x.IndexPtr(e)[free_mode])) rebuilt.push_back(e);
   }
-  const auto layout_less = [&](int64_t a, int64_t b) {
-    const int64_t* ca = new_x.IndexPtr(a);
-    const int64_t* cb = new_x.IndexPtr(b);
-    for (int k = 1; k < s; ++k) {
-      const int m = cmodes[static_cast<size_t>(k)];
-      if (ca[m] != cb[m]) return ca[m] < cb[m];
-    }
-    if (ca[m0] != cb[m0]) return ca[m0] < cb[m0];
-    return a < b;
-  };
-  for (auto& [id, entries] : buckets) {
-    std::sort(entries.begin(), entries.end(), layout_less);
-  }
-
-  CsfLayout out;
-  out.free_mode = free_mode;
-  out.num_streams = s;
-  out.cmodes = cmodes;
+  std::sort(rebuilt.begin(), rebuilt.end(), LayoutLess(new_x, out));
 
   CsfPatchCounters local;
-  const auto begin_slice = [&](int64_t id) {
-    out.slice_ids.push_back(id);
-    out.slice_fiber_begin.push_back(
-        static_cast<int64_t>(out.fiber_entry_begin.size()));
+  // Dirty slices: BuildCsfLayout's walk over rebuilt[next, end). A slice
+  // whose entries all cancelled has none left and simply vanishes.
+  size_t next = 0;
+  const auto rebuild_until = [&](size_t end) {
+    const int64_t slices = out.num_slices();
+    AppendInLayoutOrder(new_x, rebuilt.data() + next, end - next, &out);
+    local.slices_rebuilt += out.num_slices() - slices;
+    next = end;
   };
   // Clean slice: the positional arrays make its fibers and entries
   // relocatable, so splice the old segment verbatim.
   const auto copy_old_slice = [&](int64_t oi) {
-    begin_slice(old_layout.slice_ids[static_cast<size_t>(oi)]);
+    out.slice_ids.push_back(old_layout.slice_ids[static_cast<size_t>(oi)]);
+    out.slice_fiber_begin.push_back(
+        static_cast<int64_t>(out.fiber_entry_begin.size()));
     const int64_t fb = old_layout.slice_fiber_begin[static_cast<size_t>(oi)];
     const int64_t fe =
         old_layout.slice_fiber_begin[static_cast<size_t>(oi) + 1];
@@ -219,7 +220,7 @@ Result<CsfLayout> PatchCsfLayout(const CsfLayout& old_layout,
     // Rebase each fiber's entry offset from the old layout's coordinates
     // to the spliced position: fibers keep their *relative* begins within
     // the slice, shifted to where the slice now starts.
-    const int64_t base = static_cast<int64_t>(out.entry_inner.size());
+    const int64_t base = out.nnz();
     for (int64_t f = fb; f < fe; ++f) {
       out.fiber_entry_begin.push_back(
           base + old_layout.fiber_entry_begin[static_cast<size_t>(f)] - eb);
@@ -235,56 +236,23 @@ Result<CsfLayout> PatchCsfLayout(const CsfLayout& old_layout,
                       old_layout.values.begin() + ee);
     ++local.slices_reused;
   };
-  // Dirty slice: rebuild from the new tensor's (sorted) entries. A slice
-  // whose entries all cancelled simply vanishes, like any empty slice.
-  const auto rebuild_slice = [&](int64_t id) {
-    const auto it = buckets.find(id);
-    if (it == buckets.end() || it->second.empty()) return;
-    begin_slice(id);
-    const std::vector<int64_t>& entries = it->second;
-    const int64_t* prev = nullptr;
-    for (int64_t e : entries) {
-      const int64_t* c = new_x.IndexPtr(e);
-      bool new_fiber = prev == nullptr;
-      for (int k = 1; !new_fiber && k < s; ++k) {
-        const int m = cmodes[static_cast<size_t>(k)];
-        if (c[m] != prev[m]) new_fiber = true;
-      }
-      if (new_fiber) {
-        out.fiber_entry_begin.push_back(
-            static_cast<int64_t>(out.entry_inner.size()));
-        for (int k = 1; k < s; ++k) {
-          out.fiber_coords.push_back(c[cmodes[static_cast<size_t>(k)]]);
-        }
-      }
-      out.entry_inner.push_back(c[m0]);
-      out.values.push_back(new_x.value(e));
-      prev = c;
-    }
-    ++local.slices_rebuilt;
-  };
 
-  // Merge ascending over the union of the old layout's slice ids and the
-  // dirty set: clean old slices are copied, dirty ids (present in the old
-  // layout or newly nonempty) are rebuilt.
-  const int64_t old_slices = old_layout.num_slices();
-  int64_t oi = 0;
-  size_t di = 0;
-  while (oi < old_slices || di < dirty.size()) {
-    const int64_t old_id = oi < old_slices
-                               ? old_layout.slice_ids[static_cast<size_t>(oi)]
-                               : 0;
-    if (di >= dirty.size() || (oi < old_slices && old_id < dirty[di])) {
-      copy_old_slice(oi++);
-      continue;
+  // Ascending over slice ids: before each clean old slice, rebuild the
+  // dirty slices that sort below it (present in the old layout or newly
+  // nonempty), then copy it.
+  for (int64_t oi = 0; oi < old_layout.num_slices(); ++oi) {
+    const int64_t id = old_layout.slice_ids[static_cast<size_t>(oi)];
+    if (is_dirty(id)) continue;
+    size_t end = next;
+    while (end < rebuilt.size() &&
+           new_x.IndexPtr(rebuilt[end])[free_mode] < id) {
+      ++end;
     }
-    const int64_t dirty_id = dirty[di++];
-    if (oi < old_slices && old_id == dirty_id) ++oi;
-    rebuild_slice(dirty_id);
+    rebuild_until(end);
+    copy_old_slice(oi);
   }
-  out.fiber_entry_begin.push_back(out.nnz());
-  out.slice_fiber_begin.push_back(
-      static_cast<int64_t>(out.fiber_entry_begin.size()) - 1);
+  rebuild_until(rebuilt.size());
+  CloseLayout(&out);
 
   if (out.nnz() != new_x.nnz()) {
     return Status::Internal(StrFormat(

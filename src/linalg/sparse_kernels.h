@@ -103,12 +103,13 @@ struct CsfPatchCounters {
 /// between the old tensor and `new_x` (duplicates/unsorted input are
 /// tolerated). Segments of clean slices are copied verbatim — the layout's
 /// arrays are purely positional, so a slice's fibers and entries relocate
-/// without change — and dirty slices are rebuilt from `new_x`'s entries in
-/// layout order. The result is array-identical to
-/// `BuildCsfLayout(new_x, old_layout.free_mode)`: on canonical tensors the
-/// build comparator is fully determined by coordinates, so per-slice order
-/// cannot depend on the rest of the tensor. Returns kInternal if the edit
-/// was not confined to `dirty_slices` (detected via an nnz mismatch).
+/// without change — and dirty slices are rebuilt from `new_x`'s entries
+/// with BuildCsfLayout's own sort order and slice walk. The result is
+/// array-identical to `BuildCsfLayout(new_x, old_layout.free_mode)`: on
+/// canonical tensors that order is fully determined by coordinates, so
+/// per-slice order cannot depend on the rest of the tensor. Returns
+/// kInternal if the edit was not confined to `dirty_slices` (detected via
+/// an nnz mismatch).
 Result<CsfLayout> PatchCsfLayout(const CsfLayout& old_layout,
                                  const SparseTensor& new_x,
                                  const std::vector<int64_t>& dirty_slices,

@@ -453,7 +453,7 @@ class Engine {
   }
 
   /// Per-worker-slot counters of the subprocess backend's worker pool
-  /// (empty before the first subprocess job; see haten2-stats-v9 "workers").
+  /// (empty before the first subprocess job; see haten2-stats-v10 "workers").
   /// Blocks while a subprocess job is in flight.
   std::vector<distributed::WorkerStats> WorkerStatsSnapshot() const {
     std::lock_guard<std::mutex> lock(subprocess_mu_);

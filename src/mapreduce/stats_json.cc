@@ -303,7 +303,7 @@ std::string StatsReportToJson(const StatsReport& report) {
   const CostModel* cost = report.cluster != nullptr ? &cost_model : nullptr;
   JsonWriter w;
   w.BeginObject();
-  w.Key("schema").Value("haten2-stats-v9");
+  w.Key("schema").Value("haten2-stats-v10");
   if (!report.tool.empty()) w.Key("tool").Value(report.tool);
   if (!report.method.empty()) w.Key("method").Value(report.method);
   if (!report.variant.empty()) w.Key("variant").Value(report.variant);
@@ -343,8 +343,6 @@ std::string StatsReportToJson(const StatsReport& report) {
         .Value(r.refit_seconds)
         .Key("refit_iterations")
         .Value(r.refit_iterations)
-        .Key("incremental")
-        .Value(r.incremental)
         .Key("epochs_behind")
         .Value(r.epochs_behind)
         .Key("max_epochs_behind")

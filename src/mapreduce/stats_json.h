@@ -14,7 +14,7 @@
 namespace haten2 {
 
 /// JSON serialization of the engine's and drivers' statistics — the stable
-/// "haten2-stats-v9" schema documented in docs/INTERNALS.md. The schema is
+/// "haten2-stats-v10" schema documented in docs/INTERNALS.md. The schema is
 /// what --stats_json and the BENCH_*.json harness exports emit, so the
 /// perf trajectory can be read by machines across PRs.
 ///
@@ -47,6 +47,10 @@ namespace haten2 {
 /// cumulative merge/refit cost — see RefitStatsReport below), emitted by
 /// `haten2_cli --ingest_log` and `haten2_serve --refit_loop`.
 ///
+/// v10 drops the `refit` object's `incremental` key: every refit patches
+/// its contraction cache, so there is no refit mode left to report. It is
+/// the one non-additive step; every other field is unchanged.
+///
 /// All byte counters use the engine's serialized record width
 /// (sizeof of the intermediate record pair, padding included) — the same
 /// width spill files occupy on disk.
@@ -71,7 +75,7 @@ void IterationStatsToJson(const IterationStats& iteration,
 /// Appends the cluster parameters that shaped the measurements.
 void ClusterConfigToJson(const ClusterConfig& config, JsonWriter* w);
 
-/// \brief Refit-loop counters for the v9 `refit` object. A plain mirror of
+/// \brief Refit-loop counters for the `refit` object. A plain mirror of
 /// the core layer's RefitCounters plus the controller's staleness fields —
 /// mapreduce cannot depend on core, so callers (the CLIs) copy the fields
 /// across.
@@ -81,7 +85,6 @@ struct RefitStatsReport {
   double merge_seconds = 0.0;  ///< cumulative merge + cache-patch time
   double refit_seconds = 0.0;  ///< cumulative ALS time across refits
   int64_t refit_iterations = 0;
-  bool incremental = false;    ///< dirty-slice cache patching vs fresh cache
   /// Staleness, from the serving controller (zeroed in CLI batch runs).
   int64_t epochs_behind = 0;
   int64_t max_epochs_behind = 0;
@@ -109,11 +112,11 @@ struct StatsReport {
   /// Subprocess-backend per-worker-slot counters
   /// (Engine::WorkerStatsSnapshot); skipped when null or empty.
   const std::vector<distributed::WorkerStats>* workers = nullptr;
-  /// Refit-loop counters (v9 `refit` object); skipped when null.
+  /// Refit-loop counters (the `refit` object); skipped when null.
   const RefitStatsReport* refit = nullptr;
 };
 
-/// Serializes the whole report ("haten2-stats-v9").
+/// Serializes the whole report ("haten2-stats-v10").
 std::string StatsReportToJson(const StatsReport& report);
 
 /// Serializes `report` and writes it to `path`.

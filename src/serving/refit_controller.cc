@@ -48,14 +48,11 @@ Status RefitController::InstallCurrent() {
     return Status::FailedPrecondition(
         "refit controller has no fitted model to install");
   }
-  std::shared_ptr<const SparseTensor> observed;
-  if (options_.install_observed) {
-    observed = std::make_shared<const SparseTensor>(session_.tensor());
-  }
   HATEN2_ASSIGN_OR_RETURN(
       int64_t version,
-      registry_->InstallKruskal(options_.model_name, session_.model(),
-                                std::move(observed)));
+      registry_->InstallKruskal(
+          options_.model_name, session_.model(),
+          std::make_shared<const SparseTensor>(session_.tensor())));
   std::lock_guard<std::mutex> lock(mu_);
   installed_version_ = version;
   // Bootstrap installs without a preceding sealed epoch; don't let the

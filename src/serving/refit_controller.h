@@ -16,7 +16,9 @@ namespace haten2 {
 
 /// \brief Closes the ingest → refit → serve loop: owns an
 /// IncrementalRefitSession and publishes each refit model into a
-/// ModelRegistry, tracking how far serving lags behind ingest.
+/// ModelRegistry, with the merged tensor as its observed tensor (so top-k
+/// queries exclude already-ingested cells), tracking how far serving lags
+/// behind ingest.
 ///
 /// The controller is the single writer of the session and the registry
 /// entry it manages; queries read the registry concurrently (hot-swap
@@ -27,21 +29,17 @@ class RefitController {
   struct Options {
     /// Registry name the refit models are installed under.
     std::string model_name = "live";
-    /// Session configuration (ALS options, rank, incremental vs full).
+    /// Session configuration (ALS options, rank).
     IncrementalRefitOptions refit;
     /// When non-empty, Bootstrap() warm-starts from the newest loadable
     /// checkpoint under this directory (torn checkpoints skipped); NotFound
     /// (no checkpoint yet) falls back to a cold start.
     std::string warm_start_checkpoint_dir;
-    /// Install the merged tensor as the served model's observed tensor so
-    /// top-k queries exclude already-ingested cells. Costs a tensor copy
-    /// per install; turn off for ingest-rate drills that never query top-k.
-    bool install_observed = true;
   };
 
   /// Staleness and throughput accounting for the refit loop, exported into
   /// the serving stats JSON (`refit` object) and, via the CLI mapping, the
-  /// haten2-stats-v9 engine schema.
+  /// haten2-stats-v10 engine schema.
   struct Counters {
     int64_t epochs_sealed = 0;     ///< epochs the controller has seen sealed
     int64_t epochs_installed = 0;  ///< refits that reached the registry

@@ -1,6 +1,7 @@
 #include "tensor/tensor_io.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/string_util.h"
@@ -84,11 +85,19 @@ Result<SparseTensor> ParseFromStream(std::istream& in,
             StrFormat("line %lld: bad index '%s'", (long long)line_no,
                       fields[static_cast<size_t>(m)].c_str()));
       }
-      int64_t shifted = *v - options.index_base;
-      if (shifted < 0) {
+      // Compare before subtracting, and keep room for the inferred mode
+      // size (max index + 1): both would overflow on hostile indices.
+      if (*v < options.index_base) {
         return Status::InvalidArgument(StrFormat(
             "line %lld: index below the %d-based minimum",
             (long long)line_no, options.index_base));
+      }
+      const int64_t shifted = *v - options.index_base;
+      if (shifted == std::numeric_limits<int64_t>::max()) {
+        return Status::InvalidArgument(
+            StrFormat("line %lld: index '%s' leaves no room for a mode size",
+                      (long long)line_no,
+                      fields[static_cast<size_t>(m)].c_str()));
       }
       idx[static_cast<size_t>(m)] = shifted;
     }

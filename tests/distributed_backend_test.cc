@@ -4,7 +4,7 @@
 // kUnimplemented, and a worker killed mid-job must surface as kAborted
 // ("worker_lost"), feed the plan-level node retry, and still converge
 // bit-identically — with the restart/retry counters visible in the
-// haten2-stats-v9 JSON export.
+// haten2-stats-v10 JSON export.
 
 #include <gtest/gtest.h>
 
@@ -360,7 +360,7 @@ TEST(DistributedBackendTest, WorkerKillRecoversViaNodeRetry) {
   report.pipeline = &pipeline;
   report.workers = &workers;
   const std::string json = StatsReportToJson(report);
-  EXPECT_NE(json.find("\"haten2-stats-v9\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"haten2-stats-v10\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"backend\":\"subprocess\""), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"workers\""), std::string::npos) << json;

@@ -1,6 +1,6 @@
 // Tests for the engine's observability layer: per-phase wall times, skew
 // summaries, failure-path accounting (o.o.m. / abort / spills), the
-// "haten2-stats-v9" JSON export, and the spill-filename race regression
+// "haten2-stats-v10" JSON export, and the spill-filename race regression
 // (concurrent Run calls on one engine).
 
 #include <gtest/gtest.h>
@@ -473,7 +473,7 @@ TEST(EngineStats, StatsReportJsonIsValidAndComplete) {
 
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   for (const char* key :
-       {"\"schema\":\"haten2-stats-v9\"", "\"status\":\"ok\"",
+       {"\"schema\":\"haten2-stats-v10\"", "\"status\":\"ok\"",
         "\"cluster\"", "\"iterations\"", "\"pipeline\"", "\"phases\"",
         "\"map_seconds\"", "\"shuffle_seconds\"", "\"reduce_seconds\"",
         "\"spill\"", "\"fit\"", "\"lambda\"", "\"simulated_seconds\"",
@@ -550,7 +550,7 @@ TEST(EngineStats, WriteStatsJsonFileRoundTrips) {
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
   EXPECT_TRUE(JsonChecker(content).Valid()) << content;
-  EXPECT_NE(content.find("haten2-stats-v9"), std::string::npos);
+  EXPECT_NE(content.find("haten2-stats-v10"), std::string::npos);
 }
 
 }  // namespace

@@ -1,16 +1,19 @@
 // The incremental half of the refit loop (ISSUE 10): PatchCsfLayout's
-// array-identity contract against fresh builds, ContractCache::ApplyDelta
-// dirty-slice accounting (including the every-slice-dirty degenerate), the
-// full-content-fingerprint regression for same-nnz in-place edits, the
-// full-vs-incremental bit-identity of IncrementalRefitSession, and
-// checkpoint warm starts that skip torn checkpoints.
+// array-identity contract against fresh builds (one edit, and seeded chains
+// of epochs), ContractCache::ApplyDelta dirty-slice accounting (including
+// the every-slice-dirty degenerate), the full-content-fingerprint
+// regression for same-nnz in-place edits, IncrementalRefitSession's
+// bit-identity with a refit from scratch, and checkpoint warm starts that
+// skip torn checkpoints.
 
 #include "core/incremental_refit.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -36,8 +39,8 @@ std::string FreshDir(const std::string& name) {
 }
 
 /// Field-by-field equality of two layouts — the "array-identical" contract
-/// PatchCsfLayout documents, which is what makes incremental refits
-/// bit-identical to full ones.
+/// PatchCsfLayout documents, which is what makes patched refits
+/// bit-identical to refits from scratch.
 void ExpectLayoutsIdentical(const CsfLayout& a, const CsfLayout& b) {
   EXPECT_EQ(a.free_mode, b.free_mode);
   EXPECT_EQ(a.num_streams, b.num_streams);
@@ -113,6 +116,99 @@ TEST(PatchCsfLayout, UnderDeclaredDirtySetIsRejectedNotSilentlyWrong) {
   Result<CsfLayout> patched =
       PatchCsfLayout(*old_layout, merged, /*dirty_slices=*/{}, nullptr);
   EXPECT_FALSE(patched.ok());
+}
+
+/// Number of ids in sorted `a` that are absent from sorted `b`.
+int64_t CountMissing(const std::vector<int64_t>& a,
+                     const std::vector<int64_t>& b) {
+  std::vector<int64_t> missing;
+  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                      std::back_inserter(missing));
+  return static_cast<int64_t>(missing.size());
+}
+
+// Chains 40 seeded epochs per order: each mode's layout is only ever
+// patched, and after every epoch it must equal a fresh build. An epoch
+// cancels every entry of one slice exactly (emptying it), appends at random
+// coordinates, and appends into a slice that is empty.
+TEST(PatchCsfLayout, SeededEpochsStayArrayIdenticalToFreshBuilds) {
+  const std::vector<std::vector<int64_t>> shapes = {
+      {12, 10}, {9, 8, 7}, {6, 5, 5, 4}};
+  for (const std::vector<int64_t>& dims : shapes) {
+    const int order = static_cast<int>(dims.size());
+    SCOPED_TRACE(::testing::Message() << "order " << order);
+    Rng rng(9100 + static_cast<uint64_t>(order));
+    SparseTensor x = RandomSparseTensor(dims, 3 * dims[0], &rng);
+    std::vector<CsfLayout> layouts;
+    for (int m = 0; m < order; ++m) {
+      Result<CsfLayout> built = BuildCsfLayout(x, m);
+      ASSERT_OK(built.status());
+      layouts.push_back(std::move(built).value());
+    }
+    const auto random_mode = [&] {
+      return static_cast<int>(rng.UniformInt(static_cast<uint64_t>(order)));
+    };
+    const auto random_coords = [&] {
+      std::vector<int64_t> idx(dims.size());
+      for (size_t m = 0; m < dims.size(); ++m) {
+        idx[m] = static_cast<int64_t>(
+            rng.UniformInt(static_cast<uint64_t>(dims[m])));
+      }
+      return idx;
+    };
+
+    int64_t emptied = 0;
+    int64_t filled = 0;
+    for (int epoch = 0; epoch < 40; ++epoch) {
+      SCOPED_TRACE(::testing::Message() << "epoch " << epoch);
+      Result<SparseTensor> delta = SparseTensor::Create(dims);
+      ASSERT_OK(delta.status());
+      const int cancel_mode = random_mode();
+      const int64_t cancel_slice =
+          random_coords()[static_cast<size_t>(cancel_mode)];
+      for (int64_t e = 0; e < x.nnz(); ++e) {
+        if (x.IndexPtr(e)[cancel_mode] == cancel_slice) {
+          ASSERT_OK(delta->Append(x.IndexPtr(e), order, -x.value(e)));
+        }
+      }
+      for (int a = 0; a < 3; ++a) {
+        std::vector<int64_t> idx = random_coords();
+        ASSERT_OK(delta->Append(idx.data(), order, rng.Uniform(0.5, 1.5)));
+      }
+      const int fill_mode = random_mode();
+      const std::vector<int64_t>& present =
+          layouts[static_cast<size_t>(fill_mode)].slice_ids;
+      for (int64_t i = 0; i < dims[static_cast<size_t>(fill_mode)]; ++i) {
+        if (std::binary_search(present.begin(), present.end(), i)) continue;
+        std::vector<int64_t> idx = random_coords();
+        idx[static_cast<size_t>(fill_mode)] = i;
+        ASSERT_OK(delta->Append(idx.data(), order, rng.Uniform(0.5, 1.5)));
+        break;
+      }
+      delta->Canonicalize();
+      ASSERT_OK(MergeDelta(&x, *delta));
+
+      for (int m = 0; m < order; ++m) {
+        std::vector<int64_t> dirty;
+        for (int64_t e = 0; e < delta->nnz(); ++e) {
+          dirty.push_back(delta->IndexPtr(e)[m]);
+        }
+        CsfLayout& layout = layouts[static_cast<size_t>(m)];
+        Result<CsfLayout> patched = PatchCsfLayout(layout, x, dirty);
+        ASSERT_TRUE(patched.ok())
+            << "free mode " << m << ": " << patched.status().ToString();
+        Result<CsfLayout> fresh = BuildCsfLayout(x, m);
+        ASSERT_OK(fresh.status());
+        ExpectLayoutsIdentical(*patched, *fresh);
+        emptied += CountMissing(layout.slice_ids, patched->slice_ids);
+        filled += CountMissing(patched->slice_ids, layout.slice_ids);
+        layout = std::move(patched).value();
+      }
+    }
+    // Both slice transitions the patch must handle actually happened.
+    EXPECT_GT(emptied, 0);
+    EXPECT_GT(filled, 0);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -225,13 +321,12 @@ TEST(ContractCacheFingerprint, SameNnzEditOffTheOldSampleGridInvalidates) {
 }
 
 // ---------------------------------------------------------------------------
-// IncrementalRefitSession: full vs incremental bit-identity.
+// IncrementalRefitSession: patched refits vs refits from scratch.
 // ---------------------------------------------------------------------------
 
-IncrementalRefitOptions RefitOptions(bool incremental) {
+IncrementalRefitOptions RefitOptions() {
   IncrementalRefitOptions options;
   options.rank = 4;
-  options.incremental = incremental;
   options.als.max_iterations = 5;
   options.als.seed = 12345;
   return options;
@@ -255,6 +350,20 @@ void ExpectModelsBitIdentical(const KruskalModel& a, const KruskalModel& b) {
   }
 }
 
+/// The full refit of the session's current tensor: Haten2ParafacAls with a
+/// private, fresh cache, warm-started from `warm` (the pre-epoch model).
+KruskalModel FullRefit(Engine* engine, const IncrementalRefitSession& session,
+                       const KruskalModel& warm) {
+  ContractCache cache;
+  Haten2Options als = session.options().als;
+  als.contract_cache = &cache;
+  als.initial_kruskal = &warm;
+  Result<KruskalModel> full = Haten2ParafacAls(engine, session.tensor(),
+                                               session.options().rank, als);
+  HATEN2_CHECK(full.ok()) << full.status().ToString();
+  return std::move(full).value();
+}
+
 TEST(IncrementalRefit, FullAndIncrementalRefitsAreBitIdentical) {
   Rng rng(9007);
   SparseTensor base = RandomSparseTensor({10, 9, 8}, 120, &rng);
@@ -268,50 +377,45 @@ TEST(IncrementalRefit, FullAndIncrementalRefitsAreBitIdentical) {
   ASSERT_OK(log->SealEpoch().status());
 
   Engine full_engine = InCoreEngine();
-  IncrementalRefitSession full(&full_engine, base, RefitOptions(false));
-  ASSERT_OK(full.FitBase());
   Engine incr_engine = InCoreEngine();
-  IncrementalRefitSession incr(&incr_engine, base, RefitOptions(true));
+  IncrementalRefitSession incr(&incr_engine, base, RefitOptions());
   ASSERT_OK(incr.FitBase());
 
   for (int64_t e = 0; e < log->num_epochs(); ++e) {
-    ASSERT_OK(full.RefitWithDelta(log->epoch(e)));
+    const KruskalModel warm = incr.model();
     ASSERT_OK(incr.RefitWithDelta(log->epoch(e)));
-    // The contract: incremental changes cost, never the iterates.
-    ExpectModelsBitIdentical(full.model(), incr.model());
+    // The contract: patching changes cost, never the iterates.
+    ExpectModelsBitIdentical(FullRefit(&full_engine, incr, warm),
+                             incr.model());
   }
-  EXPECT_EQ(full.counters().epochs, 2);
   EXPECT_EQ(incr.counters().epochs, 2);
-  EXPECT_EQ(full.counters().delta_nnz, 4);
-  // The incremental session actually exercised the patch path.
+  EXPECT_EQ(incr.counters().delta_nnz, 4);
+  // The session actually exercised the patch path.
   EXPECT_EQ(incr.cache().delta_patches(), 2);
   EXPECT_GT(incr.cache().layout_slices_reused(), 0);
   EXPECT_EQ(incr.cache().layout_full_invalidations(), 0);
-  // The full-refit baseline rebuilt from scratch every epoch.
-  EXPECT_EQ(full.cache().delta_patches(), 0);
 }
 
 TEST(IncrementalRefit, DeltaTouchingEverySliceStaysBitIdentical) {
   Rng rng(9008);
   SparseTensor base = RandomSparseTensor({5, 5, 5}, 40, &rng);
   // Superdiagonal epoch: every slice of every mode goes dirty, so the
-  // incremental path degenerates to full invalidation — and must still
-  // produce the same factors.
+  // patch degenerates to full invalidation — and must still produce the
+  // same factors.
   Result<SparseTensor> d = SparseTensor::Create(base.dims());
   ASSERT_TRUE(d.ok());
   for (int64_t i = 0; i < 5; ++i) ASSERT_OK(d->Append({i, i, i}, 0.5));
   d->Canonicalize();
 
   Engine full_engine = InCoreEngine();
-  IncrementalRefitSession full(&full_engine, base, RefitOptions(false));
-  ASSERT_OK(full.FitBase());
   Engine incr_engine = InCoreEngine();
-  IncrementalRefitSession incr(&incr_engine, base, RefitOptions(true));
+  IncrementalRefitSession incr(&incr_engine, base, RefitOptions());
   ASSERT_OK(incr.FitBase());
 
-  ASSERT_OK(full.RefitWithDelta(*d));
+  const KruskalModel warm = incr.model();
   ASSERT_OK(incr.RefitWithDelta(*d));
-  ExpectModelsBitIdentical(full.model(), incr.model());
+  ExpectModelsBitIdentical(FullRefit(&full_engine, incr, warm),
+                           incr.model());
   EXPECT_EQ(incr.cache().layout_full_invalidations(), 3);
 }
 
@@ -356,7 +460,7 @@ TEST(IncrementalRefit, WarmStartSkipsTornCheckpointAndOrphanedTmp) {
   fs::create_directories(dir + "/" + CheckpointDirName(6) + ".tmp");
 
   Engine engine = InCoreEngine();
-  IncrementalRefitSession session(&engine, base, RefitOptions(true));
+  IncrementalRefitSession session(&engine, base, RefitOptions());
   ASSERT_OK(session.WarmStartFromCheckpointDir(dir));
   // Discovery fell back past the torn iter_4 (and ignored the .tmp) to the
   // committed iter_2 model.
@@ -375,7 +479,7 @@ TEST(IncrementalRefit, WarmStartFromEmptyDirIsNotFound) {
   Engine engine = InCoreEngine();
   Rng rng(9010);
   IncrementalRefitSession session(
-      &engine, RandomSparseTensor({4, 4, 4}, 10, &rng), RefitOptions(true));
+      &engine, RandomSparseTensor({4, 4, 4}, 10, &rng), RefitOptions());
   Status status = session.WarmStartFromCheckpointDir(dir);
   EXPECT_TRUE(status.IsNotFound()) << status.ToString();
   EXPECT_FALSE(session.has_model());
@@ -402,7 +506,7 @@ TEST(IncrementalRefit, WarmStartRefusesTuckerCheckpoint) {
 
   Engine engine = InCoreEngine();
   IncrementalRefitSession session(
-      &engine, RandomSparseTensor({4, 4, 4}, 10, &rng), RefitOptions(true));
+      &engine, RandomSparseTensor({4, 4, 4}, 10, &rng), RefitOptions());
   Status status = session.WarmStartFromCheckpointDir(dir);
   EXPECT_TRUE(status.IsFailedPrecondition()) << status.ToString();
 }

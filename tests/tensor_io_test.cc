@@ -99,6 +99,24 @@ TEST(TensorIo, RejectsMalformedInput) {
   EXPECT_TRUE(ParseTensorText(text).status().IsOutOfRange());
 }
 
+TEST(TensorIo, RejectsIndicesThatOverflowNamingTheLine) {
+  // -2^63 in a 1-based file: shifting it to 0-based would overflow.
+  TensorTextOptions one_based;
+  one_based.index_base = 1;
+  Status low =
+      ParseTensorText("1 1 1.0\n-9223372036854775808 1 1.0\n", one_based)
+          .status();
+  EXPECT_TRUE(low.IsInvalidArgument()) << low.ToString();
+  EXPECT_NE(low.message().find("line 2:"), std::string::npos)
+      << low.ToString();
+  // 2^63 - 1 without a header: its inferred mode size would overflow.
+  Status high =
+      ParseTensorText("0 0 1.0\n\n0 9223372036854775807 1.0\n").status();
+  EXPECT_TRUE(high.IsInvalidArgument()) << high.ToString();
+  EXPECT_NE(high.message().find("line 3:"), std::string::npos)
+      << high.ToString();
+}
+
 TEST(TensorIo, MissingFileIsIOError) {
   Result<SparseTensor> r = ReadTensorText("/nonexistent/path/t.tns");
   EXPECT_TRUE(r.status().IsIOError());

@@ -54,13 +54,16 @@ for san in "${sanitizers[@]}"; do
   # filter on the full pass cannot silently drop them: the spill
   # write/drain/torn-file tests (tiny spill thresholds, heavy heap churn)
   # under address, and the spill codec (varint shifts, hostile decode
-  # input) under undefined.
+  # input) and the text tensor reader (hostile indices near the int64
+  # limits) under undefined, which CMakeLists.txt builds with
+  # -fno-sanitize-recover=undefined so a report fails the test.
   if [[ "${san}" == "address" ]]; then
     echo "=== ${san}: focused spill-path pass ==="
     (cd "${build_dir}" && ctest --output-on-failure -R '^Spill' -j)
   elif [[ "${san}" == "undefined" ]]; then
-    echo "=== ${san}: focused spill-codec pass ==="
-    (cd "${build_dir}" && ctest --output-on-failure -R '^SpillCodec' -j)
+    echo "=== ${san}: focused decoder pass ==="
+    (cd "${build_dir}" && \
+     ctest --output-on-failure -R '^(SpillCodec|TensorIo)' -j)
     # The in-core contraction kernels index compressed CSF streams with
     # arithmetic on attacker-ish inputs (duplicate coordinates, 10^12
     # dims, empty slices) and the fingerprint does deliberate unsigned

@@ -117,27 +117,24 @@
 //   --ingest_log=PATH                    streaming ingest (parafac
 //                                        methods only):
 //                                        after fitting <tensor-file> as the
-//                                        base, merge PATH epoch by epoch and
-//                                        refit warm-started from the
-//                                        previous factors. PATH is either a
-//                                        binary delta log (delta_log.h) or
-//                                        any tensor file, chopped into
-//                                        epochs of --epoch_nnz entries
+//                                        base, merge PATH epoch by epoch,
+//                                        patch the contraction cache's dirty
+//                                        slices, and refit warm-started
+//                                        from the previous factors. PATH is
+//                                        either a binary delta log
+//                                        (delta_log.h) or any tensor file,
+//                                        chopped into epochs of --epoch_nnz
+//                                        entries
 //   --epoch_nnz=N                        entries per sealed epoch when
 //                                        --ingest_log is a plain tensor
 //                                        file (default 0 = one epoch)
-//   --incremental                        patch the contraction cache per
-//                                        epoch (dirty-slice invalidation)
-//                                        instead of rebuilding it; factors
-//                                        are bit-identical either way, only
-//                                        the refit cost changes
 //   --one-based                          read FROSTT-style 1-based indices
 //   --stats                              print the MapReduce job log
 //   --stats_json=PATH                    write the run's statistics (per-job
 //                                        phase times, intermediate-data
 //                                        records/bytes, per-iteration fit,
 //                                        retry/backoff counters)
-//                                        as "haten2-stats-v9" JSON; written
+//                                        as "haten2-stats-v10" JSON; written
 //                                        on failures too, so o.o.m. runs
 //                                        keep their post-mortem numbers
 //
@@ -185,7 +182,7 @@ constexpr const char* kUsage =
     "       [--machine_profiles=SPEED[xCOUNT][@FAILMULT],...]\n"
     "       [--speculation] [--speculation_slowstart=X]\n"
     "       [--straggler_jitter=J] [--straggler_jitter_seed=S]\n"
-    "       [--ingest_log=PATH] [--epoch_nnz=N] [--incremental]\n"
+    "       [--ingest_log=PATH] [--epoch_nnz=N]\n"
     "       [--stats_json=PATH]\n";
 
 Result<Variant> ParseVariant(const std::string& name) {
@@ -257,8 +254,8 @@ int RealMain(int argc, char** argv) {
                                  "machine_profiles", "speculation",
                                  "speculation_slowstart", "straggler_jitter",
                                  "straggler_jitter_seed",
-                                 "ingest_log", "epoch_nnz", "incremental",
-                                 "one-based", "help"});
+                                 "ingest_log", "epoch_nnz", "one-based",
+                                 "help"});
   if (!valid.ok() || flags.GetBool("help", false) ||
       flags.positional().size() != 1) {
     if (!valid.ok()) std::fprintf(stderr, "%s\n", valid.ToString().c_str());
@@ -383,7 +380,6 @@ int RealMain(int argc, char** argv) {
   const std::string stats_json = flags.GetString("stats_json", "");
   const std::string checkpoint_dir = flags.GetString("checkpoint_dir", "");
   const std::string ingest_log = flags.GetString("ingest_log", "");
-  const bool incremental = flags.GetBool("incremental", false);
   if (!ingest_log.empty() && method != "parafac" && method != "parafac-nn") {
     std::fprintf(stderr,
                  "--ingest_log needs --method=parafac or parafac-nn (the "
@@ -480,7 +476,6 @@ int RealMain(int argc, char** argv) {
     IncrementalRefitOptions refit_options;
     refit_options.als = options;
     refit_options.rank = *rank;
-    refit_options.incremental = incremental;
     IncrementalRefitSession session(&engine, std::move(*tensor),
                                     refit_options);
     if (resume == "true") {
@@ -513,13 +508,11 @@ int RealMain(int argc, char** argv) {
       refit_report.merge_seconds = rc.merge_seconds;
       refit_report.refit_seconds = rc.refit_seconds;
       refit_report.refit_iterations = rc.iterations;
-      refit_report.incremental = incremental;
       std::printf(
-          "%s rank %lld (%s): %lld epochs ingested (%lld delta nnz), "
+          "%s rank %lld: %lld epochs ingested (%lld delta nnz), "
           "final fit %.4f, %d ALS iterations, merge %s + refit %s "
           "(%s wall)\n",
-          method.c_str(), (long long)*rank,
-          incremental ? "incremental" : "full refit", (long long)rc.epochs,
+          method.c_str(), (long long)*rank, (long long)rc.epochs,
           (long long)rc.delta_nnz, fit, iterations_run,
           HumanSeconds(rc.merge_seconds).c_str(),
           HumanSeconds(rc.refit_seconds).c_str(),

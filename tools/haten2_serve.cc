@@ -39,7 +39,8 @@
 //                                 a model prefix. Fits it (--rank), installs
 //                                 the model, then seals --epochs synthetic
 //                                 delta epochs of --epoch_nnz entries each,
-//                                 refitting and hot-swapping after every
+//                                 refitting (dirty-slice cache patch, warm
+//                                 start) and hot-swapping after every
 //                                 epoch while --clients closed-loop threads
 //                                 keep querying; each install purges the
 //                                 dead version's cache entries
@@ -47,10 +48,6 @@
 //   --iterations=N                ALS iterations per (re)fit (default 10)
 //   --epochs=E                    synthetic epochs to seal (default 3)
 //   --epoch_nnz=N                 triples appended per epoch (default 200)
-//   --incremental                 dirty-slice cache patching between
-//                                 refits (default on; --incremental=false
-//                                 rebuilds the contraction cache per epoch
-//                                 — factors are bit-identical either way)
 //
 // Exit code 0 on success, 1 on load/query-script errors.
 
@@ -87,7 +84,7 @@ constexpr const char* kUsage =
     "       [--beam=B] [--topk=K] [--seed=S] [--stats_json=PATH]\n"
     "       haten2_serve <tensor-file> --refit_loop [--rank=R]\n"
     "       [--iterations=N] [--epochs=E] [--epoch_nnz=N]\n"
-    "       [--incremental=true|false] [--clients=N] [--stats_json=PATH]\n";
+    "       [--clients=N] [--stats_json=PATH]\n";
 
 std::string FormatIndex(const std::vector<int64_t>& idx) {
   std::string out = "(";
@@ -370,7 +367,6 @@ struct RefitLoopSpec {
   size_t cache_entries = 4096;
   size_t cache_shards = 8;
   uint64_t seed = 17;
-  bool incremental = true;
 };
 
 /// The --refit_loop drill: fit the base tensor, then seal synthetic epochs
@@ -419,7 +415,6 @@ int RunRefitLoop(const RefitLoopSpec& spec) {
   RefitController::Options controller_options;
   controller_options.model_name = spec.model_name;
   controller_options.refit.rank = spec.rank;
-  controller_options.refit.incremental = spec.incremental;
   controller_options.refit.als.max_iterations =
       static_cast<int>(spec.iterations);
   controller_options.refit.als.seed = spec.seed;
@@ -484,9 +479,8 @@ int RunRefitLoop(const RefitLoopSpec& spec) {
   RefitController::Counters counters = controller.GetCounters();
   ShardedLruCache<QueryResult>::Stats cache = pipeline.CacheStats();
   std::printf(
-      "refit loop (%s): %lld epochs sealed, %lld installed "
+      "refit loop: %lld epochs sealed, %lld installed "
       "(max %lld behind), now serving v%lld at fit %.4f\n",
-      spec.incremental ? "incremental" : "full refit",
       (long long)counters.epochs_sealed, (long long)counters.epochs_installed,
       (long long)counters.max_epochs_behind,
       (long long)counters.installed_version, counters.refit.last_fit);
@@ -549,7 +543,7 @@ int RealMain(int argc, char** argv) {
       {"method", "name", "tensor", "script", "clients", "duration",
        "threads", "batch", "queue", "cache-entries", "cache-shards", "beam",
        "topk", "seed", "stats_json", "refit_loop", "rank", "iterations",
-       "epochs", "epoch_nnz", "incremental", "help"});
+       "epochs", "epoch_nnz", "help"});
   if (!valid.ok() || flags.GetBool("help", false) ||
       flags.positional().size() != 1) {
     if (!valid.ok()) std::fprintf(stderr, "%s\n", valid.ToString().c_str());
@@ -607,7 +601,6 @@ int RealMain(int argc, char** argv) {
     spec.cache_entries = static_cast<size_t>(*cache_entries);
     spec.cache_shards = static_cast<size_t>(*cache_shards);
     spec.seed = static_cast<uint64_t>(*seed);
-    spec.incremental = flags.GetBool("incremental", true);
     return RunRefitLoop(spec);
   }
   if (method != "parafac" && method != "tucker") {
