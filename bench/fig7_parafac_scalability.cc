@@ -60,7 +60,6 @@ void RunSweep(const std::string& title, const std::string& param_name,
         Engine engine(PaperCluster(kShuffleBudget));
         Haten2Options options;
         options.max_iterations = 1;
-        options.compute_fit = false;  // time the decomposition jobs alone
         options.variant = static_cast<Variant>(m - 1);
         result = MeasureMr(&engine, [&] {
           return Haten2ParafacAls(&engine, x, rank, options).status();
@@ -164,7 +163,6 @@ void PartSpillCompression(BenchJsonLog* log) {
       Engine engine(config);
       Haten2Options options;
       options.max_iterations = 1;
-      options.compute_fit = false;
       options.variant = variant;
       Measurement result = MeasureMr(&engine, [&] {
         return Haten2ParafacAls(&engine, x, 5, options).status();
@@ -212,7 +210,6 @@ void PartContractionAblation(BenchJsonLog* log) {
     Engine engine(config);
     Haten2Options options;
     options.max_iterations = 1;
-    options.compute_fit = false;
     options.variant = Variant::kDri;
     Measurement result = MeasureMr(&engine, [&] {
       return Haten2ParafacAls(&engine, x, 10, options).status();

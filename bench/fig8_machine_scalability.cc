@@ -47,7 +47,6 @@ void Run(BenchJsonLog* log) {
   {
     Haten2Options options;
     options.max_iterations = 1;
-    options.compute_fit = false;
     HATEN2_CHECK_OK(
         Haten2ParafacAls(&parafac_engine, x, 5, options).status());
   }
@@ -169,7 +168,6 @@ void Run(BenchJsonLog* log) {
     Measurement m = MeasureMr(&engine, [&engine, &x]() {
       Haten2Options options;
       options.max_iterations = 1;
-      options.compute_fit = false;
       return Haten2ParafacAls(&engine, x, 5, options).status();
     });
     for (const auto& w : engine.WorkerStatsSnapshot()) {

@@ -45,7 +45,8 @@ namespace haten2 {
 /// the newest K as fallbacks.
 
 /// \brief Where and how often to checkpoint. Passed to the drivers via
-/// Haten2Options::checkpoint (not owned).
+/// Haten2Options::checkpoint (not owned); AlsHarness writes the
+/// checkpoints.
 struct CheckpointOptions {
   /// Directory the iter_<N> checkpoint directories live in; created on the
   /// first write if absent.
@@ -61,7 +62,7 @@ struct CheckpointOptions {
 /// the on-disk manifest.
 struct CheckpointManifest {
   /// Driver family: "parafac", "parafac-nn", "tucker", "tucker-nn",
-  /// "parafac-em" (missing values).
+  /// "sketched-tucker", "parafac-em" (missing values).
   std::string method;
   /// "kruskal" or "tucker" — which model files the checkpoint carries.
   std::string model_kind;
@@ -134,9 +135,10 @@ Result<LoadedCheckpoint> LoadCheckpoint(const std::string& checkpoint_dir);
 /// candidate exists; the newest candidate's load error when all are broken.
 Result<LoadedCheckpoint> LoadLatestCheckpoint(const std::string& directory);
 
-/// Shared driver-side resume gate: the checkpoint must carry the expected
-/// model kind and method and the exact fingerprint of the current run;
-/// anything else is kFailedPrecondition with a message naming the mismatch.
+/// The resume gate AlsHarness::Start applies before restoring anything: the
+/// checkpoint must carry the expected model kind and method and the exact
+/// fingerprint of the current run; anything else is kFailedPrecondition
+/// with a message naming the mismatch.
 Status ValidateCheckpointForResume(const CheckpointManifest& manifest,
                                    const std::string& method,
                                    const std::string& model_kind,

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
+#include <utility>
 
 #include "core/als_harness.h"
-#include "core/records.h"
 #include "linalg/linalg.h"
 #include "util/random.h"
-#include "util/string_util.h"
 
 namespace haten2 {
 
@@ -104,97 +102,41 @@ Result<double> ObservedFit(const SparseTensor& x,
 Result<MissingValueModel> Haten2ParafacMissing(
     Engine* engine, const SparseTensor& x, const SparseTensor& observed,
     int64_t rank, const MissingValueOptions& options) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("engine must not be null");
-  }
+  HATEN2_RETURN_IF_ERROR(ValidateAlsInput(engine, x));
   if (rank <= 0) {
     return Status::InvalidArgument("rank must be positive");
-  }
-  if (x.order() < 2 || x.order() > kMaxMrOrder) {
-    return Status::InvalidArgument(
-        StrFormat("supported orders are 2..%d", kMaxMrOrder));
-  }
-  if (x.nnz() == 0 || observed.nnz() == 0) {
-    return Status::InvalidArgument(
-        "data and observation mask must be nonempty");
   }
   HATEN2_RETURN_IF_ERROR(ValidateMask(x, observed));
 
   const int order = x.order();
+  Haten2Options run = options.base;
+  run.max_iterations = options.em_iterations;
+  run.tolerance = options.em_tolerance;
   // The EM iterates depend on the observation mask as well as the tensor, so
   // the mask's size rides along in the rank/core slot of the fingerprint.
-  const uint64_t fingerprint = CheckpointFingerprint(
-      "parafac-em", options.base.variant, options.base.seed,
-      options.em_tolerance, {rank, observed.nnz()}, x);
+  const uint64_t fingerprint =
+      CheckpointFingerprint("parafac-em", run.variant, run.seed,
+                            run.tolerance, {rank, observed.nnz()}, x);
 
-  Rng rng(options.base.seed);
-  MissingValueModel out;
-  int start_iteration = 0;
-  bool has_resume_metric = false;
-  double resume_metric = 0.0;
-  if (options.base.resume_from != nullptr) {
-    const LoadedCheckpoint& ckpt = *options.base.resume_from;
-    HATEN2_RETURN_IF_ERROR(ValidateCheckpointForResume(
-        ckpt.manifest, "parafac-em", "kruskal", fingerprint));
-    if (static_cast<int>(ckpt.kruskal.factors.size()) != order ||
-        ckpt.kruskal.rank() != rank) {
-      return Status::InvalidArgument(
-          "checkpoint model does not match the tensor order or rank");
-    }
+  KruskalModel model;
+  AlsHarness harness(engine, run, "parafac-em", fingerprint, &model);
+  HATEN2_ASSIGN_OR_RETURN(
+      AlsStart start,
+      harness.Start(x, std::vector<int64_t>(static_cast<size_t>(order), rank)));
+  if (start == AlsStart::kFresh) {
+    Rng rng(run.seed);
+    model.lambda.assign(static_cast<size_t>(rank), 1.0);
     for (int m = 0; m < order; ++m) {
-      if (ckpt.kruskal.factors[static_cast<size_t>(m)].rows() != x.dim(m)) {
-        return Status::InvalidArgument(
-            StrFormat("checkpoint factor %d rows do not match mode size", m));
-      }
-    }
-    out.model.lambda = ckpt.kruskal.lambda;
-    out.model.factors = ckpt.kruskal.factors;
-    out.observed_fit_history = ckpt.manifest.fit_history;
-    out.em_iterations = ckpt.manifest.iteration;
-    if (!out.observed_fit_history.empty()) {
-      out.observed_fit = out.observed_fit_history.back();
-    }
-    start_iteration = ckpt.manifest.iteration;
-    has_resume_metric = true;
-    resume_metric = ckpt.manifest.metric;
-  } else {
-    out.model.lambda.assign(static_cast<size_t>(rank), 1.0);
-    for (int m = 0; m < order; ++m) {
-      out.model.factors.push_back(
+      model.factors.push_back(
           DenseMatrix::RandomUniform(x.dim(m), rank, &rng));
     }
   }
 
-  AlsHarness::Options harness_options;
-  harness_options.max_iterations = options.em_iterations;
-  harness_options.tolerance = options.em_tolerance;
-  harness_options.trace = options.base.trace;
-  harness_options.start_iteration = start_iteration;
-  harness_options.has_resume_metric = has_resume_metric;
-  harness_options.resume_metric = resume_metric;
-  harness_options.external_cache = options.base.contract_cache;
-  std::optional<CheckpointWriter> checkpoint_writer;
-  if (options.base.checkpoint != nullptr) {
-    checkpoint_writer.emplace(*options.base.checkpoint);
-    harness_options.checkpoint_every =
-        options.base.checkpoint->every_n_iterations;
-    harness_options.checkpoint_fn = [&](int iteration, double prev_metric) {
-      CheckpointManifest m;
-      m.method = "parafac-em";
-      m.model_kind = "kruskal";
-      m.fingerprint = fingerprint;
-      m.iteration = iteration;
-      m.metric = prev_metric;
-      m.fit_history = out.observed_fit_history;
-      return checkpoint_writer->Write(m, &out.model, nullptr);
-    };
-  }
-  AlsHarness harness(engine, harness_options);
   Status loop_status = harness.Run(
-      [&](int em, AlsIterationOutcome* outcome) -> Status {
+      [&](int, AlsIterationOutcome* outcome) -> Status {
     // E-step: freeze the model; residual D makes X̂ = M_old + D match x on
     // the mask and the model off it.
-    KruskalModel frozen = out.model;
+    KruskalModel frozen = model;
     HATEN2_ASSIGN_OR_RETURN(SparseTensor residual,
                             ObservedResidual(x, observed, frozen));
 
@@ -205,8 +147,8 @@ Result<MissingValueModel> Haten2ParafacMissing(
       if (residual.nnz() > 0) {
         HATEN2_ASSIGN_OR_RETURN(
             SliceBlocks y,
-            MultiModeContract(engine, residual, out.model.FactorPtrs(), n,
-                              MergeKind::kPairwise, options.base.variant));
+            MultiModeContract(engine, residual, model.FactorPtrs(), n,
+                              MergeKind::kPairwise, run.variant));
         mttkrp = y.ToDenseMatrix();
       }
       // Closed-form MTTKRP of the frozen model tensor.
@@ -217,7 +159,7 @@ Result<MissingValueModel> Haten2ParafacMissing(
         HATEN2_ASSIGN_OR_RETURN(
             DenseMatrix g,
             MatMulTransA(frozen.factors[static_cast<size_t>(m)],
-                         out.model.factors[static_cast<size_t>(m)]));
+                         model.factors[static_cast<size_t>(m)]));
         for (int64_t s = 0; s < rank; ++s) {
           for (int64_t r = 0; r < rank; ++r) cross(s, r) *= g(s, r);
         }
@@ -237,31 +179,33 @@ Result<MissingValueModel> Haten2ParafacMissing(
       v.Fill(1.0);
       for (int m = 0; m < order; ++m) {
         if (m == n) continue;
-        DenseMatrix g = Gram(out.model.factors[static_cast<size_t>(m)]);
+        DenseMatrix g = Gram(model.factors[static_cast<size_t>(m)]);
         for (int64_t s = 0; s < rank; ++s) {
           for (int64_t r = 0; r < rank; ++r) v(s, r) *= g(s, r);
         }
       }
       HATEN2_ASSIGN_OR_RETURN(DenseMatrix updated,
                               SolveRightPinv(mttkrp, v));
-      NormalizeColumns(&updated, &out.model.lambda);
-      out.model.factors[static_cast<size_t>(n)] = std::move(updated);
+      NormalizeColumns(&updated, &model.lambda);
+      model.factors[static_cast<size_t>(n)] = std::move(updated);
     }
 
-    out.em_iterations = em;
-    HATEN2_ASSIGN_OR_RETURN(double fit, ObservedFit(x, observed, out.model));
-    out.observed_fit = fit;
-    out.observed_fit_history.push_back(fit);
+    HATEN2_ASSIGN_OR_RETURN(double fit, ObservedFit(x, observed, model));
+    model.fit = fit;
+    model.fit_history.push_back(fit);
     outcome->has_fit = true;
     outcome->fit = fit;
     outcome->has_metric = true;
     outcome->metric = fit;
-    outcome->lambda = out.model.lambda;
+    outcome->lambda = model.lambda;
     return Status::OK();
       });
   if (!loop_status.ok()) return loop_status;
-  out.model.fit = out.observed_fit;
-  out.model.iterations = out.em_iterations;
+  MissingValueModel out;
+  out.observed_fit = model.fit;
+  out.observed_fit_history = model.fit_history;
+  out.em_iterations = model.iterations;
+  out.model = std::move(model);
   return out;
 }
 

@@ -28,15 +28,17 @@ namespace haten2 {
 /// extension inherits every variant and all the cost behaviour of the base
 /// method.
 struct MissingValueOptions {
+  /// Everything but max_iterations and tolerance, which the two EM fields
+  /// below replace.
   Haten2Options base;
-  /// Outer EM iterations (each runs base.max_iterations ALS sweeps, usually
-  /// 1).
+  /// Outer EM iterations, one ALS sweep each.
   int em_iterations = 10;
   /// Stop when the fit over *observed* cells changes less than this.
   double em_tolerance = 1e-7;
 };
 
-/// Result carries the model plus the fit restricted to observed cells.
+/// Result carries the model plus the fit restricted to observed cells
+/// (model.fit and model.fit_history hold the same observed fit).
 struct MissingValueModel {
   KruskalModel model;
   double observed_fit = 0.0;

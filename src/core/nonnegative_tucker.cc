@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "core/als_harness.h"
-#include "core/records.h"
+#include "core/tucker.h"
 #include "linalg/linalg.h"
 #include "tensor/tensor_ops.h"
 #include "util/random.h"
-#include "util/string_util.h"
 
 namespace haten2 {
 
@@ -79,26 +77,9 @@ double InnerProductWithModel(const SparseTensor& x, const DenseTensor& core,
 Result<TuckerModel> Haten2NonnegativeTuckerAls(
     Engine* engine, const SparseTensor& x, std::vector<int64_t> core_dims,
     const Haten2Options& options) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("engine must not be null");
-  }
-  if (x.order() < 2 || x.order() > kMaxMrOrder) {
-    return Status::InvalidArgument(
-        StrFormat("supported orders are 2..%d", kMaxMrOrder));
-  }
-  if (x.nnz() == 0) {
-    return Status::InvalidArgument("cannot decompose an all-zero tensor");
-  }
+  HATEN2_RETURN_IF_ERROR(ValidateAlsInput(engine, x));
+  HATEN2_RETURN_IF_ERROR(ValidateCoreDims(x, core_dims));
   const int order = x.order();
-  if (static_cast<int>(core_dims.size()) != order) {
-    return Status::InvalidArgument("core_dims must have one entry per mode");
-  }
-  for (int m = 0; m < order; ++m) {
-    if (core_dims[static_cast<size_t>(m)] <= 0 ||
-        core_dims[static_cast<size_t>(m)] > x.dim(m)) {
-      return Status::InvalidArgument("core dimension out of range");
-    }
-  }
   for (int64_t e = 0; e < x.nnz(); ++e) {
     if (x.value(e) < 0.0) {
       return Status::InvalidArgument(
@@ -106,44 +87,15 @@ Result<TuckerModel> Haten2NonnegativeTuckerAls(
     }
   }
 
-  const uint64_t fingerprint =
-      CheckpointFingerprint("tucker-nn", options.variant, options.seed,
-                            options.tolerance, core_dims, x);
-
-  Rng rng(options.seed);
   TuckerModel model;
-  int start_iteration = 0;
-  bool has_resume_metric = false;
-  double resume_metric = 0.0;
-  if (options.resume_from != nullptr) {
-    const LoadedCheckpoint& ckpt = *options.resume_from;
-    HATEN2_RETURN_IF_ERROR(ValidateCheckpointForResume(
-        ckpt.manifest, "tucker-nn", "tucker", fingerprint));
-    if (static_cast<int>(ckpt.tucker.factors.size()) != order ||
-        ckpt.tucker.core.dims() != core_dims) {
-      return Status::InvalidArgument(
-          "checkpoint model does not match the tensor order or core dims");
-    }
-    for (int m = 0; m < order; ++m) {
-      const DenseMatrix& f = ckpt.tucker.factors[static_cast<size_t>(m)];
-      if (f.rows() != x.dim(m) ||
-          f.cols() != core_dims[static_cast<size_t>(m)]) {
-        return Status::InvalidArgument(
-            StrFormat("checkpoint factor %d shape does not match", m));
-      }
-    }
-    // The multiplicative updates rescale the *core* as well as the factors,
-    // so resuming must restore both — factors alone would restart from a
-    // different point in the iterate sequence.
-    model.core = ckpt.tucker.core;
-    model.factors = ckpt.tucker.factors;
-    model.core_norm_history = ckpt.manifest.core_norm_history;
-    model.iterations = ckpt.manifest.iteration;
-    start_iteration = ckpt.manifest.iteration;
-    has_resume_metric = true;
-    resume_metric = ckpt.manifest.metric;
-    if (ckpt.manifest.metric >= 0.0) model.fit = ckpt.manifest.metric;
-  } else {
+  AlsHarness harness(engine, options, "tucker-nn",
+                     CheckpointFingerprint("tucker-nn", options.variant,
+                                           options.seed, options.tolerance,
+                                           core_dims, x),
+                     &model);
+  HATEN2_ASSIGN_OR_RETURN(AlsStart start, harness.Start(x, core_dims));
+  if (start == AlsStart::kFresh) {
+    Rng rng(options.seed);
     HATEN2_ASSIGN_OR_RETURN(model.core, DenseTensor::Create(core_dims));
     for (double& g : model.core.data()) g = rng.Uniform(0.1, 1.0);
     model.factors.reserve(static_cast<size_t>(order));
@@ -151,6 +103,16 @@ Result<TuckerModel> Haten2NonnegativeTuckerAls(
       model.factors.push_back(DenseMatrix::RandomUniform(
           x.dim(m), core_dims[static_cast<size_t>(m)], &rng));
     }
+  } else if (model.core.order() == 0) {
+    // The multiplicative updates rescale the core as well as the factors,
+    // so a start without one has no G to update.
+    return Status::InvalidArgument(
+        "nonnegative Tucker cannot start from a model without a core");
+  }
+  // The metric is the fit, so a resume that runs no further iteration
+  // still reports the checkpointed one.
+  if (start == AlsStart::kResumed && harness.metric() >= 0.0) {
+    model.fit = harness.metric();
   }
 
   std::vector<DenseMatrix> grams;
@@ -158,32 +120,8 @@ Result<TuckerModel> Haten2NonnegativeTuckerAls(
   for (int m = 0; m < order; ++m) grams.push_back(Gram(model.factors[m]));
 
   const double x_sq = x.SumSquares();
-  AlsHarness::Options harness_options;
-  harness_options.max_iterations = options.max_iterations;
-  harness_options.tolerance = options.tolerance;
-  harness_options.trace = options.trace;
-  harness_options.start_iteration = start_iteration;
-  harness_options.has_resume_metric = has_resume_metric;
-  harness_options.resume_metric = resume_metric;
-  harness_options.external_cache = options.contract_cache;
-  std::optional<CheckpointWriter> checkpoint_writer;
-  if (options.checkpoint != nullptr) {
-    checkpoint_writer.emplace(*options.checkpoint);
-    harness_options.checkpoint_every = options.checkpoint->every_n_iterations;
-    harness_options.checkpoint_fn = [&](int iteration, double prev_metric) {
-      CheckpointManifest m;
-      m.method = "tucker-nn";
-      m.model_kind = "tucker";
-      m.fingerprint = fingerprint;
-      m.iteration = iteration;
-      m.metric = prev_metric;
-      m.core_norm_history = model.core_norm_history;
-      return checkpoint_writer->Write(m, nullptr, &model);
-    };
-  }
-  AlsHarness harness(engine, harness_options);
   Status loop_status = harness.Run(
-      [&](int iter, AlsIterationOutcome* outcome) -> Status {
+      [&](int, AlsIterationOutcome* outcome) -> Status {
     // ---- Factor updates ----
     for (int n = 0; n < order; ++n) {
       HATEN2_ASSIGN_OR_RETURN(
@@ -230,21 +168,11 @@ Result<TuckerModel> Haten2NonnegativeTuckerAls(
         MultiModeContract(engine, x, model.FactorPtrs(), order - 1,
                           MergeKind::kCross, options.variant,
                           harness.cache()));
-    const DenseMatrix& a_last = model.factors[static_cast<size_t>(order - 1)];
-    DenseMatrix p_unfolded(core_dims[static_cast<size_t>(order - 1)],
-                           y_last.BlockSize());
-    for (size_t k = 0; k < y_last.slice_ids.size(); ++k) {
-      const double* row = y_last.values.RowPtr(static_cast<int64_t>(k));
-      for (int64_t p = 0; p < p_unfolded.rows(); ++p) {
-        double w = a_last(y_last.slice_ids[k], p);
-        if (w == 0.0) continue;
-        double* prow = p_unfolded.RowPtr(p);
-        for (int64_t c = 0; c < p_unfolded.cols(); ++c) prow[c] += w * row[c];
-      }
-    }
     HATEN2_ASSIGN_OR_RETURN(
         DenseTensor numerator,
-        DenseTensor::Fold(p_unfolded, order - 1, core_dims));
+        TuckerCoreFromBlocks(y_last,
+                             model.factors[static_cast<size_t>(order - 1)],
+                             core_dims, order - 1));
     HATEN2_ASSIGN_OR_RETURN(DenseTensor denominator,
                             CoreTimesAllGrams(model.core, grams));
     for (int64_t lin = 0; lin < model.core.size(); ++lin) {
@@ -256,7 +184,6 @@ Result<TuckerModel> Haten2NonnegativeTuckerAls(
     }
 
     // ---- Fit: explicit residual (factors are not orthonormal) ----
-    model.iterations = iter;
     double inner = InnerProductWithModel(x, model.core, model.factors);
     HATEN2_ASSIGN_OR_RETURN(DenseTensor h,
                             CoreTimesAllGrams(model.core, grams));

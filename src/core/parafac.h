@@ -31,24 +31,23 @@ struct Haten2Options {
   /// least-squares update. Factors stay entrywise >= 0.
   bool nonnegative = false;
 
-  /// Compute the fit after every iteration. It is derived from the sweep's
-  /// Grams and last-mode MTTKRP, so it costs O(I_N·R + N·R²) and no pass
-  /// over X.
-  bool compute_fit = true;
-
-  /// Optional warm starts (checkpoint/resume): when non-null, the matching
-  /// driver initializes from this model instead of randomly. The model must
-  /// match the tensor's shape and the requested rank/core size. Resuming a
-  /// run from its own checkpoint continues the exact same iterate sequence
-  /// (ALS state is fully captured by the factors). Not owned.
+  /// Optional warm starts: when non-null, every driver of the matching
+  /// model kind starts from a copy of this model's factors and λ or core
+  /// instead of a random draw (AlsHarness::Start). The model must match the
+  /// tensor's shape and the requested rank/core size in every factor, or
+  /// the driver returns kInvalidArgument. Tucker and sketched Tucker
+  /// re-orthonormalize the factors and recompute the core; nonnegative
+  /// Tucker needs the core as well. Continuing a PARAFAC, nonnegative
+  /// Tucker or EM run from its own output repeats the uninterrupted
+  /// iterate sequence bit for bit. Not owned.
   const KruskalModel* initial_kruskal = nullptr;
   const TuckerModel* initial_tucker = nullptr;
 
   /// Optional fault tolerance (core/checkpoint.h). With `checkpoint` set,
-  /// the driver writes an atomic checkpoint (factors + λ/core + iteration
+  /// the run writes an atomic checkpoint (factors + λ/core + iteration
   /// counter + fit history + convergence state + config fingerprint) every
   /// checkpoint->every_n_iterations iterations. With `resume_from` set, the
-  /// driver restores that state and continues the exact iterate sequence —
+  /// run restores that state and continues the exact iterate sequence —
   /// iteration numbering, histories, traces, and the convergence test all
   /// pick up where the checkpoint left off (unlike the initial_* warm
   /// starts above, which begin a fresh run from the given factors). The

@@ -1,18 +1,14 @@
 #include "core/sketched_tucker.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "core/als_harness.h"
-#include "core/checkpoint.h"
-#include "core/records.h"
 #include "core/tucker.h"
 #include "linalg/linalg.h"
 #include "linalg/sketch.h"
 #include "mapreduce/plan.h"
 #include "mapreduce/scheduler.h"
-#include "util/random.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -22,32 +18,11 @@ Result<TuckerModel> Haten2SketchedTuckerAls(Engine* engine,
                                             const SparseTensor& x,
                                             std::vector<int64_t> core_dims,
                                             const Haten2Options& options) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("engine must not be null");
-  }
-  if (x.order() < 2 || x.order() > kMaxMrOrder) {
-    return Status::InvalidArgument(
-        StrFormat("sketched Tucker supports orders 2..%d, got %d",
-                  kMaxMrOrder, x.order()));
-  }
-  if (x.nnz() == 0) {
-    return Status::InvalidArgument("cannot decompose an all-zero tensor");
-  }
+  HATEN2_RETURN_IF_ERROR(ValidateAlsInput(engine, x));
+  HATEN2_RETURN_IF_ERROR(ValidateCoreDims(x, core_dims));
   const int order = x.order();
-  if (static_cast<int>(core_dims.size()) != order) {
-    return Status::InvalidArgument("core_dims must have one entry per mode");
-  }
-  int64_t max_core = 0;
-  for (int m = 0; m < order; ++m) {
-    if (core_dims[static_cast<size_t>(m)] <= 0 ||
-        core_dims[static_cast<size_t>(m)] > x.dim(m)) {
-      return Status::InvalidArgument(StrFormat(
-          "core dimension %lld invalid for mode %d of size %lld",
-          (long long)core_dims[static_cast<size_t>(m)], m,
-          (long long)x.dim(m)));
-    }
-    max_core = std::max(max_core, core_dims[static_cast<size_t>(m)]);
-  }
+  const int64_t max_core =
+      *std::max_element(core_dims.begin(), core_dims.end());
 
   const ClusterConfig& config = engine->config();
   if (config.tucker_sketch == "none") {
@@ -80,93 +55,13 @@ Result<TuckerModel> Haten2SketchedTuckerAls(Engine* engine,
                 (long long)sketch_size, polish),
       options.variant, options.seed, options.tolerance, core_dims, x);
 
-  Rng rng(options.seed);
   TuckerModel model;
-  int start_iteration = 0;
-  bool has_resume_metric = false;
-  double resume_metric = 0.0;
-  if (options.resume_from != nullptr) {
-    const LoadedCheckpoint& ckpt = *options.resume_from;
-    HATEN2_RETURN_IF_ERROR(ValidateCheckpointForResume(
-        ckpt.manifest, "sketched-tucker", "tucker", fingerprint));
-    if (static_cast<int>(ckpt.tucker.factors.size()) != order) {
-      return Status::InvalidArgument(
-          "checkpoint model does not match the tensor order");
-    }
-    for (int m = 0; m < order; ++m) {
-      const DenseMatrix& f = ckpt.tucker.factors[static_cast<size_t>(m)];
-      if (f.rows() != x.dim(m) ||
-          f.cols() != core_dims[static_cast<size_t>(m)]) {
-        return Status::InvalidArgument(
-            StrFormat("checkpoint factor %d shape does not match", m));
-      }
-    }
-    // Verbatim restore — no defensive QR — for the same bit-identity
-    // reasons as the exact driver (see tucker.cc).
-    model.factors = ckpt.tucker.factors;
-    model.core = ckpt.tucker.core;
-    model.core_norm_history = ckpt.manifest.core_norm_history;
-    model.iterations = ckpt.manifest.iteration;
-    start_iteration = ckpt.manifest.iteration;
-    has_resume_metric = true;
-    resume_metric = ckpt.manifest.metric;
-  } else if (options.initial_tucker != nullptr) {
-    const TuckerModel& init = *options.initial_tucker;
-    if (static_cast<int>(init.factors.size()) != order) {
-      return Status::InvalidArgument(
-          "warm-start model does not match the tensor order");
-    }
-    model.factors.reserve(static_cast<size_t>(order));
-    for (int m = 0; m < order; ++m) {
-      const DenseMatrix& f = init.factors[static_cast<size_t>(m)];
-      if (f.rows() != x.dim(m) ||
-          f.cols() != core_dims[static_cast<size_t>(m)]) {
-        return Status::InvalidArgument(
-            StrFormat("warm-start factor %d shape does not match", m));
-      }
-      HATEN2_ASSIGN_OR_RETURN(QrResult qr, QrDecompose(f));
-      model.factors.push_back(std::move(qr.q));
-    }
-  } else {
-    // Same initialization draw as the exact driver: at a fixed seed the
-    // sketched and exact runs start from identical factors, which is what
-    // makes the fig1 fit-vs-speed ablation a controlled comparison.
-    model.factors.reserve(static_cast<size_t>(order));
-    for (int m = 0; m < order; ++m) {
-      DenseMatrix random = DenseMatrix::RandomNormal(
-          x.dim(m), core_dims[static_cast<size_t>(m)], &rng);
-      HATEN2_ASSIGN_OR_RETURN(QrResult qr, QrDecompose(random));
-      model.factors.push_back(std::move(qr.q));
-    }
-  }
+  AlsHarness harness(engine, options, "sketched-tucker", fingerprint, &model,
+                     {x.FrobeniusNorm(), /*converge_on_equal=*/true});
+  HATEN2_ASSIGN_OR_RETURN(AlsStart start, harness.Start(x, core_dims));
+  HATEN2_RETURN_IF_ERROR(
+      OrthonormalTuckerStart(start, x, core_dims, options.seed, &model));
 
-  const double x_norm = x.FrobeniusNorm();
-  AlsHarness::Options harness_options;
-  harness_options.max_iterations = options.max_iterations;
-  harness_options.tolerance = options.tolerance;
-  harness_options.tolerance_scale = x_norm;
-  harness_options.converge_on_equal = true;
-  harness_options.trace = options.trace;
-  harness_options.start_iteration = start_iteration;
-  harness_options.has_resume_metric = has_resume_metric;
-  harness_options.resume_metric = resume_metric;
-  harness_options.external_cache = options.contract_cache;
-  std::optional<CheckpointWriter> checkpoint_writer;
-  if (options.checkpoint != nullptr) {
-    checkpoint_writer.emplace(*options.checkpoint);
-    harness_options.checkpoint_every = options.checkpoint->every_n_iterations;
-    harness_options.checkpoint_fn = [&](int iteration, double prev_metric) {
-      CheckpointManifest m;
-      m.method = "sketched-tucker";
-      m.model_kind = "tucker";
-      m.fingerprint = fingerprint;
-      m.iteration = iteration;
-      m.metric = prev_metric;
-      m.core_norm_history = model.core_norm_history;
-      return checkpoint_writer->Write(m, nullptr, &model);
-    };
-  }
-  AlsHarness harness(engine, harness_options);
   Status loop_status = harness.Run(
       [&](int iter, AlsIterationOutcome* outcome) -> Status {
         const bool polish_sweep = iter > options.max_iterations - polish;
@@ -239,7 +134,6 @@ Result<TuckerModel> Haten2SketchedTuckerAls(Engine* engine,
             TuckerCoreFromBlocks(last_y,
                                  model.factors[static_cast<size_t>(last)],
                                  core_dims, last));
-        model.iterations = iter;
         const double core_norm = model.core.FrobeniusNorm();
         model.core_norm_history.push_back(core_norm);
         outcome->has_core_norm = true;

@@ -48,11 +48,12 @@ namespace haten2 {
 /// must be "gaussian" or "countsketch" (a "none" config is
 /// kInvalidArgument — callers route exact runs to Haten2TuckerAls), s is
 /// `sketch_size` (0 = largest core dim + 4, and explicit values must be >=
-/// the largest core dim). Checkpoint/resume ride the AlsHarness unchanged:
-/// manifests carry method "sketched-tucker" and a fingerprint that folds in
-/// the sketch kind, width and polish count, so a checkpoint cannot resume
-/// under a different sketch configuration. At a fixed --seed the whole run
-/// — operators, iterates, resumes — is bit-reproducible. One caveat the
+/// the largest core dim). Starts, checkpoints and resumes are the
+/// AlsHarness's, as for every driver: manifests carry method
+/// "sketched-tucker" and a fingerprint that folds in the sketch kind, width
+/// and polish count, so a checkpoint cannot resume under a different sketch
+/// configuration. At a fixed --seed the whole run — operators, iterates,
+/// resumes — is bit-reproducible. One caveat the
 /// fingerprint cannot see: the polish boundary counts back from
 /// `max_iterations`, so a resume must keep the original iteration budget
 /// for the sweep schedule (and hence the iterates) to match.

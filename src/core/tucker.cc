@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
+#include <utility>
 
-#include "core/als_harness.h"
-#include "core/records.h"
 #include "linalg/linalg.h"
 #include "util/random.h"
-#include "util/string_util.h"
 
 namespace haten2 {
 
@@ -112,129 +109,46 @@ Result<DenseTensor> TuckerCoreFromBlocks(const SliceBlocks& last_y,
   return DenseTensor::Fold(core_unfolded, last_mode, core_dims);
 }
 
+Status OrthonormalTuckerStart(AlsStart start, const SparseTensor& x,
+                              const std::vector<int64_t>& core_dims,
+                              uint64_t seed, TuckerModel* model) {
+  if (start == AlsStart::kResumed) return Status::OK();
+  if (start == AlsStart::kFresh) {
+    Rng rng(seed);
+    model->factors.clear();
+    for (int m = 0; m < x.order(); ++m) {
+      model->factors.push_back(DenseMatrix::RandomNormal(
+          x.dim(m), core_dims[static_cast<size_t>(m)], &rng));
+    }
+  }
+  // A warm start is re-orthonormalized too: hand-built starts may not have
+  // orthonormal columns, which the ||G||-based fit requires.
+  for (DenseMatrix& factor : model->factors) {
+    HATEN2_ASSIGN_OR_RETURN(QrResult qr, QrDecompose(factor));
+    factor = std::move(qr.q);
+  }
+  return Status::OK();
+}
+
 Result<TuckerModel> Haten2TuckerAls(Engine* engine, const SparseTensor& x,
                                     std::vector<int64_t> core_dims,
                                     const Haten2Options& options) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("engine must not be null");
-  }
-  if (x.order() < 2 || x.order() > kMaxMrOrder) {
-    return Status::InvalidArgument(
-        StrFormat("HaTen2-Tucker supports orders 2..%d, got %d", kMaxMrOrder,
-                  x.order()));
-  }
-  if (x.nnz() == 0) {
-    return Status::InvalidArgument("cannot decompose an all-zero tensor");
-  }
+  HATEN2_RETURN_IF_ERROR(ValidateAlsInput(engine, x));
+  HATEN2_RETURN_IF_ERROR(ValidateCoreDims(x, core_dims));
   const int order = x.order();
-  if (static_cast<int>(core_dims.size()) != order) {
-    return Status::InvalidArgument("core_dims must have one entry per mode");
-  }
-  for (int m = 0; m < order; ++m) {
-    if (core_dims[static_cast<size_t>(m)] <= 0 ||
-        core_dims[static_cast<size_t>(m)] > x.dim(m)) {
-      return Status::InvalidArgument(StrFormat(
-          "core dimension %lld invalid for mode %d of size %lld",
-          (long long)core_dims[static_cast<size_t>(m)], m,
-          (long long)x.dim(m)));
-    }
-  }
 
-  const uint64_t fingerprint =
-      CheckpointFingerprint("tucker", options.variant, options.seed,
-                            options.tolerance, core_dims, x);
-
-  Rng rng(options.seed);
   TuckerModel model;
-  int start_iteration = 0;
-  bool has_resume_metric = false;
-  double resume_metric = 0.0;
-  if (options.resume_from != nullptr) {
-    const LoadedCheckpoint& ckpt = *options.resume_from;
-    HATEN2_RETURN_IF_ERROR(ValidateCheckpointForResume(
-        ckpt.manifest, "tucker", "tucker", fingerprint));
-    if (static_cast<int>(ckpt.tucker.factors.size()) != order) {
-      return Status::InvalidArgument(
-          "checkpoint model does not match the tensor order");
-    }
-    for (int m = 0; m < order; ++m) {
-      const DenseMatrix& f = ckpt.tucker.factors[static_cast<size_t>(m)];
-      if (f.rows() != x.dim(m) ||
-          f.cols() != core_dims[static_cast<size_t>(m)]) {
-        return Status::InvalidArgument(
-            StrFormat("checkpoint factor %d shape does not match", m));
-      }
-    }
-    // Restore the factors verbatim — no defensive QR here. The checkpoint's
-    // text format round-trips doubles exactly, and re-orthonormalizing
-    // already-orthonormal factors would perturb them in the last ulp,
-    // breaking the resumed run's bit-identity with the uninterrupted one.
-    model.factors = ckpt.tucker.factors;
-    model.core = ckpt.tucker.core;
-    model.core_norm_history = ckpt.manifest.core_norm_history;
-    model.iterations = ckpt.manifest.iteration;
-    start_iteration = ckpt.manifest.iteration;
-    has_resume_metric = true;
-    resume_metric = ckpt.manifest.metric;
-  } else if (options.initial_tucker != nullptr) {
-    const TuckerModel& init = *options.initial_tucker;
-    if (static_cast<int>(init.factors.size()) != order) {
-      return Status::InvalidArgument(
-          "warm-start model does not match the tensor order");
-    }
-    model.factors.reserve(static_cast<size_t>(order));
-    for (int m = 0; m < order; ++m) {
-      const DenseMatrix& f = init.factors[static_cast<size_t>(m)];
-      if (f.rows() != x.dim(m) ||
-          f.cols() != core_dims[static_cast<size_t>(m)]) {
-        return Status::InvalidArgument(StrFormat(
-            "warm-start factor %d shape does not match", m));
-      }
-      // Re-orthonormalize defensively: checkpoints round-trip exactly, but
-      // hand-built warm starts may not have orthonormal columns, which the
-      // ||G||-based fit requires.
-      HATEN2_ASSIGN_OR_RETURN(QrResult qr, QrDecompose(f));
-      model.factors.push_back(std::move(qr.q));
-    }
-  } else {
-    model.factors.reserve(static_cast<size_t>(order));
-    for (int m = 0; m < order; ++m) {
-      DenseMatrix random = DenseMatrix::RandomNormal(
-          x.dim(m), core_dims[static_cast<size_t>(m)], &rng);
-      HATEN2_ASSIGN_OR_RETURN(QrResult qr, QrDecompose(random));
-      model.factors.push_back(std::move(qr.q));
-    }
-  }
+  AlsHarness harness(engine, options, "tucker",
+                     CheckpointFingerprint("tucker", options.variant,
+                                           options.seed, options.tolerance,
+                                           core_dims, x),
+                     &model, {x.FrobeniusNorm(), /*converge_on_equal=*/true});
+  HATEN2_ASSIGN_OR_RETURN(AlsStart start, harness.Start(x, core_dims));
+  HATEN2_RETURN_IF_ERROR(
+      OrthonormalTuckerStart(start, x, core_dims, options.seed, &model));
 
-  const double x_norm = x.FrobeniusNorm();
-  AlsHarness::Options harness_options;
-  harness_options.max_iterations = options.max_iterations;
-  harness_options.tolerance = options.tolerance;
-  harness_options.tolerance_scale = x_norm;
-  harness_options.converge_on_equal = true;
-  harness_options.trace = options.trace;
-  harness_options.start_iteration = start_iteration;
-  harness_options.has_resume_metric = has_resume_metric;
-  harness_options.resume_metric = resume_metric;
-  harness_options.external_cache = options.contract_cache;
-  std::optional<CheckpointWriter> checkpoint_writer;
-  if (options.checkpoint != nullptr) {
-    checkpoint_writer.emplace(*options.checkpoint);
-    harness_options.checkpoint_every = options.checkpoint->every_n_iterations;
-    harness_options.checkpoint_fn = [&](int iteration, double prev_metric) {
-      CheckpointManifest m;
-      m.method = "tucker";
-      m.model_kind = "tucker";
-      m.fingerprint = fingerprint;
-      m.iteration = iteration;
-      m.metric = prev_metric;
-      m.core_norm_history = model.core_norm_history;
-      return checkpoint_writer->Write(m, nullptr, &model);
-    };
-  }
-  AlsHarness harness(engine, harness_options);
   Status loop_status = harness.Run(
-      [&](int iter, AlsIterationOutcome* outcome) -> Status {
+      [&](int, AlsIterationOutcome* outcome) -> Status {
       SliceBlocks last_y;
       for (int n = 0; n < order; ++n) {
         HATEN2_ASSIGN_OR_RETURN(
@@ -256,7 +170,6 @@ Result<TuckerModel> Haten2TuckerAls(Engine* engine, const SparseTensor& x,
           TuckerCoreFromBlocks(last_y,
                                model.factors[static_cast<size_t>(last)],
                                core_dims, last));
-      model.iterations = iter;
       const double core_norm = model.core.FrobeniusNorm();
       model.core_norm_history.push_back(core_norm);
       outcome->has_core_norm = true;

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "core/als_harness.h"
 #include "core/contract.h"
 #include "core/parafac.h"  // Haten2Options
 #include "mapreduce/engine.h"
@@ -35,6 +36,16 @@ Result<TuckerModel> Haten2TuckerAls(Engine* engine, const SparseTensor& x,
 /// sketched driver y is the s-wide projected contraction, so the same code
 /// is the randomized range finder — the Gram shrinks from ΠQ² to s².
 Result<DenseMatrix> TuckerLeadingFactor(const SliceBlocks& y, int64_t count);
+
+/// \brief The orthonormal start shared by the exact and sketched drivers,
+/// called after AlsHarness::Start: a fresh start draws factor m from
+/// RandomNormal(x.dim(m), core_dims[m]) on Rng(seed) in mode order, so both
+/// drivers begin from identical factors at a fixed seed; a fresh or warm
+/// start then takes one QR per mode, in mode order. A resumed model is left
+/// verbatim.
+Status OrthonormalTuckerStart(AlsStart start, const SparseTensor& x,
+                              const std::vector<int64_t>& core_dims,
+                              uint64_t seed, TuckerModel* model);
 
 /// \brief The core update shared by the Tucker-family drivers:
 /// G₍last₎ = A⁽ˡᵃˢᵗ⁾ᵀ·Y₍last₎ accumulated over the sparse slice blocks of

@@ -178,7 +178,6 @@ TEST(GigaTensorAlias, RunsDrnRegardlessOfRequestedVariant) {
       haten2::testing::RandomSparseTensor({10, 9, 8}, 80, &rng);
   Haten2Options options;
   options.max_iterations = 1;
-  options.compute_fit = false;
   options.variant = Variant::kDri;  // must be overridden to kDrn
 
   Engine engine(ClusterConfig::ForTesting());

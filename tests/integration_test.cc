@@ -164,7 +164,6 @@ TEST(Integration, CostModelScaleUpOnRealPipeline) {
   Engine engine(config);
   Haten2Options options;
   options.max_iterations = 1;
-  options.compute_fit = false;
   ASSERT_OK(Haten2ParafacAls(&engine, x, 4, options).status());
 
   double prev = 1e300;
