@@ -9,12 +9,12 @@
 //
 //   coordinator                         worker w (of W)
 //   ----------------------------------  --------------------------------
-//   kAssignment (tasks, partitions) ->
+//   kAssignment (W, kill injection) ->
 //                                       runs map tasks {t : t % W == w}
-//                                       (same emitters, spill files,
-//                                       combiner, and deterministic
-//                                       failure draws as in-process)
-//                                    <- kMapDone (per-task reports)
+//                                       of the job's JobShape (read from
+//                                       the fork image) with RunMapTask
+//                                       and CombineMapTask, as in-process
+//                                    <- kMapDone (MapTaskReports)
 //                                    <- kMapRun* (spill-codec blocks)
 //                                    <- kRunsDone
 //   forwards each run to the owner
@@ -80,11 +80,11 @@ struct SubprocessJobEnv {
   /// Coordinator-side shuffle budget (nullptr = unlimited); workers run
   /// unmetered and the coordinator charges the job's raw shuffle width.
   MemoryTracker* tracker = nullptr;
-  /// Spill-file prefix up to the per-task suffix ("" disables spilling).
-  std::string spill_prefix_base;
+  const JobShape* shape = nullptr;
+  /// The job's spill-file prefix ("" disables spilling).
+  std::string spill_prefix;
   std::string name;
   int64_t job_id = -1;
-  int64_t num_input_records = 0;
 };
 
 /// Output-record wire support: keys must be fixed-size; values fixed-size
@@ -196,114 +196,62 @@ int SubprocessWorkerMain(
   WireAssignment asn;
   std::memcpy(&asn, frame.payload.data(), sizeof(asn));
   const int W = asn.num_workers;
-  const int num_tasks = asn.num_tasks;
-  const int num_partitions = asn.num_partitions;
-  if (W <= 0 || worker >= W || num_tasks <= 0 || num_partitions <= 0) {
-    return kWorkerExitProtocolError;
-  }
-  const int64_t n = env.num_input_records;
-  const int64_t chunk = (n + num_tasks - 1) / std::max(num_tasks, 1);
+  if (W <= 0 || worker >= W) return kWorkerExitProtocolError;
+  const JobShape& shape = *env.shape;
+  const int num_tasks = shape.num_tasks;
+  const int num_partitions = shape.num_partitions;
 
-  std::vector<int> my_tasks;
-  for (int t = worker; t < num_tasks; t += W) my_tasks.push_back(t);
-
-  // ---- Map: same attempt loop, emitters, and spill config as in-process
-  // (unmetered — the coordinator owns the shuffle budget). ----
+  // ---- Map and combine: the in-process runner, unmetered (the coordinator
+  // owns the shuffle budget). ----
   std::vector<ShuffleEmitter<KMid, VMid>> emitters;
-  emitters.reserve(my_tasks.size());
-  std::vector<WireTaskReport> reports(my_tasks.size());
+  std::vector<MapTaskReport> reports;
   bool job_fatal = false;
   int64_t completed_tasks = 0;
-  for (size_t i = 0; i < my_tasks.size(); ++i) {
-    const int t = my_tasks[i];
-    std::string spill_prefix;
-    if (!env.spill_prefix_base.empty()) {
-      spill_prefix = env.spill_prefix_base + "_t" + std::to_string(t);
-    }
-    emitters.emplace_back(num_partitions, nullptr, std::move(spill_prefix),
-                          config.spill_threshold_records,
-                          config.spill_compression,
-                          config.inject_spill_failure_after_bytes);
-    ShuffleEmitter<KMid, VMid>& em = emitters.back();
-    WireTaskReport& rep = reports[i];
-    rep.task = t;
-    int attempt = 1;
-    while (attempt <= config.max_task_attempts &&
-           ShouldFailMapAttempt(config, env.job_id,
-                                static_cast<size_t>(t), attempt)) {
-      ++attempt;
-    }
-    rep.attempts = std::min(attempt, config.max_task_attempts);
-    if (attempt > config.max_task_attempts) {
-      rep.flags |= kTaskGaveUp;
-      job_fatal = true;
-    } else {
-      const int64_t begin = static_cast<int64_t>(t) * chunk;
-      const int64_t end = std::min(begin + chunk, n);
-      int64_t processed = 0;
-      for (int64_t r = begin; r < end; ++r) {
-        reader(r, &em);
-        ++processed;
-        if (em.failed()) break;
-      }
-      em.Flush();
-      rep.processed = processed;
-      ++completed_tasks;
-    }
-    if (em.failed()) {
-      rep.flags |= kTaskEmitterIO;
-      job_fatal = true;
-    }
-    rep.pre_combine_records = em.TotalRecords();
-    rep.spilled_records = em.TotalSpilledRecords();
-    rep.spilled_disk_bytes = em.TotalSpilledDiskBytes();
+  for (int t = worker; t < num_tasks; t += W) {
+    emitters.push_back(MapTaskEmitter<KMid, VMid>(config, shape,
+                                                  env.spill_prefix, t,
+                                                  nullptr));
+    reports.push_back(
+        RunMapTask(config, env.job_id, t, shape, reader, &emitters.back()));
+    if (reports.back().flags != 0) job_fatal = true;
+    if (!(reports.back().flags & kTaskGaveUp)) ++completed_tasks;
     if (asn.die_after_tasks > 0 && completed_tasks >= asn.die_after_tasks) {
       // Injected worker death: vanish without a word, spill files and all,
       // exactly as a machine loss would.
       ::_exit(kWorkerExitInjectedKill);
     }
   }
-
-  // ---- Combine (in-memory buffers only, like in-process). ----
   if (combiner && !job_fatal) {
-    for (auto& em : emitters) {
-      for (auto& buf : em.buffers()) {
-        CombineShuffleBuffer<KMid, VMid>(&buf, combiner);
-      }
+    for (size_t i = 0; i < emitters.size(); ++i) {
+      CombineMapTask(combiner, &emitters[i], &reports[i]);
     }
-  }
-  for (size_t i = 0; i < my_tasks.size(); ++i) {
-    reports[i].post_combine_records = emitters[i].TotalRecords();
   }
 
   // ---- Serialize runs before kMapDone so drain failures are reported in
   // the task flags. A run is one (task, partition)'s records, its spilled
   // records reloaded in front of the buffer — the in-process run. ----
   std::vector<WireFrame> runs;
-  if (!job_fatal) {
-    for (size_t i = 0; i < my_tasks.size() && !job_fatal; ++i) {
-      ShuffleEmitter<KMid, VMid>& em = emitters[i];
-      for (size_t p = 0; p < static_cast<size_t>(num_partitions); ++p) {
-        if (!em.ReloadSpill(p).ok()) {
-          reports[i].flags |= kTaskDrainIO;
-          job_fatal = true;
-          break;
-        }
-        std::vector<Record>& run = em.buffers()[p];
-        if (run.empty()) continue;
-        WireFrame f;
-        f.type = FrameType::kMapRun;
-        f.worker = worker;
-        f.job = env.job_id;
-        f.a = my_tasks[i];
-        f.b = static_cast<int64_t>(p);
-        EncodeSpillBlock(reinterpret_cast<const char*>(run.data()),
-                         run.size(), sizeof(Record), sizeof(KMid),
-                         &f.payload);
-        runs.push_back(std::move(f));
-        run.clear();
-        run.shrink_to_fit();
+  for (size_t i = 0; i < emitters.size() && !job_fatal; ++i) {
+    ShuffleEmitter<KMid, VMid>& em = emitters[i];
+    for (size_t p = 0; p < static_cast<size_t>(num_partitions); ++p) {
+      if (!em.ReloadSpill(p).ok()) {
+        reports[i].flags |= kTaskDrainIO;
+        job_fatal = true;
+        break;
       }
+      std::vector<Record>& run = em.buffers()[p];
+      if (run.empty()) continue;
+      WireFrame f;
+      f.type = FrameType::kMapRun;
+      f.worker = worker;
+      f.job = env.job_id;
+      f.a = reports[i].task;
+      f.b = static_cast<int64_t>(p);
+      EncodeSpillBlock(reinterpret_cast<const char*>(run.data()), run.size(),
+                       sizeof(Record), sizeof(KMid), &f.payload);
+      runs.push_back(std::move(f));
+      run.clear();
+      run.shrink_to_fit();
     }
   }
   if (job_fatal) {
@@ -318,7 +266,7 @@ int SubprocessWorkerMain(
   done.a = static_cast<int64_t>(reports.size());
   if (!reports.empty()) {
     done.payload.assign(reinterpret_cast<const char*>(reports.data()),
-                        reports.size() * sizeof(WireTaskReport));
+                        reports.size() * sizeof(MapTaskReport));
   }
   if (!ch.WriteFrame(done).ok()) return kWorkerExitProtocolError;
   for (const WireFrame& f : runs) {
@@ -409,17 +357,22 @@ int SubprocessWorkerMain(
 /// \brief Coordinator-side job execution (called by Engine::Run when
 /// ClusterConfig::backend == "subprocess").
 ///
-/// Fills `stats` exactly as the in-process engine would (the caller records
-/// it); failure kinds are "aborted", "io_error", "oom" — plus
-/// "worker_lost" (kAborted) when a worker process dies or its channel
-/// breaks, which the PlanScheduler treats as transient and retries with a
-/// fresh job id.
+/// Fills `reports` (indexed by task) and the shuffle and reduce counters of
+/// `stats` as the in-process engine would, except on two kinds of failed
+/// job. On an o.o.m. job the workers run unmetered and the coordinator
+/// charges the job's whole pre-combine width once, after the map phase, so
+/// every task maps its whole chunk. When only some workers' tasks fail, the
+/// other workers have already combined their tasks' records (the in-process
+/// engine combines nothing once a task fails). Failure kinds are
+/// MapPhaseFailure's plus "worker_lost" (kAborted) when a worker process
+/// dies or its channel breaks, which the PlanScheduler treats as transient
+/// and retries with a fresh job id.
 template <typename KMid, typename VMid, typename KOut, typename VOut,
           typename ReaderFn, typename ReduceFn>
 Result<std::vector<std::pair<KOut, VOut>>> RunSubprocessJob(
     const SubprocessJobEnv& env, ReaderFn& reader, ReduceFn& reducer,
     const std::function<VMid(const VMid&, const VMid&)>& combiner,
-    JobStats* stats) {
+    std::vector<MapTaskReport>* reports, JobStats* stats) {
   using Record = std::pair<KMid, VMid>;
   using Output = std::vector<std::pair<KOut, VOut>>;
   constexpr uint64_t kRecordBytes = sizeof(Record);
@@ -428,26 +381,9 @@ Result<std::vector<std::pair<KOut, VOut>>> RunSubprocessJob(
   const double timeout = config.worker_io_timeout_seconds;
 
   WallTimer phase_timer;
-  auto take_phase = [&phase_timer](double* sink) {
-    *sink = phase_timer.ElapsedSeconds();
-    phase_timer.Restart();
-  };
-
-  const int num_partitions = config.EffectiveReduceTasks();
-  int num_tasks = config.EffectiveMapTasks();
-  if (env.num_input_records < num_tasks) {
-    num_tasks =
-        static_cast<int>(std::max<int64_t>(1, env.num_input_records));
-  }
+  const int num_tasks = env.shape->num_tasks;
+  const int num_partitions = env.shape->num_partitions;
   const int W = pool->num_workers();
-
-  stats->map_task_records.assign(static_cast<size_t>(num_tasks), 0);
-  stats->map_task_attempts.assign(static_cast<size_t>(num_tasks), 1);
-  stats->map_task_spilled_bytes.assign(static_cast<size_t>(num_tasks), 0);
-  stats->reduce_partition_records.assign(static_cast<size_t>(num_partitions),
-                                         0);
-  stats->reduce_partition_bytes.assign(static_cast<size_t>(num_partitions),
-                                       0);
 
   uint64_t charged_bytes = 0;
   auto release_all = [&] {
@@ -467,10 +403,9 @@ Result<std::vector<std::pair<KOut, VOut>>> RunSubprocessJob(
                                      env.name.c_str(), w,
                                      cause.ToString().c_str()));
   };
-  auto fail_job = [&](const char* kind, Status status) -> Status {
+  auto fail_job = [&](Status status) -> Status {
     pool->FinishGang(/*kill=*/true);
     release_all();
-    stats->failure = kind;
     return status;
   };
 
@@ -492,8 +427,6 @@ Result<std::vector<std::pair<KOut, VOut>>> RunSubprocessJob(
     for (int t = w; t < num_tasks; t += W) ++assigned;
     WireAssignment asn;
     asn.num_workers = W;
-    asn.num_tasks = num_tasks;
-    asn.num_partitions = num_partitions;
     asn.die_after_tasks = pool->PlanKillInjection(
         config.inject_worker_kill_after_tasks, assigned);
     WireFrame f;
@@ -505,9 +438,7 @@ Result<std::vector<std::pair<KOut, VOut>>> RunSubprocessJob(
     if (!s.ok()) return worker_lost(w, s);
   }
 
-  bool task_gave_up = false;
-  bool emitter_io = false;
-  bool drain_io = false;
+  int64_t pre_combine_total = 0;
   // Shuffled runs in arrival order: raw spill-codec blocks forwarded to
   // reduce owners without decoding, with their record counts from the block
   // headers. Owners place each run by its task id, so arrival order does
@@ -523,30 +454,21 @@ Result<std::vector<std::pair<KOut, VOut>>> RunSubprocessJob(
       return worker_lost(
           w, Status::IOError("protocol error: expected kMapDone"));
     }
-    const size_t count = f.payload.size() / sizeof(WireTaskReport);
-    if (f.payload.size() != count * sizeof(WireTaskReport) ||
+    const size_t count = f.payload.size() / sizeof(MapTaskReport);
+    if (f.payload.size() != count * sizeof(MapTaskReport) ||
         static_cast<int64_t>(count) != f.a) {
       return worker_lost(w, Status::IOError("malformed kMapDone payload"));
     }
     int64_t worker_tasks = 0;
     for (size_t i = 0; i < count; ++i) {
-      WireTaskReport rep;
+      MapTaskReport rep;
       std::memcpy(&rep, f.payload.data() + i * sizeof(rep), sizeof(rep));
       if (rep.task < 0 || rep.task >= num_tasks) {
         return worker_lost(w,
                            Status::IOError("task id out of range in report"));
       }
-      const size_t t = static_cast<size_t>(rep.task);
-      stats->map_task_records[t] = rep.processed;
-      stats->map_task_attempts[t] = rep.attempts;
-      stats->map_task_spilled_bytes[t] = rep.spilled_disk_bytes;
-      stats->spilled_records += rep.spilled_records;
-      stats->spilled_compressed_bytes += rep.spilled_disk_bytes;
-      stats->pre_combine_records += rep.pre_combine_records;
-      stats->map_output_records += rep.post_combine_records;
-      if (rep.flags & kTaskGaveUp) task_gave_up = true;
-      if (rep.flags & kTaskEmitterIO) emitter_io = true;
-      if (rep.flags & kTaskDrainIO) drain_io = true;
+      (*reports)[static_cast<size_t>(rep.task)] = rep;
+      pre_combine_total += rep.pre_combine_records;
       if (!(rep.flags & kTaskGaveUp)) ++worker_tasks;
     }
     pool->NoteTasksCompleted(w, worker_tasks);
@@ -574,47 +496,29 @@ Result<std::vector<std::pair<KOut, VOut>>> RunSubprocessJob(
       runs.push_back(std::move(f));
     }
   }
-  take_phase(&stats->phases.map_seconds);
+  // Combine time is folded into map_seconds: it runs inside the workers'
+  // map phase.
+  stats->phases.map_seconds = phase_timer.Lap();
 
-  // Derived map counters, same definitions as in-process. (Combine time is
-  // folded into map_seconds: it runs inside the workers' map phase.)
-  stats->map_output_bytes =
-      static_cast<uint64_t>(stats->map_output_records) * kRecordBytes;
-  stats->spilled_bytes =
-      static_cast<uint64_t>(stats->spilled_records) * kRecordBytes;
-  stats->spilled_raw_bytes = stats->spilled_bytes;
-  for (int attempts : stats->map_task_attempts) {
-    stats->map_task_retries += attempts - 1;
-  }
-
-  if (task_gave_up) {
-    return fail_job(
-        "aborted",
-        Status::Aborted("job '" + env.name +
-                        "': a map task exceeded max_task_attempts"));
-  }
-  if (emitter_io || drain_io) {
-    return fail_job(
-        "io_error",
-        Status::IOError("job '" + env.name + "': a worker spill " +
-                        (emitter_io ? std::string("write")
-                                    : std::string("read")) +
-                        " failed"));
-  }
+  uint32_t flags = MapReportFlags(*reports);
   // Shuffle budget: charge the same raw pre-combine width the in-process
   // emitters charge, in one step once the workers report their counts.
-  if (env.tracker != nullptr) {
+  if (flags == 0 && env.tracker != nullptr) {
     const uint64_t bytes =
-        static_cast<uint64_t>(stats->pre_combine_records) * kRecordBytes;
-    Status s = env.tracker->Charge(bytes);
-    if (!s.ok()) {
-      return fail_job(
-          "oom", Status::ResourceExhausted(
-                     "o.o.m.: job '" + env.name +
-                     "' exceeded the cluster shuffle-memory budget"));
+        static_cast<uint64_t>(pre_combine_total) * kRecordBytes;
+    if (env.tracker->Charge(bytes).ok()) {
+      charged_bytes = bytes;
+    } else {
+      flags = kTaskOverBudget;
     }
-    charged_bytes = bytes;
   }
+  Status map_failure = MapPhaseFailure(
+      env.name, flags,
+      Status::IOError("job '" + env.name + "': a worker spill " +
+                      ((flags & kTaskEmitterIO) ? "write" : "read") +
+                      " failed"),
+      stats);
+  if (!map_failure.ok()) return fail_job(map_failure);
 
   // ---- Shuffle phase: forward each run to its partition's owner. ----
   for (size_t i = 0; i < runs.size(); ++i) {
@@ -639,7 +543,7 @@ Result<std::vector<std::pair<KOut, VOut>>> RunSubprocessJob(
     Status s = pool->channel(w)->WriteFrame(f);
     if (!s.ok()) return worker_lost(w, s);
   }
-  take_phase(&stats->phases.shuffle_seconds);
+  stats->phases.shuffle_seconds = phase_timer.Lap();
 
   // ---- Reduce phase: collect per-partition outputs. ----
   std::vector<std::string> partition_payloads(
@@ -698,7 +602,7 @@ Result<std::vector<std::pair<KOut, VOut>>> RunSubprocessJob(
     }
   }
   stats->reduce_output_records = static_cast<int64_t>(output.size());
-  take_phase(&stats->phases.reduce_seconds);
+  stats->phases.reduce_seconds = phase_timer.Lap();
   release_all();
   return output;
 }

@@ -42,7 +42,8 @@ uint32_t Crc32(const void* data, size_t size);
 enum class FrameType : uint16_t {
   /// coordinator -> worker: job parameters (WireAssignment payload).
   kAssignment = 1,
-  /// worker -> coordinator: per-map-task reports (WireTaskReport array).
+  /// worker -> coordinator: per-map-task reports (MapTaskReport array,
+  /// mapreduce/shuffle.h).
   kMapDone = 2,
   /// worker -> coordinator: one shuffled run, a = task, b = partition,
   /// payload = spill-codec block.
@@ -71,33 +72,14 @@ struct WireFrame {
   std::string payload;
 };
 
-/// kAssignment payload.
+/// kAssignment payload. The job's shape (map tasks, reduce partitions) is
+/// not sent: a worker reads it from its fork image.
 struct WireAssignment {
   int32_t num_workers = 0;
-  int32_t num_tasks = 0;
-  int32_t num_partitions = 0;
   int32_t reserved = 0;
   /// Failure injection: the worker _exit()s after completing this many map
   /// tasks (0 = disabled). See ClusterConfig::inject_worker_kill_after_tasks.
   int64_t die_after_tasks = 0;
-};
-
-/// Per-map-task flags in WireTaskReport.
-inline constexpr uint32_t kTaskGaveUp = 1u << 0;     ///< exhausted attempts
-inline constexpr uint32_t kTaskEmitterIO = 1u << 1;  ///< spill write failed
-inline constexpr uint32_t kTaskDrainIO = 1u << 2;    ///< spill read failed
-
-/// One map task's post-mortem, sent in kMapDone (fixed-size, packed as raw
-/// structs — coordinator and workers are fork images of one binary).
-struct WireTaskReport {
-  int64_t task = 0;
-  int64_t processed = 0;
-  int64_t pre_combine_records = 0;
-  int64_t post_combine_records = 0;
-  int64_t spilled_records = 0;
-  uint64_t spilled_disk_bytes = 0;
-  int32_t attempts = 1;
-  uint32_t flags = 0;
 };
 
 /// One owned reduce partition's post-mortem, sent in kWorkerDone.

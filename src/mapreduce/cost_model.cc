@@ -12,7 +12,7 @@ namespace haten2 {
 namespace {
 
 // 53-bit uniform in [0, 1) from a mixed hash — the same construction the
-// engine's failure injection uses (engine.h, ShouldFailAttempt).
+// engine's failure injection uses (shuffle.h, ShouldFailMapAttempt).
 double UniformFromHash(uint64_t h) {
   return static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
 }

@@ -45,9 +45,12 @@ namespace haten2 {
 /// budget fails the job with kResourceExhausted ("o.o.m."), reproducing the
 /// intermediate-data-explosion failures of Figures 1 and 7.
 ///
-/// Two execution backends share this interface (ClusterConfig::backend):
+/// Two execution backends share this interface (ClusterConfig::backend)
+/// and the backend-neutral half of a job in mapreduce/shuffle.h (JobShape,
+/// RunMapTask, FoldMapReports, MapPhaseFailure); each keeps only where its
+/// tasks run and how runs reach the reducers:
 ///   - "inprocess"  — map tasks and reduce partitions run on the engine's
-///     thread pool in this process (the default, implemented below);
+///     thread pool in this process (the default, RunInProcess below);
 ///   - "subprocess" — ClusterConfig::EffectiveNumWorkers() forked worker
 ///     processes shard tasks and partitions over Unix-domain sockets
 ///     (distributed/subprocess_job.h). A worker death surfaces as failure
@@ -179,6 +182,10 @@ class Engine {
   /// \param combiner  optional VMid(const VMid&, const VMid&), associative.
   /// \returns the concatenated reducer outputs: partition-ascending, with
   ///          keys ascending within each partition.
+  ///
+  /// Either backend runs the job's tasks; this method owns what they share:
+  /// the job id, the job's shape, the counters (folded from the backend's
+  /// MapTaskReports), the wall time, and the one pipeline-log record.
   template <typename KMid, typename VMid, typename KOut, typename VOut,
             typename ReaderFn, typename ReduceFn>
   Result<std::vector<std::pair<KOut, VOut>>> Run(
@@ -191,248 +198,81 @@ class Engine {
                   "intermediate keys must be fixed-size records");
     static_assert(IsFixedSizeRecord<VMid>::value,
                   "intermediate values must be fixed-size records");
-    constexpr uint64_t kRecordBytes = ShuffleEmitter<KMid, VMid>::kRecordBytes;
+    using Output = std::vector<std::pair<KOut, VOut>>;
     // Fail fast on an invalid cluster configuration (the constructor cannot
     // return a Status): a zero bandwidth or negative slot count would
     // otherwise surface only as Inf/NaN simulated seconds in stats JSON.
     if (!init_status_.ok()) return init_status_;
-    if (config_.backend == "subprocess") {
-      return RunSubprocess<KMid, VMid, KOut, VOut>(name, num_input_records,
-                                                   reader, reducer, combiner);
+    const bool subprocess = config_.backend == "subprocess";
+    if constexpr (!distributed::kWireSerializableOutput<KOut, VOut>) {
+      if (subprocess) {
+        return Status::Unimplemented(
+            "subprocess backend: job '" + name +
+            "' has an output type the wire codec cannot carry (need a "
+            "fixed-size key and a fixed-size or vector-of-fixed-size "
+            "value); use backend=inprocess for this job");
+      }
     }
+    // Subprocess jobs serialize on the engine's single worker pool:
+    // concurrent plan nodes queue here instead of spawning rival gangs.
+    std::unique_lock<std::mutex> gang_lock(subprocess_mu_, std::defer_lock);
+    if (subprocess) gang_lock.lock();
     WallTimer timer;
-    WallTimer phase_timer;
-    // Attributes the time since the previous phase boundary to one phase;
-    // the segments are contiguous, so they sum to ≈ wall_seconds.
-    auto take_phase = [&phase_timer](double* sink) {
-      *sink = phase_timer.ElapsedSeconds();
-      phase_timer.Restart();
-    };
     JobStats stats;
     stats.name = name;
     stats.map_input_records = num_input_records;
-
-    const int num_partitions = config_.EffectiveReduceTasks();
-    int num_tasks = config_.EffectiveMapTasks();
-    if (num_input_records < num_tasks) {
-      num_tasks = static_cast<int>(std::max<int64_t>(1, num_input_records));
-    }
-
-    // ---- Map phase ----
     // One sequence number per job, taken exactly once: it keys both the
     // spill-file prefix and the failure-injection decisions. (Taking it in
     // two steps — a load() for the prefix and a later fetch_add() — let two
     // concurrent Run() calls build identical spill prefixes and corrupt each
     // other's spill files.)
-    const int64_t job_seq =
-        job_sequence_.fetch_add(1, std::memory_order_relaxed);
-    stats.job_id = job_seq;
+    stats.job_id = job_sequence_.fetch_add(1, std::memory_order_relaxed);
     stats.plan_id = current_plan_id_;
-    if (job_id_sink_ != nullptr) job_id_sink_->push_back(job_seq);
-    std::vector<ShuffleEmitter<KMid, VMid>> emitters;
-    emitters.reserve(static_cast<size_t>(num_tasks));
-    for (int t = 0; t < num_tasks; ++t) {
-      std::string spill_prefix;
-      if (!config_.spill_directory.empty()) {
-        spill_prefix = config_.spill_directory + "/haten2_" +
-                       std::to_string(reinterpret_cast<uintptr_t>(this)) +
-                       "_j" + std::to_string(job_seq) + "_t" +
-                       std::to_string(t);
-      }
-      emitters.emplace_back(num_partitions, &tracker_,
-                            std::move(spill_prefix),
-                            config_.spill_threshold_records,
-                            config_.spill_compression,
-                            config_.inject_spill_failure_after_bytes);
+    if (job_id_sink_ != nullptr) job_id_sink_->push_back(stats.job_id);
+    std::string spill_prefix;
+    if (!config_.spill_directory.empty()) {
+      spill_prefix = config_.spill_directory + "/haten2_" +
+                     std::to_string(reinterpret_cast<uintptr_t>(this)) +
+                     "_j" + std::to_string(stats.job_id);
     }
-    stats.map_task_records.assign(static_cast<size_t>(num_tasks), 0);
-    stats.map_task_attempts.assign(static_cast<size_t>(num_tasks), 1);
 
-    std::atomic<bool> task_gave_up{false};
-    const int64_t chunk =
-        (num_input_records + num_tasks - 1) / std::max(num_tasks, 1);
-    pool_.ParallelFor(static_cast<size_t>(num_tasks), [&](size_t t) {
-      // Failure injection: a crashed attempt loses its (would-be) output
-      // and the task is re-executed, like a Hadoop task retry. Attempts are
-      // decided deterministically so runs are reproducible.
-      int attempt = 1;
-      while (attempt <= config_.max_task_attempts &&
-             ShouldFailAttempt(job_seq, t, attempt)) {
-        ++attempt;
-      }
-      stats.map_task_attempts[t] =
-          std::min(attempt, config_.max_task_attempts);
-      if (attempt > config_.max_task_attempts) {
-        task_gave_up.store(true, std::memory_order_relaxed);
-        return;
-      }
-      int64_t begin = static_cast<int64_t>(t) * chunk;
-      int64_t end = std::min(begin + chunk, num_input_records);
-      int64_t processed = 0;
-      for (int64_t i = begin; i < end; ++i) {
-        reader(i, &emitters[t]);
-        ++processed;
-        if (emitters[t].failed()) break;
-      }
-      emitters[t].Flush();
-      // Count records actually handed to the reader: a task killed
-      // mid-chunk by the budget must not claim its whole chunk.
-      stats.map_task_records[t] = processed;
-    });
-    for (int attempts : stats.map_task_attempts) {
-      stats.map_task_retries += attempts - 1;
-    }
-    take_phase(&stats.phases.map_seconds);
-
-    // Total bytes charged so far; released when the job finishes.
-    auto release_all = [this, &emitters] {
-      for (auto& em : emitters) tracker_.Release(em.charged_bytes());
-    };
-
-    // Shuffle + spill accounting is captured on *every* exit path, before
-    // any spill cleanup: post-mortem stats must describe failed runs (the
-    // paper's o.o.m. deaths) as faithfully as successful ones. The
-    // per-partition vectors are sized here so a failed job reports its
-    // partition count (zero-filled) instead of nothing.
-    stats.reduce_partition_records.assign(static_cast<size_t>(num_partitions),
-                                          0);
-    stats.reduce_partition_bytes.assign(static_cast<size_t>(num_partitions),
-                                        0);
-    bool exploded = false;
-    Status explode_cause = Status::OK();
-    int64_t shuffled_records = 0;
-    stats.map_task_spilled_bytes.assign(static_cast<size_t>(num_tasks), 0);
-    for (size_t t = 0; t < emitters.size(); ++t) {
-      auto& em = emitters[t];
-      if (em.failed()) {
-        exploded = true;
-        if (em.failure_status().IsIOError()) {
-          explode_cause = em.failure_status();
+    // The counters are sized before the job runs, so a failed job reports
+    // its task and partition counts (zero-filled where nothing ran).
+    const JobShape shape(config_, num_input_records);
+    std::vector<MapTaskReport> reports(static_cast<size_t>(shape.num_tasks));
+    stats.reduce_partition_records.assign(
+        static_cast<size_t>(shape.num_partitions), 0);
+    stats.reduce_partition_bytes.assign(
+        static_cast<size_t>(shape.num_partitions), 0);
+    Result<Output> result = [&]() -> Result<Output> {
+      if constexpr (distributed::kWireSerializableOutput<KOut, VOut>) {
+        if (subprocess) {
+          if (worker_pool_ == nullptr) {
+            worker_pool_ = std::make_unique<distributed::WorkerPool>(
+                config_.EffectiveNumWorkers());
+          }
+          const distributed::SubprocessJobEnv env{
+              .config = &config_,
+              .pool = worker_pool_.get(),
+              .tracker = &tracker_,
+              .shape = &shape,
+              .spill_prefix = spill_prefix,
+              .name = name,
+              .job_id = stats.job_id};
+          return distributed::RunSubprocessJob<KMid, VMid, KOut, VOut>(
+              env, reader, reducer, combiner, &reports, &stats);
         }
       }
-      shuffled_records += em.TotalRecords();
-      stats.spilled_records += em.TotalSpilledRecords();
-      stats.map_task_spilled_bytes[t] = em.TotalSpilledDiskBytes();
-      stats.spilled_compressed_bytes += em.TotalSpilledDiskBytes();
-    }
-    stats.pre_combine_records = shuffled_records;
-    stats.map_output_records = shuffled_records;
-    stats.map_output_bytes =
-        static_cast<uint64_t>(shuffled_records) * kRecordBytes;
-    // Raw width — what the records occupy once re-expanded, and the byte
-    // definition every pre-codec stats consumer relied on;
-    // spilled_compressed_bytes above is what actually reached disk.
-    stats.spilled_bytes =
-        static_cast<uint64_t>(stats.spilled_records) * kRecordBytes;
-    stats.spilled_raw_bytes = stats.spilled_bytes;
-
-    // Fails the job: removes spill files (the stats above already captured
-    // them), records the job post-mortem, and releases the budget.
-    auto fail_job = [&](const char* kind, Status status) -> Status {
-      for (auto& em : emitters) em.RemoveAllSpills();
-      stats.failure = kind;
-      stats.wall_seconds = timer.ElapsedSeconds();
-      RecordJob(stats);
-      release_all();
-      return status;
-    };
-
-    if (task_gave_up.load(std::memory_order_relaxed)) {
-      return fail_job(
-          "aborted",
-          Status::Aborted("job '" + name +
-                          "': a map task exceeded max_task_attempts"));
-    }
-    if (exploded) {
-      if (explode_cause.ok()) {
-        explode_cause = Status::ResourceExhausted(
-            "o.o.m.: job '" + name +
-            "' exceeded the cluster shuffle-memory budget");
-        return fail_job("oom", explode_cause);
-      }
-      return fail_job("io_error", explode_cause);
-    }
-
-    // ---- Combine phase (per map task, per partition) ----
-    if (combiner) {
-      pool_.ParallelFor(static_cast<size_t>(num_tasks), [&](size_t t) {
-        for (auto& buf : emitters[t].buffers()) {
-          CombineShuffleBuffer<KMid, VMid>(&buf, combiner);
-        }
-      });
-      // The combiner changed what actually gets shuffled.
-      shuffled_records = 0;
-      for (auto& em : emitters) shuffled_records += em.TotalRecords();
-      stats.map_output_records = shuffled_records;
-      stats.map_output_bytes =
-          static_cast<uint64_t>(shuffled_records) * kRecordBytes;
-      take_phase(&stats.phases.combine_seconds);
-    }
-
-    // ---- Shuffle phase (parallel over partitions): each task's spilled
-    // runs are read back in front of its resident records. ----
-    std::atomic<bool> spill_read_failed{false};
-    std::mutex spill_error_mu;
-    Status spill_read_status = Status::OK();
-    pool_.ParallelFor(static_cast<size_t>(num_partitions), [&](size_t p) {
-      int64_t received = 0;
-      for (auto& em : emitters) {
-        Status reloaded = em.ReloadSpill(p);
-        if (!reloaded.ok()) {
-          spill_read_failed.store(true, std::memory_order_relaxed);
-          std::lock_guard<std::mutex> lock(spill_error_mu);
-          if (spill_read_status.ok()) spill_read_status = reloaded;
-        }
-        received += static_cast<int64_t>(em.buffers()[p].size());
-      }
-      stats.reduce_partition_records[p] = received;
-      stats.reduce_partition_bytes[p] =
-          static_cast<uint64_t>(received) * kRecordBytes;
-    });
-    take_phase(&stats.phases.shuffle_seconds);
-
-    if (spill_read_failed.load(std::memory_order_relaxed)) {
-      return fail_job(
-          "io_error",
-          Status::IOError("job '" + name + "': " +
-                          spill_read_status.message()));
-    }
-
-    // ---- Reduce phase (parallel over partitions): sort-merge grouping. ----
-    using PartitionOutput = std::vector<std::pair<KOut, VOut>>;
-    std::vector<PartitionOutput> partition_outputs(
-        static_cast<size_t>(num_partitions));
-    std::vector<int64_t> partition_group_counts(
-        static_cast<size_t>(num_partitions), 0);
-    pool_.ParallelFor(static_cast<size_t>(num_partitions), [&](size_t p) {
-      std::vector<std::span<const std::pair<KMid, VMid>>> runs;
-      runs.reserve(emitters.size());
-      for (auto& em : emitters) runs.emplace_back(em.buffers()[p]);
-      OutputEmitter<KOut, VOut> out;
-      partition_group_counts[p] = ReducePartition(runs, reducer, &out);
-      partition_outputs[p] = std::move(out.records());
-      for (auto& em : emitters) {  // free as we go
-        em.buffers()[p].clear();
-        em.buffers()[p].shrink_to_fit();
-      }
-    });
-
-    std::vector<std::pair<KOut, VOut>> output;
-    {
-      size_t total = 0;
-      for (const auto& po : partition_outputs) total += po.size();
-      output.reserve(total);
-    }
-    for (auto& po : partition_outputs) {
-      for (auto& rec : po) output.push_back(std::move(rec));
-    }
-    for (int64_t g : partition_group_counts) stats.reduce_input_groups += g;
-    stats.reduce_output_records = static_cast<int64_t>(output.size());
-    take_phase(&stats.phases.reduce_seconds);
+      return RunInProcess<KMid, VMid, KOut, VOut>(
+          shape, spill_prefix, reader, reducer, combiner, &reports, &stats);
+    }();
+    // Post-mortem stats describe failed runs (the paper's o.o.m. deaths) as
+    // faithfully as successful ones: the reports were taken before any
+    // spill cleanup.
+    FoldMapReports(reports, ShuffleEmitter<KMid, VMid>::kRecordBytes, &stats);
     stats.wall_seconds = timer.ElapsedSeconds();
     RecordJob(stats);
-    release_all();
-    return output;
+    return result;
   }
 
   /// Convenience wrapper: runs a job whose input is an in-memory vector of
@@ -462,74 +302,130 @@ class Engine {
   }
 
  private:
-  /// Runs one job on the subprocess backend (config_.backend ==
-  /// "subprocess"): forks a worker gang and shards the job over it
-  /// (distributed/subprocess_job.h). Jobs are serialized on the engine's
-  /// single worker pool; concurrent plan nodes queue here instead of
-  /// spawning rival gangs. Output types outside the wire codec's reach run
-  /// in-process only and get kUnimplemented — the four ALS drivers' job
-  /// types are all covered.
+  /// The in-process backend: map tasks, combiners and reduce partitions run
+  /// on the engine's thread pool, and every run stays in this process.
   template <typename KMid, typename VMid, typename KOut, typename VOut,
             typename ReaderFn, typename ReduceFn>
-  Result<std::vector<std::pair<KOut, VOut>>> RunSubprocess(
-      const std::string& name, int64_t num_input_records, ReaderFn& reader,
-      ReduceFn& reducer,
-      const std::function<VMid(const VMid&, const VMid&)>& combiner) {
-    if constexpr (!distributed::kWireSerializableOutput<KOut, VOut>) {
-      return Status::Unimplemented(
-          "subprocess backend: job '" + name +
-          "' has an output type the wire codec cannot carry (need a "
-          "fixed-size key and a fixed-size or vector-of-fixed-size value); "
-          "use backend=inprocess for this job");
-    } else {
-      std::lock_guard<std::mutex> job_lock(subprocess_mu_);
-      WallTimer timer;
-      JobStats stats;
-      stats.name = name;
-      stats.map_input_records = num_input_records;
-      const int64_t job_seq =
-          job_sequence_.fetch_add(1, std::memory_order_relaxed);
-      stats.job_id = job_seq;
-      stats.plan_id = current_plan_id_;
-      if (job_id_sink_ != nullptr) job_id_sink_->push_back(job_seq);
+  Result<std::vector<std::pair<KOut, VOut>>> RunInProcess(
+      const JobShape& shape, const std::string& spill_prefix,
+      ReaderFn& reader, ReduceFn& reducer,
+      const std::function<VMid(const VMid&, const VMid&)>& combiner,
+      std::vector<MapTaskReport>* reports, JobStats* stats) {
+    constexpr uint64_t kRecordBytes = ShuffleEmitter<KMid, VMid>::kRecordBytes;
+    const size_t num_tasks = static_cast<size_t>(shape.num_tasks);
+    const size_t num_partitions = static_cast<size_t>(shape.num_partitions);
+    const std::string& name = stats->name;
+    WallTimer phase_timer;
 
-      if (worker_pool_ == nullptr) {
-        worker_pool_ = std::make_unique<distributed::WorkerPool>(
-            config_.EffectiveNumWorkers());
-      }
-      distributed::SubprocessJobEnv env;
-      env.config = &config_;
-      env.pool = worker_pool_.get();
-      env.tracker = &tracker_;
-      if (!config_.spill_directory.empty()) {
-        env.spill_prefix_base =
-            config_.spill_directory + "/haten2_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + "_j" +
-            std::to_string(job_seq);
-      }
-      env.name = name;
-      env.job_id = job_seq;
-      env.num_input_records = num_input_records;
-
-      Result<std::vector<std::pair<KOut, VOut>>> result =
-          distributed::RunSubprocessJob<KMid, VMid, KOut, VOut>(
-              env, reader, reducer, combiner, &stats);
-      stats.wall_seconds = timer.ElapsedSeconds();
-      RecordJob(stats);
-      return result;
+    // ---- Map phase ----
+    std::vector<ShuffleEmitter<KMid, VMid>> emitters;
+    emitters.reserve(num_tasks);
+    for (int t = 0; t < shape.num_tasks; ++t) {
+      emitters.push_back(MapTaskEmitter<KMid, VMid>(config_, shape,
+                                                    spill_prefix, t,
+                                                    &tracker_));
     }
+    pool_.ParallelFor(num_tasks, [&](size_t t) {
+      (*reports)[t] = RunMapTask(config_, stats->job_id, static_cast<int>(t),
+                                 shape, reader, &emitters[t]);
+    });
+    stats->phases.map_seconds = phase_timer.Lap();
+
+    // Everything the emitters charged is released when the job ends; a
+    // failed job also removes its spill files.
+    auto release_all = [this, &emitters] {
+      for (auto& em : emitters) tracker_.Release(em.charged_bytes());
+    };
+    auto fail_job = [&](Status status) -> Status {
+      for (auto& em : emitters) em.RemoveAllSpills();
+      release_all();
+      return status;
+    };
+
+    // A spill write error keeps the emitter's own message, which names the
+    // file.
+    Status spill_write_error;
+    for (size_t t = 0; t < num_tasks; ++t) {
+      if ((*reports)[t].flags & kTaskEmitterIO) {
+        spill_write_error = emitters[t].failure_status();
+      }
+    }
+    Status map_failure = MapPhaseFailure(name, MapReportFlags(*reports),
+                                         spill_write_error, stats);
+    if (!map_failure.ok()) return fail_job(map_failure);
+
+    // ---- Combine phase (per map task, per partition) ----
+    if (combiner) {
+      pool_.ParallelFor(num_tasks, [&](size_t t) {
+        CombineMapTask(combiner, &emitters[t], &(*reports)[t]);
+      });
+      stats->phases.combine_seconds = phase_timer.Lap();
+    }
+
+    // ---- Shuffle phase (parallel over partitions): each task's spilled
+    // runs are read back in front of its resident records. ----
+    std::atomic<bool> spill_read_failed{false};
+    std::mutex spill_error_mu;
+    Status spill_read_status = Status::OK();
+    pool_.ParallelFor(num_partitions, [&](size_t p) {
+      int64_t received = 0;
+      for (auto& em : emitters) {
+        Status reloaded = em.ReloadSpill(p);
+        if (!reloaded.ok()) {
+          spill_read_failed.store(true, std::memory_order_relaxed);
+          std::lock_guard<std::mutex> lock(spill_error_mu);
+          if (spill_read_status.ok()) spill_read_status = reloaded;
+        }
+        received += static_cast<int64_t>(em.buffers()[p].size());
+      }
+      stats->reduce_partition_records[p] = received;
+      stats->reduce_partition_bytes[p] =
+          static_cast<uint64_t>(received) * kRecordBytes;
+    });
+    stats->phases.shuffle_seconds = phase_timer.Lap();
+
+    if (spill_read_failed.load(std::memory_order_relaxed)) {
+      stats->failure = "io_error";
+      return fail_job(Status::IOError("job '" + name + "': " +
+                                      spill_read_status.message()));
+    }
+
+    // ---- Reduce phase (parallel over partitions): sort-merge grouping. ----
+    using PartitionOutput = std::vector<std::pair<KOut, VOut>>;
+    std::vector<PartitionOutput> partition_outputs(num_partitions);
+    std::vector<int64_t> partition_group_counts(num_partitions, 0);
+    pool_.ParallelFor(num_partitions, [&](size_t p) {
+      std::vector<std::span<const std::pair<KMid, VMid>>> runs;
+      runs.reserve(emitters.size());
+      for (auto& em : emitters) runs.emplace_back(em.buffers()[p]);
+      OutputEmitter<KOut, VOut> out;
+      partition_group_counts[p] = ReducePartition(runs, reducer, &out);
+      partition_outputs[p] = std::move(out.records());
+      for (auto& em : emitters) {  // free as we go
+        em.buffers()[p].clear();
+        em.buffers()[p].shrink_to_fit();
+      }
+    });
+
+    std::vector<std::pair<KOut, VOut>> output;
+    {
+      size_t total = 0;
+      for (const auto& po : partition_outputs) total += po.size();
+      output.reserve(total);
+    }
+    for (auto& po : partition_outputs) {
+      for (auto& rec : po) output.push_back(std::move(rec));
+    }
+    for (int64_t g : partition_group_counts) stats->reduce_input_groups += g;
+    stats->reduce_output_records = static_cast<int64_t>(output.size());
+    stats->phases.reduce_seconds = phase_timer.Lap();
+    release_all();
+    return output;
   }
 
   void RecordJob(const JobStats& stats) {
     std::lock_guard<std::mutex> lock(mu_);
     pipeline_.jobs.push_back(stats);
-  }
-
-  /// Deterministic per-(job, task, attempt) failure decision, shared with
-  /// the subprocess workers (mapreduce/shuffle.h) so both backends replay
-  /// identical retry sequences for the same job id.
-  bool ShouldFailAttempt(int64_t job, size_t task, int attempt) const {
-    return ShouldFailMapAttempt(config_, job, task, attempt);
   }
 
   ClusterConfig config_;

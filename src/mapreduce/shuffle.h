@@ -1,14 +1,17 @@
 #ifndef HATEN2_MAPREDUCE_SHUFFLE_H_
 #define HATEN2_MAPREDUCE_SHUFFLE_H_
 
-// The engine's shuffle-side building blocks, shared by both execution
+// The backend-neutral half of a MapReduce job, shared by both execution
 // backends: the in-process Engine (mapreduce/engine.h) and the subprocess
-// workers (distributed/subprocess_job.h) run the same emitters, combine
-// fold, and sort-merge grouping (ReducePartition), as on Hadoop: spilled
-// and combined runs are stably sorted by key, and reducers see keys
-// ascending with each key's values in (map task, emission) order. That
-// order follows from the data alone, so both backends and every spill and
-// compression setting feed the reducers identical inputs.
+// workers (distributed/subprocess_job.h) split a job by the same JobShape,
+// run each map task with the same RunMapTask (attempt draws, emitter,
+// reader loop) and combine fold, and reduce with the same sort-merge
+// grouping (ReducePartition); Engine::Run folds either backend's
+// MapTaskReports into JobStats with one FoldMapReports. As on Hadoop,
+// spilled and combined runs are stably sorted by key, and reducers see
+// keys ascending with each key's values in (map task, emission) order.
+// That order follows from the data alone, so both backends and every spill
+// and compression setting feed the reducers identical inputs.
 
 #include <algorithm>
 #include <cstdint>
@@ -26,6 +29,7 @@
 #include "mapreduce/cluster.h"
 #include "mapreduce/hash.h"
 #include "mapreduce/spill_codec.h"
+#include "mapreduce/stats.h"
 #include "util/memory_tracker.h"
 #include "util/result.h"
 
@@ -427,9 +431,65 @@ int64_t ReducePartition(
   return groups;
 }
 
-/// Deterministic per-(job, task, attempt) map-task failure decision, shared
-/// by the in-process engine and the subprocess workers (a worker replays the
-/// same draws for the same job id, so retry counts match across backends).
+/// How a job splits into tasks: map task t reads input records
+/// [t * chunk, min((t + 1) * chunk, num_input_records)), and intermediate
+/// keys hash into num_partitions reduce partitions.
+struct JobShape {
+  JobShape(const ClusterConfig& config, int64_t num_input_records)
+      : num_input_records(num_input_records),
+        num_tasks(static_cast<int>(
+            std::min<int64_t>(config.EffectiveMapTasks(),
+                              std::max<int64_t>(1, num_input_records)))),
+        num_partitions(config.EffectiveReduceTasks()),
+        chunk((num_input_records + num_tasks - 1) / std::max(num_tasks, 1)) {}
+
+  int64_t num_input_records;
+  int num_tasks;
+  int num_partitions;
+  int64_t chunk;
+};
+
+/// MapTaskReport::flags: why a map task failed.
+inline constexpr uint32_t kTaskGaveUp = 1u << 0;      ///< exhausted attempts
+inline constexpr uint32_t kTaskEmitterIO = 1u << 1;   ///< spill write failed
+inline constexpr uint32_t kTaskDrainIO = 1u << 2;     ///< spill read failed
+inline constexpr uint32_t kTaskOverBudget = 1u << 3;  ///< shuffle budget blown
+
+/// One map task's post-mortem, whichever backend ran it. Fixed-size: the
+/// subprocess workers ship these raw in kMapDone (coordinator and workers
+/// are fork images of one binary), and Engine::Run folds them into JobStats.
+struct MapTaskReport {
+  int64_t task = 0;
+  /// Input records handed to the reader: a task killed mid-chunk does not
+  /// claim its whole chunk.
+  int64_t processed = 0;
+  int64_t pre_combine_records = 0;
+  int64_t post_combine_records = 0;
+  int64_t spilled_records = 0;
+  uint64_t spilled_disk_bytes = 0;
+  int32_t attempts = 1;
+  uint32_t flags = 0;
+};
+
+/// The emitter of map task `t`: the job's `spill_prefix` ("" disables
+/// spilling) gains the task suffix, and `tracker` meters the shuffle budget
+/// (nullptr: unmetered).
+template <typename K, typename V>
+ShuffleEmitter<K, V> MapTaskEmitter(const ClusterConfig& config,
+                                    const JobShape& shape,
+                                    const std::string& spill_prefix, int t,
+                                    MemoryTracker* tracker) {
+  return ShuffleEmitter<K, V>(
+      shape.num_partitions, tracker,
+      spill_prefix.empty() ? std::string()
+                           : spill_prefix + "_t" + std::to_string(t),
+      config.spill_threshold_records, config.spill_compression,
+      config.inject_spill_failure_after_bytes);
+}
+
+/// Deterministic per-(job, task, attempt) map-task failure decision: a
+/// worker replays the same draws for the same job id, so retry counts match
+/// across backends.
 inline bool ShouldFailMapAttempt(const ClusterConfig& config, int64_t job,
                                  size_t task, int attempt) {
   if (config.task_failure_probability <= 0.0) return false;
@@ -440,6 +500,112 @@ inline bool ShouldFailMapAttempt(const ClusterConfig& config, int64_t job,
   double u = static_cast<double>(h >> 11) *
              (1.0 / 9007199254740992.0);  // 53-bit uniform in [0, 1)
   return u < config.task_failure_probability;
+}
+
+/// Runs map task `t` of job `job_id` into `em`. Failure injection first: a
+/// crashed attempt loses its would-be output and the task re-runs, like a
+/// Hadoop task retry, and a task out of attempts gives up without reading.
+/// Otherwise the reader sees the task's input range until it ends or the
+/// emitter fails (budget or spill write), and the emitter is flushed.
+template <typename K, typename V, typename ReaderFn>
+MapTaskReport RunMapTask(const ClusterConfig& config, int64_t job_id, int t,
+                         const JobShape& shape, ReaderFn& reader,
+                         ShuffleEmitter<K, V>* em) {
+  MapTaskReport rep;
+  rep.task = t;
+  int attempt = 1;
+  while (attempt <= config.max_task_attempts &&
+         ShouldFailMapAttempt(config, job_id, static_cast<size_t>(t),
+                              attempt)) {
+    ++attempt;
+  }
+  rep.attempts = std::min(attempt, config.max_task_attempts);
+  if (attempt > config.max_task_attempts) {
+    rep.flags = kTaskGaveUp;
+    return rep;
+  }
+  const int64_t begin = static_cast<int64_t>(t) * shape.chunk;
+  const int64_t end = std::min(begin + shape.chunk, shape.num_input_records);
+  for (int64_t i = begin; i < end && !em->failed(); ++i) {
+    reader(i, em);
+    ++rep.processed;
+  }
+  em->Flush();
+  if (em->failed()) {
+    rep.flags = em->failure_status().IsIOError() ? kTaskEmitterIO
+                                                 : kTaskOverBudget;
+  }
+  rep.pre_combine_records = em->TotalRecords();
+  rep.post_combine_records = rep.pre_combine_records;
+  rep.spilled_records = em->TotalSpilledRecords();
+  rep.spilled_disk_bytes = em->TotalSpilledDiskBytes();
+  return rep;
+}
+
+/// Runs the combiner over a map task's in-memory buffers (spilled runs are
+/// shuffled uncombined) and counts the records the task now shuffles.
+template <typename K, typename V>
+void CombineMapTask(const std::function<V(const V&, const V&)>& combiner,
+                    ShuffleEmitter<K, V>* em, MapTaskReport* rep) {
+  for (auto& buf : em->buffers()) CombineShuffleBuffer<K, V>(&buf, combiner);
+  rep->post_combine_records = em->TotalRecords();
+}
+
+inline uint32_t MapReportFlags(const std::vector<MapTaskReport>& reports) {
+  uint32_t flags = 0;
+  for (const MapTaskReport& rep : reports) flags |= rep.flags;
+  return flags;
+}
+
+/// Folds a job's map-task reports, indexed by task, into its map-side
+/// counters. Byte counters are record counts times the raw `record_bytes`,
+/// except the spill-disk ones, which the emitters measured post-codec.
+inline void FoldMapReports(const std::vector<MapTaskReport>& reports,
+                           uint64_t record_bytes, JobStats* stats) {
+  stats->map_task_records.assign(reports.size(), 0);
+  stats->map_task_attempts.assign(reports.size(), 1);
+  stats->map_task_spilled_bytes.assign(reports.size(), 0);
+  for (size_t t = 0; t < reports.size(); ++t) {
+    const MapTaskReport& rep = reports[t];
+    stats->map_task_records[t] = rep.processed;
+    stats->map_task_attempts[t] = rep.attempts;
+    stats->map_task_spilled_bytes[t] = rep.spilled_disk_bytes;
+    stats->map_task_retries += rep.attempts - 1;
+    stats->spilled_records += rep.spilled_records;
+    stats->spilled_compressed_bytes += rep.spilled_disk_bytes;
+    stats->pre_combine_records += rep.pre_combine_records;
+    stats->map_output_records += rep.post_combine_records;
+  }
+  stats->map_output_bytes =
+      static_cast<uint64_t>(stats->map_output_records) * record_bytes;
+  stats->spilled_bytes =
+      static_cast<uint64_t>(stats->spilled_records) * record_bytes;
+  stats->spilled_raw_bytes = stats->spilled_bytes;
+}
+
+/// Classifies a map phase by its tasks' `flags`: a task out of attempts
+/// aborts the job; else a spill write or read failure is an "io_error"
+/// with `io_error`, the backend's account of it; else a blown shuffle
+/// budget is "oom". Sets stats->failure and returns the job's error, or
+/// returns OK when no task failed.
+inline Status MapPhaseFailure(const std::string& name, uint32_t flags,
+                              Status io_error, JobStats* stats) {
+  if (flags & kTaskGaveUp) {
+    stats->failure = "aborted";
+    return Status::Aborted("job '" + name +
+                           "': a map task exceeded max_task_attempts");
+  }
+  if (flags & (kTaskEmitterIO | kTaskDrainIO)) {
+    stats->failure = "io_error";
+    return io_error;
+  }
+  if (flags & kTaskOverBudget) {
+    stats->failure = "oom";
+    return Status::ResourceExhausted(
+        "o.o.m.: job '" + name +
+        "' exceeded the cluster shuffle-memory budget");
+  }
+  return Status::OK();
 }
 
 }  // namespace haten2

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "tensor/binary_codec.h"
 #include "util/string_util.h"
 
 namespace haten2 {
@@ -14,40 +15,11 @@ namespace {
 constexpr char kMagic[8] = {'H', 'A', 'T', 'E', 'N', '2', 'D', '\0'};
 constexpr uint32_t kVersion = 1;
 constexpr int64_t kMaxReasonableNnz = int64_t{1} << 40;
-constexpr int32_t kMaxReasonableOrder = 64;
 constexpr int64_t kMaxReasonableEpochs = int64_t{1} << 32;
 
-/// Same XOR-fold as tensor_binary_io — cheap corruption detection.
-uint64_t Checksum(const char* data, size_t len) {
-  uint64_t acc = 0x9e3779b97f4a7c15ULL;
-  size_t full = len / 8;
-  for (size_t i = 0; i < full; ++i) {
-    uint64_t word;
-    std::memcpy(&word, data + i * 8, 8);
-    acc ^= word + (acc << 7) + (acc >> 3);
-  }
-  for (size_t i = full * 8; i < len; ++i) {
-    acc ^= static_cast<uint64_t>(static_cast<unsigned char>(data[i]))
-           << ((i % 8) * 8);
-  }
-  return acc;
-}
-
-template <typename T>
-void Put(std::string* out, T value) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &value, sizeof(T));
-  out->append(buf, sizeof(T));
-}
-
-template <typename T>
-bool Get(std::istream& in, T* value) {
-  char buf[sizeof(T)];
-  in.read(buf, sizeof(T));
-  if (in.gcount() != static_cast<std::streamsize>(sizeof(T))) return false;
-  std::memcpy(value, buf, sizeof(T));
-  return true;
-}
+using internal::Checksum;
+using internal::Get;
+using internal::Put;
 
 void PutEntries(std::string* out, const SparseTensor& t) {
   Put<int64_t>(out, t.nnz());
@@ -190,10 +162,7 @@ Status WriteDeltaLogBinary(const DeltaLog& log, const std::string& path) {
     return Status::IOError("cannot open for writing: " + path);
   }
   std::string header;
-  header.append(kMagic, sizeof(kMagic));
-  Put<uint32_t>(&header, kVersion);
-  Put<int32_t>(&header, log.order());
-  for (int64_t d : log.dims()) Put<int64_t>(&header, d);
+  internal::PutHeader(&header, kMagic, kVersion, log.dims());
   Put<int64_t>(&header, log.num_epochs());
   out.write(header.data(), static_cast<std::streamsize>(header.size()));
 
@@ -218,31 +187,9 @@ Result<DeltaLog> ReadDeltaLogBinary(const std::string& path) {
   if (!in) {
     return Status::IOError("cannot open for reading: " + path);
   }
-  char magic[sizeof(kMagic)];
-  in.read(magic, sizeof(magic));
-  if (in.gcount() != sizeof(magic) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument(path + ": not a haten2 delta log");
-  }
-  uint32_t version = 0;
-  int32_t order = 0;
-  if (!Get(in, &version) || !Get(in, &order)) {
-    return Status::InvalidArgument(path + ": truncated header");
-  }
-  if (version != kVersion) {
-    return Status::InvalidArgument(StrFormat(
-        "%s: unsupported delta-log version %u", path.c_str(), version));
-  }
-  if (order < 1 || order > kMaxReasonableOrder) {
-    return Status::InvalidArgument(
-        StrFormat("%s: implausible order %d", path.c_str(), order));
-  }
-  std::vector<int64_t> dims(static_cast<size_t>(order));
-  for (int m = 0; m < order; ++m) {
-    if (!Get(in, &dims[static_cast<size_t>(m)])) {
-      return Status::InvalidArgument(path + ": truncated header");
-    }
-  }
+  HATEN2_ASSIGN_OR_RETURN(
+      std::vector<int64_t> dims,
+      internal::GetHeader(in, path, kMagic, kVersion, "delta log"));
   int64_t num_epochs = 0;
   if (!Get(in, &num_epochs) || num_epochs < 0 ||
       num_epochs > kMaxReasonableEpochs) {

@@ -5,8 +5,8 @@
 #include <fstream>
 #include <system_error>
 
+#include "tensor/binary_codec.h"
 #include "tensor/tensor_io.h"
-#include "util/string_util.h"
 
 namespace haten2 {
 
@@ -16,40 +16,10 @@ constexpr char kMagic[8] = {'H', 'A', 'T', 'E', 'N', '2', 'T', '\0'};
 constexpr uint32_t kVersion = 1;
 // Refuse to allocate for absurd headers (corrupted/hostile files).
 constexpr int64_t kMaxReasonableNnz = int64_t{1} << 40;
-constexpr int32_t kMaxReasonableOrder = 64;
 
-/// XOR-fold of a byte range into 8 bytes — cheap corruption detection, not
-/// cryptographic.
-uint64_t Checksum(const char* data, size_t len) {
-  uint64_t acc = 0x9e3779b97f4a7c15ULL;
-  size_t full = len / 8;
-  for (size_t i = 0; i < full; ++i) {
-    uint64_t word;
-    std::memcpy(&word, data + i * 8, 8);
-    acc ^= word + (acc << 7) + (acc >> 3);
-  }
-  for (size_t i = full * 8; i < len; ++i) {
-    acc ^= static_cast<uint64_t>(static_cast<unsigned char>(data[i]))
-           << ((i % 8) * 8);
-  }
-  return acc;
-}
-
-template <typename T>
-void Put(std::string* out, T value) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &value, sizeof(T));
-  out->append(buf, sizeof(T));
-}
-
-template <typename T>
-bool Get(std::istream& in, T* value) {
-  char buf[sizeof(T)];
-  in.read(buf, sizeof(T));
-  if (in.gcount() != static_cast<std::streamsize>(sizeof(T))) return false;
-  std::memcpy(value, buf, sizeof(T));
-  return true;
-}
+using internal::Checksum;
+using internal::Get;
+using internal::Put;
 
 }  // namespace
 
@@ -60,12 +30,7 @@ Status WriteTensorBinary(const SparseTensor& tensor,
     return Status::IOError("cannot open for writing: " + path);
   }
   std::string header;
-  header.append(kMagic, sizeof(kMagic));
-  Put<uint32_t>(&header, kVersion);
-  Put<int32_t>(&header, tensor.order());
-  for (int m = 0; m < tensor.order(); ++m) {
-    Put<int64_t>(&header, tensor.dim(m));
-  }
+  internal::PutHeader(&header, kMagic, kVersion, tensor.dims());
   Put<int64_t>(&header, tensor.nnz());
   out.write(header.data(), static_cast<std::streamsize>(header.size()));
 
@@ -93,32 +58,10 @@ Result<SparseTensor> ReadTensorBinary(const std::string& path) {
   if (!in) {
     return Status::IOError("cannot open for reading: " + path);
   }
-  char magic[sizeof(kMagic)];
-  in.read(magic, sizeof(magic));
-  if (in.gcount() != sizeof(magic) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument(path + ": not a haten2 binary tensor");
-  }
-  uint32_t version = 0;
-  int32_t order = 0;
-  if (!Get(in, &version) || !Get(in, &order)) {
-    return Status::InvalidArgument(path + ": truncated header");
-  }
-  if (version != kVersion) {
-    return Status::InvalidArgument(
-        StrFormat("%s: unsupported format version %u", path.c_str(),
-                  version));
-  }
-  if (order < 1 || order > kMaxReasonableOrder) {
-    return Status::InvalidArgument(
-        StrFormat("%s: implausible order %d", path.c_str(), order));
-  }
-  std::vector<int64_t> dims(static_cast<size_t>(order));
-  for (int m = 0; m < order; ++m) {
-    if (!Get(in, &dims[static_cast<size_t>(m)])) {
-      return Status::InvalidArgument(path + ": truncated header");
-    }
-  }
+  HATEN2_ASSIGN_OR_RETURN(
+      std::vector<int64_t> dims,
+      internal::GetHeader(in, path, kMagic, kVersion, "binary tensor"));
+  const int order = static_cast<int>(dims.size());
   int64_t nnz = 0;
   if (!Get(in, &nnz) || nnz < 0 || nnz > kMaxReasonableNnz) {
     return Status::InvalidArgument(path + ": implausible nnz");
@@ -126,8 +69,8 @@ Result<SparseTensor> ReadTensorBinary(const std::string& path) {
   // Check the claimed entries against what the file holds before
   // allocating for them: a forged nnz must not drive the allocation.
   const size_t entry_bytes = static_cast<size_t>(order) * 8 + 8;
-  const size_t header_bytes = sizeof(kMagic) + sizeof(version) +
-                              sizeof(order) + dims.size() * 8 + sizeof(nnz);
+  const size_t header_bytes = sizeof(kMagic) + sizeof(uint32_t) +
+                              sizeof(int32_t) + dims.size() * 8 + sizeof(nnz);
   std::error_code size_error;
   const uintmax_t file_bytes = std::filesystem::file_size(path, size_error);
   if (size_error || file_bytes < header_bytes ||

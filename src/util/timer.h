@@ -19,6 +19,15 @@ class WallTimer {
 
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
+  /// Seconds since construction or the previous Restart()/Lap(), then
+  /// restarts: consecutive laps are contiguous, so they sum to the total.
+  double Lap() {
+    const Clock::time_point now = Clock::now();
+    const double seconds = std::chrono::duration<double>(now - start_).count();
+    start_ = now;
+    return seconds;
+  }
+
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

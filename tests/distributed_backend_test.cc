@@ -1,5 +1,6 @@
 // Tests for the subprocess Engine backend: direct jobs and all four ALS
 // drivers must be bit-identical to the in-process backend at fixed seeds,
+// a job's counters must match the in-process ones on success and failure,
 // output types outside the wire codec's reach must fail cleanly with
 // kUnimplemented, and a worker killed mid-job must surface as kAborted
 // ("worker_lost"), feed the plan-level node retry, and still converge
@@ -17,7 +18,6 @@
 #include "core/nonnegative_tucker.h"
 #include "core/parafac.h"
 #include "core/tucker.h"
-#include "distributed/distributed_engine.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/plan.h"
 #include "mapreduce/scheduler.h"
@@ -27,7 +27,7 @@
 namespace haten2 {
 namespace {
 
-using distributed::WithSubprocessBackend;
+using testing::WithSubprocessBackend;
 using distributed::WorkerStats;
 
 ClusterConfig BaseConfig() {
@@ -176,6 +176,146 @@ TEST(DistributedBackendTest, NonSerializableOutputIsUnimplemented) {
       << result.status().ToString();
   EXPECT_NE(result.status().ToString().find("backend-string-out"),
             std::string::npos);
+  // Refused before the job takes an id: the pipeline log records nothing.
+  EXPECT_EQ(engine.NextJobId(), 0);
+  EXPECT_TRUE(engine.pipeline().jobs.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Counter parity: both backends run map tasks with the same RunMapTask and
+// Engine::Run folds either backend's reports with the same FoldMapReports,
+// so a job's JobStats match field for field — on failed jobs too.
+// ---------------------------------------------------------------------------
+
+Result<std::vector<std::pair<int64_t, double>>> RunParityJob(Engine* engine) {
+  return engine->Run<int64_t, double, int64_t, double>(
+      "parity", 900,
+      [](int64_t i, ShuffleEmitter<int64_t, double>* em) {
+        em->Emit(i % 13, static_cast<double>(i));
+        em->Emit((i * 7) % 31, 1.0);
+      },
+      [](const int64_t& key, std::vector<double>& values,
+         OutputEmitter<int64_t, double>* out) {
+        double sum = 0.0;
+        for (double v : values) sum += v;
+        out->Emit(key, sum);
+      },
+      [](const double& a, const double& b) { return a + b; });
+}
+
+// Every JobStats field except the wall-clock timings.
+void ExpectSameCounters(const JobStats& got, const JobStats& want) {
+  EXPECT_EQ(got.name, want.name);
+  EXPECT_EQ(got.job_id, want.job_id);
+  EXPECT_EQ(got.plan_id, want.plan_id);
+  EXPECT_EQ(got.map_input_records, want.map_input_records);
+  EXPECT_EQ(got.pre_combine_records, want.pre_combine_records);
+  EXPECT_EQ(got.map_output_records, want.map_output_records);
+  EXPECT_EQ(got.map_output_bytes, want.map_output_bytes);
+  EXPECT_EQ(got.reduce_input_groups, want.reduce_input_groups);
+  EXPECT_EQ(got.reduce_output_records, want.reduce_output_records);
+  EXPECT_EQ(got.map_task_records, want.map_task_records);
+  EXPECT_EQ(got.map_task_attempts, want.map_task_attempts);
+  EXPECT_EQ(got.map_task_retries, want.map_task_retries);
+  EXPECT_EQ(got.spilled_records, want.spilled_records);
+  EXPECT_EQ(got.spilled_bytes, want.spilled_bytes);
+  EXPECT_EQ(got.spilled_raw_bytes, want.spilled_raw_bytes);
+  EXPECT_EQ(got.spilled_compressed_bytes, want.spilled_compressed_bytes);
+  EXPECT_EQ(got.map_task_spilled_bytes, want.map_task_spilled_bytes);
+  EXPECT_EQ(got.reduce_partition_records, want.reduce_partition_records);
+  EXPECT_EQ(got.reduce_partition_bytes, want.reduce_partition_bytes);
+  EXPECT_EQ(got.failure, want.failure);
+}
+
+TEST(DistributedBackendParity, JobCountersMatchOnSuccessAndFailure) {
+  struct Case {
+    const char* label;
+    void (*setup)(ClusterConfig*);
+    StatusCode code;
+    bool spills;
+  };
+  const Case cases[] = {
+      {"spill + combine",
+       [](ClusterConfig* c) { c->spill_threshold_records = 16; },
+       StatusCode::kOk, true},
+      {"delta_varint spill",
+       [](ClusterConfig* c) {
+         c->spill_threshold_records = 16;
+         c->spill_compression = SpillCompression::kDeltaVarint;
+       },
+       StatusCode::kOk, true},
+      {"flaky retries",
+       [](ClusterConfig* c) {
+         c->task_failure_probability = 0.4;
+         c->max_task_attempts = 10;
+       },
+       StatusCode::kOk, false},
+      {"every attempt fails",
+       [](ClusterConfig* c) { c->task_failure_probability = 1.0; },
+       StatusCode::kAborted, false},
+      {"torn spill write",
+       [](ClusterConfig* c) {
+         c->spill_threshold_records = 16;
+         c->inject_spill_failure_after_bytes = 1000;
+       },
+       StatusCode::kIOError, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    ClusterConfig config = BaseConfig();
+    c.setup(&config);
+    Engine inprocess(config);
+    Engine subprocess(WithSubprocessBackend(config, 2));
+    auto want = RunParityJob(&inprocess);
+    auto got = RunParityJob(&subprocess);
+    EXPECT_EQ(want.status().code(), c.code) << want.status().ToString();
+    EXPECT_EQ(got.status().code(), c.code) << got.status().ToString();
+    if (want.ok() && got.ok()) {
+      EXPECT_EQ(*got, *want);
+    }
+    ASSERT_EQ(inprocess.pipeline().jobs.size(), 1u);
+    ASSERT_EQ(subprocess.pipeline().jobs.size(), 1u);
+    const JobStats& a = inprocess.pipeline().jobs[0];
+    ExpectSameCounters(subprocess.pipeline().jobs[0], a);
+    if (config.task_failure_probability == 0.4) {
+      EXPECT_GT(a.map_task_retries, 0);
+    }
+    if (c.spills) {
+      EXPECT_GT(a.spilled_records, 0);
+    }
+  }
+}
+
+TEST(DistributedBackendParity, OomFailsTheSameJobOnBothBackends) {
+  ClusterConfig config = ClusterConfig::ForTesting();
+  config.total_shuffle_memory_bytes = 4096;
+  auto run = [](Engine* engine) {
+    return engine->Run<int64_t, double, int64_t, double>(
+        "parity-oom", 40000,
+        [](int64_t i, ShuffleEmitter<int64_t, double>* em) {
+          em->Emit(i % 97, 1.0);
+        },
+        [](const int64_t& key, std::vector<double>& values,
+           OutputEmitter<int64_t, double>* out) {
+          out->Emit(key, static_cast<double>(values.size()));
+        });
+  };
+  Engine inprocess(config);
+  Engine subprocess(WithSubprocessBackend(config, 2));
+  for (Engine* engine : {&inprocess, &subprocess}) {
+    auto result = run(engine);
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsResourceExhausted())
+        << result.status().ToString();
+    ASSERT_EQ(engine->pipeline().jobs.size(), 1u);
+    EXPECT_EQ(engine->pipeline().jobs[0].failure, "oom");
+    EXPECT_EQ(engine->memory().used(), 0u);
+  }
+  // The known divergence: an in-process task stops at its first chunk the
+  // budget cannot take (4 tasks x 4,096 records), while the workers run
+  // unmetered and the coordinator charges all 40,000 after the map phase.
+  EXPECT_EQ(inprocess.pipeline().jobs[0].pre_combine_records, 4 * 4096);
+  EXPECT_EQ(subprocess.pipeline().jobs[0].pre_combine_records, 40000);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/contract.h"
-#include "distributed/distributed_engine.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/hash.h"
 #include "test_util.h"
@@ -25,7 +24,7 @@
 namespace haten2 {
 namespace {
 
-using distributed::WithSubprocessBackend;
+using testing::WithSubprocessBackend;
 using KeyValues = std::vector<std::pair<int64_t, std::vector<int64_t>>>;
 
 constexpr int64_t kRecords = 500;

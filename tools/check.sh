@@ -12,12 +12,12 @@
 # cluster-config validation suites (the slot simulation is consulted from
 # worker threads via stats export), the distributed subprocess backend
 # (the coordinator forks worker gangs out of a threaded process — see the
-# die_after_fork note in src/distributed/worker_pool.cc), and the
+# die_after_fork note in src/distributed/worker_pool.cc), the
 # sort-merge order-contract and layout-independence suites (threaded
-# reduce partitions on both backends). TSan over the
-# whole suite roughly
-# 10x-es the run for code
-# that is single-threaded by construction. Each sanitizer
+# reduce partitions on both backends), and the failure-injection suite
+# (map-task retries and failed-job cleanup on pool threads). TSan over
+# the whole suite roughly 10x-es the run for code that is single-threaded
+# by construction. Each sanitizer
 # gets its own build tree (build-<sanitizer>) so the instrumented objects
 # never mix with the normal build. Benchmarks and examples are skipped —
 # the tests are what the sanitizers need to see.
@@ -46,7 +46,7 @@ for san in "${sanitizers[@]}"; do
   cmake --build "${build_dir}" -j
   ctest_args=()
   if [[ "${san}" == "thread" ]]; then
-    ctest_args=(-R '^(Serving|Engine|MapReduce|Spill|Scheduler|Plan|CostModel|Speculation|ClusterConfig|MachineProfile|Distributed|Worker|SortMergeShuffle|LayoutIndependence)')
+    ctest_args=(-R '^(Serving|Engine|MapReduce|Spill|Scheduler|Plan|CostModel|Speculation|ClusterConfig|MachineProfile|Distributed|Worker|SortMergeShuffle|LayoutIndependence|FailureInjection)')
   fi
   echo "=== ${san}: testing ==="
   (cd "${build_dir}" && ctest --output-on-failure "${ctest_args[@]}" -j)
@@ -54,8 +54,9 @@ for san in "${sanitizers[@]}"; do
   # filter on the full pass cannot silently drop them: the spill
   # write/drain/torn-file tests (tiny spill thresholds, heavy heap churn)
   # under address, and the spill codec (varint shifts, hostile decode
-  # input) and the text tensor reader (hostile indices near the int64
-  # limits) under undefined, which CMakeLists.txt builds with
+  # input), the text tensor reader (hostile indices near the int64
+  # limits) and the binary tensor and delta-log readers (forged headers
+  # and entry counts) under undefined, which CMakeLists.txt builds with
   # -fno-sanitize-recover=undefined so a report fails the test.
   if [[ "${san}" == "address" ]]; then
     echo "=== ${san}: focused spill-path pass ==="
@@ -63,7 +64,7 @@ for san in "${sanitizers[@]}"; do
   elif [[ "${san}" == "undefined" ]]; then
     echo "=== ${san}: focused decoder pass ==="
     (cd "${build_dir}" && \
-     ctest --output-on-failure -R '^(SpillCodec|TensorIo)' -j)
+     ctest --output-on-failure -R '^(SpillCodec|TensorIo|TensorBinaryIo|DeltaLog)' -j)
     # The in-core contraction kernels index compressed CSF streams with
     # arithmetic on attacker-ish inputs (duplicate coordinates, 10^12
     # dims, empty slices) and the fingerprint does deliberate unsigned
