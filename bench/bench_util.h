@@ -65,9 +65,6 @@ struct Measurement {
   /// compression is off; both 0 when nothing spilled.
   uint64_t total_spilled_raw_bytes = 0;
   uint64_t total_spilled_compressed_bytes = 0;
-  /// Subprocess backend: coordinator<->worker socket traffic (sent +
-  /// received over every worker slot) during this cell; 0 in-process.
-  uint64_t wire_bytes = 0;
 
   /// Snapshot of the engine's per-job log for this cell (empty for
   /// single-machine baselines), so the JSON export keeps the full detail

@@ -140,48 +140,6 @@ void Run(BenchJsonLog* log) {
               "speculation claws most of it back by re-running stragglers "
               "on idle fast slots (backups never displace primary "
               "tasks, so it cannot be slower than hetero alone).\n");
-
-  // Part 3: backend comparison — the same one-iteration PARAFAC executed
-  // for real on the in-process backend and on the subprocess backend at
-  // 1, 2, and 4 worker processes. This is measured wall time on the bench
-  // host (not CostModel time): what forking gangs and moving every
-  // shuffled run over Unix-domain sockets costs, with the socket traffic
-  // itself exported as wire_bytes.
-  PrintHeader("Figure 8, part 3: engine backends (PARAFAC, 1 ALS iter)",
-              {"backend", "wall", "wire MB", "jobs"});
-  struct BackendCell {
-    const char* label;
-    const char* backend;
-    int num_workers;
-  };
-  const BackendCell backends[] = {
-      {"inprocess", "inprocess", 0},
-      {"subprocess-w1", "subprocess", 1},
-      {"subprocess-w2", "subprocess", 2},
-      {"subprocess-w4", "subprocess", 4},
-  };
-  for (const BackendCell& b : backends) {
-    ClusterConfig config = PaperCluster(kShuffleBudget);
-    config.backend = b.backend;
-    config.num_workers = b.num_workers;
-    Engine engine(config);
-    Measurement m = MeasureMr(&engine, [&engine, &x]() {
-      Haten2Options options;
-      options.max_iterations = 1;
-      return Haten2ParafacAls(&engine, x, 5, options).status();
-    });
-    for (const auto& w : engine.WorkerStatsSnapshot()) {
-      m.wire_bytes += w.wire_bytes_sent + w.wire_bytes_received;
-    }
-    log->Add("backend", b.label, "HaTen2-DRI-PARAFAC", m);
-    PrintRow({b.label, StrFormat("%.2fs", m.wall_seconds),
-              StrFormat("%.1f", static_cast<double>(m.wire_bytes) / 1e6),
-              StrFormat("%" PRId64, m.jobs)});
-  }
-  std::printf("\nexpected shape: the subprocess backend pays fork and "
-              "socket overhead for the same dataflow (identical job "
-              "counters); wire_bytes grows with every shuffled run crossing "
-              "process boundaries twice.\n");
 }
 
 }  // namespace

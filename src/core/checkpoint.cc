@@ -1,6 +1,7 @@
 #include "core/checkpoint.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,6 +48,7 @@ Status ParseHistory(std::istringstream* rest, std::vector<double>* out) {
 /// `*.tmp` names are rejected explicitly (not just by the digits rule):
 /// they are staging directories mid-write or orphans of a crash, never
 /// committed checkpoints, regardless of what tooling dropped them there.
+/// So is a number above INT_MAX, which no run's iteration counter reaches.
 int ParseCheckpointDirName(const std::string& name) {
   constexpr std::string_view kPrefix = "iter_";
   constexpr std::string_view kTmpSuffix = ".tmp";
@@ -62,7 +64,9 @@ int ParseCheckpointDirName(const std::string& name) {
   int iter = 0;
   for (size_t i = kPrefix.size(); i < name.size(); ++i) {
     if (name[i] < '0' || name[i] > '9') return -1;
-    iter = iter * 10 + (name[i] - '0');
+    const int digit = name[i] - '0';
+    if (iter > (INT_MAX - digit) / 10) return -1;
+    iter = iter * 10 + digit;
   }
   return iter;
 }

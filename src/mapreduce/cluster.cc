@@ -146,19 +146,6 @@ Status ClusterConfig::Validate() const {
   }
   if (sketch_size < 0) return BadField("sketch_size", ">= 0");
   if (exact_polish_sweeps < 0) return BadField("exact_polish_sweeps", ">= 0");
-  if (backend != "inprocess" && backend != "subprocess") {
-    return Status::InvalidArgument(
-        StrFormat("ClusterConfig: backend must be \"inprocess\" or "
-                  "\"subprocess\", got \"%s\"",
-                  backend.c_str()));
-  }
-  if (num_workers < 0) return BadField("num_workers", ">= 0");
-  if (!FinitePositive(worker_io_timeout_seconds)) {
-    return BadField("worker_io_timeout_seconds", "finite and > 0");
-  }
-  if (inject_worker_kill_after_tasks < 0) {
-    return BadField("inject_worker_kill_after_tasks", ">= 0");
-  }
   for (size_t i = 0; i < machine_profiles.size(); ++i) {
     const MachineProfile& p = machine_profiles[i];
     if (!FinitePositive(p.speed_factor)) {

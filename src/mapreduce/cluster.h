@@ -1,7 +1,6 @@
 #ifndef HATEN2_MAPREDUCE_CLUSTER_H_
 #define HATEN2_MAPREDUCE_CLUSTER_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -205,30 +204,6 @@ struct ClusterConfig {
   /// "polish" step). Must be >= 0; 0 runs sketched sweeps only.
   int exact_polish_sweeps = 2;
 
-  /// Execution backend behind the Engine API: "inprocess" runs map tasks
-  /// and reduce partitions on the engine's thread pool (the default);
-  /// "subprocess" forks EffectiveNumWorkers() local worker processes and
-  /// shards tasks/partitions over Unix-domain sockets
-  /// (distributed/subprocess_job.h). Both backends produce bit-identical
-  /// output for the same configuration and seeds.
-  std::string backend = "inprocess";
-
-  /// Worker processes for the subprocess backend; 0 derives the count from
-  /// num_threads. Ignored by the inprocess backend.
-  int num_workers = 0;
-
-  /// Seconds a coordinator<->worker socket read may block before the job is
-  /// failed as "worker_lost" (a hung worker must not hang the driver).
-  /// Must be > 0.
-  double worker_io_timeout_seconds = 120.0;
-
-  /// Failure injection for the subprocess backend: the worker whose
-  /// cumulative assigned map-task count first reaches this value _exit()s
-  /// after completing that many tasks of its assignment — a deterministic
-  /// worker crash. One-shot per engine (the injection latches), so the node
-  /// retry that follows converges. 0 disables.
-  int64_t inject_worker_kill_after_tasks = 0;
-
   /// Maximum fractional per-task latency jitter in the slot simulation: each
   /// task copy's duration is scaled by 1 + straggler_jitter * u with
   /// u ~ U[0,1) drawn deterministically from straggler_jitter_seed and the
@@ -262,10 +237,6 @@ struct ClusterConfig {
   }
   int EffectiveReduceTasks() const {
     return num_reduce_tasks > 0 ? num_reduce_tasks : TotalReduceSlots();
-  }
-  /// Worker-process count of the subprocess backend.
-  int EffectiveNumWorkers() const {
-    return num_workers > 0 ? num_workers : std::max(1, num_threads);
   }
 
   /// A small configuration suitable for unit tests: 4 machines, 1 slot each,

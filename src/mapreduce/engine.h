@@ -4,14 +4,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "distributed/subprocess_job.h"
-#include "distributed/worker_pool.h"
 #include "mapreduce/cluster.h"
 #include "mapreduce/shuffle.h"
 #include "mapreduce/spill_codec.h"
@@ -45,18 +42,10 @@ namespace haten2 {
 /// budget fails the job with kResourceExhausted ("o.o.m."), reproducing the
 /// intermediate-data-explosion failures of Figures 1 and 7.
 ///
-/// Two execution backends share this interface (ClusterConfig::backend)
-/// and the backend-neutral half of a job in mapreduce/shuffle.h (JobShape,
-/// RunMapTask, FoldMapReports, MapPhaseFailure); each keeps only where its
-/// tasks run and how runs reach the reducers:
-///   - "inprocess"  — map tasks and reduce partitions run on the engine's
-///     thread pool in this process (the default, RunInProcess below);
-///   - "subprocess" — ClusterConfig::EffectiveNumWorkers() forked worker
-///     processes shard tasks and partitions over Unix-domain sockets
-///     (distributed/subprocess_job.h). A worker death surfaces as failure
-///     kind "worker_lost" with kAborted, which the PlanScheduler's node
-///     retry re-runs — and both backends produce bit-identical output for
-///     the same configuration and seeds (docs/ARCHITECTURE.md, Backends).
+/// Map tasks, combiners and reduce partitions run on the engine's thread
+/// pool (RunInProcess below), split by the job's JobShape and run with the
+/// task-level pieces of mapreduce/shuffle.h (RunMapTask, FoldMapReports,
+/// MapPhaseFailure, ReducePartition).
 class Engine {
  public:
   explicit Engine(const ClusterConfig& config)
@@ -183,9 +172,9 @@ class Engine {
   /// \returns the concatenated reducer outputs: partition-ascending, with
   ///          keys ascending within each partition.
   ///
-  /// Either backend runs the job's tasks; this method owns what they share:
-  /// the job id, the job's shape, the counters (folded from the backend's
-  /// MapTaskReports), the wall time, and the one pipeline-log record.
+  /// RunInProcess runs the job's tasks; this method owns the job id, the
+  /// job's shape, the counters (folded from the tasks' MapTaskReports), the
+  /// wall time, and the one pipeline-log record.
   template <typename KMid, typename VMid, typename KOut, typename VOut,
             typename ReaderFn, typename ReduceFn>
   Result<std::vector<std::pair<KOut, VOut>>> Run(
@@ -203,20 +192,6 @@ class Engine {
     // return a Status): a zero bandwidth or negative slot count would
     // otherwise surface only as Inf/NaN simulated seconds in stats JSON.
     if (!init_status_.ok()) return init_status_;
-    const bool subprocess = config_.backend == "subprocess";
-    if constexpr (!distributed::kWireSerializableOutput<KOut, VOut>) {
-      if (subprocess) {
-        return Status::Unimplemented(
-            "subprocess backend: job '" + name +
-            "' has an output type the wire codec cannot carry (need a "
-            "fixed-size key and a fixed-size or vector-of-fixed-size "
-            "value); use backend=inprocess for this job");
-      }
-    }
-    // Subprocess jobs serialize on the engine's single worker pool:
-    // concurrent plan nodes queue here instead of spawning rival gangs.
-    std::unique_lock<std::mutex> gang_lock(subprocess_mu_, std::defer_lock);
-    if (subprocess) gang_lock.lock();
     WallTimer timer;
     JobStats stats;
     stats.name = name;
@@ -244,28 +219,8 @@ class Engine {
         static_cast<size_t>(shape.num_partitions), 0);
     stats.reduce_partition_bytes.assign(
         static_cast<size_t>(shape.num_partitions), 0);
-    Result<Output> result = [&]() -> Result<Output> {
-      if constexpr (distributed::kWireSerializableOutput<KOut, VOut>) {
-        if (subprocess) {
-          if (worker_pool_ == nullptr) {
-            worker_pool_ = std::make_unique<distributed::WorkerPool>(
-                config_.EffectiveNumWorkers());
-          }
-          const distributed::SubprocessJobEnv env{
-              .config = &config_,
-              .pool = worker_pool_.get(),
-              .tracker = &tracker_,
-              .shape = &shape,
-              .spill_prefix = spill_prefix,
-              .name = name,
-              .job_id = stats.job_id};
-          return distributed::RunSubprocessJob<KMid, VMid, KOut, VOut>(
-              env, reader, reducer, combiner, &reports, &stats);
-        }
-      }
-      return RunInProcess<KMid, VMid, KOut, VOut>(
-          shape, spill_prefix, reader, reducer, combiner, &reports, &stats);
-    }();
+    Result<Output> result = RunInProcess<KMid, VMid, KOut, VOut>(
+        shape, spill_prefix, reader, reducer, combiner, &reports, &stats);
     // Post-mortem stats describe failed runs (the paper's o.o.m. deaths) as
     // faithfully as successful ones: the reports were taken before any
     // spill cleanup.
@@ -292,18 +247,9 @@ class Engine {
         std::forward<ReduceFn>(reducer), std::move(combiner));
   }
 
-  /// Per-worker-slot counters of the subprocess backend's worker pool
-  /// (empty before the first subprocess job; see haten2-stats-v10 "workers").
-  /// Blocks while a subprocess job is in flight.
-  std::vector<distributed::WorkerStats> WorkerStatsSnapshot() const {
-    std::lock_guard<std::mutex> lock(subprocess_mu_);
-    if (worker_pool_ == nullptr) return {};
-    return worker_pool_->StatsSnapshot();
-  }
-
  private:
-  /// The in-process backend: map tasks, combiners and reduce partitions run
-  /// on the engine's thread pool, and every run stays in this process.
+  /// Runs a job's phases: map tasks, combiners and reduce partitions run on
+  /// the engine's thread pool, and every run stays in this process.
   template <typename KMid, typename VMid, typename KOut, typename VOut,
             typename ReaderFn, typename ReduceFn>
   Result<std::vector<std::pair<KOut, VOut>>> RunInProcess(
@@ -435,11 +381,6 @@ class Engine {
   ThreadPool pool_;
   MemoryTracker tracker_;
   PipelineStats pipeline_;
-  /// Subprocess backend state: the pool is created lazily on the first
-  /// subprocess job and persists across jobs (its slots carry the restart
-  /// counters); subprocess_mu_ serializes subprocess jobs on it.
-  std::unique_ptr<distributed::WorkerPool> worker_pool_;
-  mutable std::mutex subprocess_mu_;
   mutable std::mutex mu_;
   std::atomic<int64_t> job_sequence_{0};
   std::atomic<int64_t> plan_sequence_{0};

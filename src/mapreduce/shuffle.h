@@ -1,17 +1,16 @@
 #ifndef HATEN2_MAPREDUCE_SHUFFLE_H_
 #define HATEN2_MAPREDUCE_SHUFFLE_H_
 
-// The backend-neutral half of a MapReduce job, shared by both execution
-// backends: the in-process Engine (mapreduce/engine.h) and the subprocess
-// workers (distributed/subprocess_job.h) split a job by the same JobShape,
-// run each map task with the same RunMapTask (attempt draws, emitter,
-// reader loop) and combine fold, and reduce with the same sort-merge
-// grouping (ReducePartition); Engine::Run folds either backend's
-// MapTaskReports into JobStats with one FoldMapReports. As on Hadoop,
-// spilled and combined runs are stably sorted by key, and reducers see
-// keys ascending with each key's values in (map task, emission) order.
-// That order follows from the data alone, so both backends and every spill
-// and compression setting feed the reducers identical inputs.
+// The task-level half of a MapReduce job (mapreduce/engine.h runs the
+// phases): Engine::Run splits a job by its JobShape, runs each map task
+// with RunMapTask (attempt draws, emitter, reader loop) and the combine
+// fold, reduces each partition with the sort-merge grouping
+// (ReducePartition), and folds the tasks' MapTaskReports into JobStats
+// with FoldMapReports. As on Hadoop, spilled and combined runs are stably
+// sorted by key, and reducers see keys ascending with each key's values in
+// (map task, emission) order. That order follows from the data alone, so
+// every task count, thread count, spill and compression setting feeds the
+// reducers identical inputs.
 
 #include <algorithm>
 #include <cstdint>
@@ -379,8 +378,8 @@ class OutputEmitter {
 /// Folds duplicate keys of one in-memory partition buffer through the
 /// combiner, exactly as a Hadoop combiner runs at the end of a map task:
 /// the buffer is stably sorted by key and each run of equal keys folds, in
-/// emission order, into one record. Both backends apply it to in-memory
-/// buffers only (spilled runs are shuffled uncombined).
+/// emission order, into one record. It applies to in-memory buffers only
+/// (spilled runs are shuffled uncombined).
 template <typename K, typename V>
 void CombineShuffleBuffer(std::vector<std::pair<K, V>>* buf,
                           const std::function<V(const V&, const V&)>& fold) {
@@ -398,13 +397,13 @@ void CombineShuffleBuffer(std::vector<std::pair<K, V>>* buf,
 }
 
 /// Groups one reduce partition by key and reduces it: the sort-merge
-/// shuffle's reduce side, shared by both backends. `runs` are the
-/// partition's records from every map task, in task order, each holding
-/// every key's values in emission order. An index of (key, value pointer)
-/// over them is stably sorted by key, so the records are not copied, and
-/// `reducer(key, values, out)` is called once per distinct key, keys
-/// ascending, with the key's values in (map task, emission) order in one
-/// reused buffer. Returns the number of distinct keys.
+/// shuffle's reduce side. `runs` are the partition's records from every map
+/// task, in task order, each holding every key's values in emission order.
+/// An index of (key, value pointer) over them is stably sorted by key, so
+/// the records are not copied, and `reducer(key, values, out)` is called
+/// once per distinct key, keys ascending, with the key's values in (map
+/// task, emission) order in one reused buffer. Returns the number of
+/// distinct keys.
 template <typename K, typename V, typename KOut, typename VOut,
           typename ReduceFn>
 int64_t ReducePartition(
@@ -452,12 +451,9 @@ struct JobShape {
 /// MapTaskReport::flags: why a map task failed.
 inline constexpr uint32_t kTaskGaveUp = 1u << 0;      ///< exhausted attempts
 inline constexpr uint32_t kTaskEmitterIO = 1u << 1;   ///< spill write failed
-inline constexpr uint32_t kTaskDrainIO = 1u << 2;     ///< spill read failed
-inline constexpr uint32_t kTaskOverBudget = 1u << 3;  ///< shuffle budget blown
+inline constexpr uint32_t kTaskOverBudget = 1u << 2;  ///< shuffle budget blown
 
-/// One map task's post-mortem, whichever backend ran it. Fixed-size: the
-/// subprocess workers ship these raw in kMapDone (coordinator and workers
-/// are fork images of one binary), and Engine::Run folds them into JobStats.
+/// One map task's post-mortem, which Engine::Run folds into JobStats.
 struct MapTaskReport {
   int64_t task = 0;
   /// Input records handed to the reader: a task killed mid-chunk does not
@@ -488,8 +484,8 @@ ShuffleEmitter<K, V> MapTaskEmitter(const ClusterConfig& config,
 }
 
 /// Deterministic per-(job, task, attempt) map-task failure decision: a
-/// worker replays the same draws for the same job id, so retry counts match
-/// across backends.
+/// rerun of the same job id replays the same draws, so retry counts are
+/// reproducible.
 inline bool ShouldFailMapAttempt(const ClusterConfig& config, int64_t job,
                                  size_t task, int attempt) {
   if (config.task_failure_probability <= 0.0) return false;
@@ -584,10 +580,10 @@ inline void FoldMapReports(const std::vector<MapTaskReport>& reports,
 }
 
 /// Classifies a map phase by its tasks' `flags`: a task out of attempts
-/// aborts the job; else a spill write or read failure is an "io_error"
-/// with `io_error`, the backend's account of it; else a blown shuffle
-/// budget is "oom". Sets stats->failure and returns the job's error, or
-/// returns OK when no task failed.
+/// aborts the job; else a spill write failure is an "io_error" with
+/// `io_error`, the emitter's account of it; else a blown shuffle budget is
+/// "oom". Sets stats->failure and returns the job's error, or returns OK
+/// when no task failed.
 inline Status MapPhaseFailure(const std::string& name, uint32_t flags,
                               Status io_error, JobStats* stats) {
   if (flags & kTaskGaveUp) {
@@ -595,7 +591,7 @@ inline Status MapPhaseFailure(const std::string& name, uint32_t flags,
     return Status::Aborted("job '" + name +
                            "': a map task exceeded max_task_attempts");
   }
-  if (flags & (kTaskEmitterIO | kTaskDrainIO)) {
+  if (flags & kTaskEmitterIO) {
     stats->failure = "io_error";
     return io_error;
   }

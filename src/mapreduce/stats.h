@@ -106,9 +106,7 @@ struct JobStats {
 
   /// Empty for a successful job; otherwise how it died:
   /// "oom" (shuffle-memory budget), "aborted" (a task exceeded
-  /// max_task_attempts), "io_error" (spill read/write failure), or
-  /// "worker_lost" (subprocess backend: a worker process died or its
-  /// socket broke — surfaced as kAborted, so node retries re-run it).
+  /// max_task_attempts), or "io_error" (spill read/write failure).
   std::string failure;
   bool failed() const { return !failure.empty(); }
 

@@ -234,10 +234,6 @@ void ClusterConfigToJson(const ClusterConfig& config, JsonWriter* w) {
       .Value(config.reduce_slots_per_machine)
       .Key("num_threads")
       .Value(config.num_threads)
-      .Key("backend")
-      .Value(config.backend)
-      .Key("num_workers")
-      .Value(config.EffectiveNumWorkers())
       .Key("max_concurrent_jobs")
       .Value(config.max_concurrent_jobs)
       .Key("contraction")
@@ -303,7 +299,7 @@ std::string StatsReportToJson(const StatsReport& report) {
   const CostModel* cost = report.cluster != nullptr ? &cost_model : nullptr;
   JsonWriter w;
   w.BeginObject();
-  w.Key("schema").Value("haten2-stats-v10");
+  w.Key("schema").Value("haten2-stats-v11");
   if (!report.tool.empty()) w.Key("tool").Value(report.tool);
   if (!report.method.empty()) w.Key("method").Value(report.method);
   if (!report.variant.empty()) w.Key("variant").Value(report.variant);
@@ -348,24 +344,6 @@ std::string StatsReportToJson(const StatsReport& report) {
         .Key("max_epochs_behind")
         .Value(r.max_epochs_behind)
         .EndObject();
-  }
-  if (report.workers != nullptr && !report.workers->empty()) {
-    w.Key("workers").BeginArray();
-    for (const distributed::WorkerStats& ws : *report.workers) {
-      w.BeginObject()
-          .Key("worker")
-          .Value(ws.worker)
-          .Key("tasks")
-          .Value(ws.tasks)
-          .Key("wire_bytes_sent")
-          .Value(ws.wire_bytes_sent)
-          .Key("wire_bytes_received")
-          .Value(ws.wire_bytes_received)
-          .Key("restarts")
-          .Value(ws.restarts)
-          .EndObject();
-    }
-    w.EndArray();
   }
   w.EndObject();
   return w.str();

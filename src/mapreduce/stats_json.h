@@ -2,9 +2,7 @@
 #define HATEN2_MAPREDUCE_STATS_JSON_H_
 
 #include <string>
-#include <vector>
 
-#include "distributed/worker_pool.h"
 #include "mapreduce/cluster.h"
 #include "mapreduce/cost_model.h"
 #include "mapreduce/stats.h"
@@ -14,7 +12,7 @@
 namespace haten2 {
 
 /// JSON serialization of the engine's and drivers' statistics — the stable
-/// "haten2-stats-v10" schema documented in docs/INTERNALS.md. The schema is
+/// "haten2-stats-v11" schema documented in docs/INTERNALS.md. The schema is
 /// what --stats_json and the BENCH_*.json harness exports emit, so the
 /// perf trajectory can be read by machines across PRs.
 ///
@@ -48,8 +46,13 @@ namespace haten2 {
 /// `haten2_cli --ingest_log` and `haten2_serve --refit_loop`.
 ///
 /// v10 drops the `refit` object's `incremental` key: every refit patches
-/// its contraction cache, so there is no refit mode left to report. It is
-/// the one non-additive step; every other field is unchanged.
+/// its contraction cache, so there is no refit mode left to report. Every
+/// other field is unchanged.
+///
+/// v11 drops what v6 added: the cluster object's backend/num_workers, the
+/// report's `workers` array and the failure kind "worker_lost". The engine
+/// has one execution backend, so there is nothing left to select or count.
+/// Every other field is unchanged.
 ///
 /// All byte counters use the engine's serialized record width
 /// (sizeof of the intermediate record pair, padding included) — the same
@@ -97,8 +100,7 @@ struct StatsReport {
   std::string method;   ///< e.g. "parafac"
   std::string variant;  ///< e.g. "dri"
   std::string dataset;  ///< input path or generator description
-  /// "ok", or the failure kind ("oom", "aborted", "io_error",
-  /// "worker_lost", "error").
+  /// "ok", or the failure kind ("oom", "aborted", "io_error", "error").
   std::string status = "ok";
   double wall_seconds = 0.0;
 
@@ -109,14 +111,11 @@ struct StatsReport {
   const ClusterConfig* cluster = nullptr;   ///< also enables CostModel times
   const DecompositionTrace* trace = nullptr;
   const PipelineStats* pipeline = nullptr;
-  /// Subprocess-backend per-worker-slot counters
-  /// (Engine::WorkerStatsSnapshot); skipped when null or empty.
-  const std::vector<distributed::WorkerStats>* workers = nullptr;
   /// Refit-loop counters (the `refit` object); skipped when null.
   const RefitStatsReport* refit = nullptr;
 };
 
-/// Serializes the whole report ("haten2-stats-v10").
+/// Serializes the whole report ("haten2-stats-v11").
 std::string StatsReportToJson(const StatsReport& report);
 
 /// Serializes `report` and writes it to `path`.

@@ -55,6 +55,13 @@ Result<SparseTensor> ParseFromStream(std::istream& in,
       if (!have_header && trimmed.find("haten2 tensor") != std::string::npos) {
         dims = ParseHeaderDims(std::string(trimmed));
         if (!dims.empty()) {
+          // Switching to the header's dims would drop the records read so
+          // far, so the header must come before every record.
+          if (order != -1) {
+            return Status::InvalidArgument(
+                StrFormat("line %lld: tensor header after the first record",
+                          (long long)line_no));
+          }
           HATEN2_ASSIGN_OR_RETURN(tensor, SparseTensor::Create(dims));
           order = tensor.order();
           have_header = true;
@@ -193,6 +200,21 @@ std::string FormatTensorText(const SparseTensor& tensor) {
 
 namespace haten2 {
 
+namespace {
+
+// Parses "<key>N" (e.g. "rows=3") from a header line; -1 when absent or not
+// a non-negative integer.
+int64_t HeaderCount(std::string_view line, std::string_view key) {
+  const size_t pos = line.find(key);
+  if (pos == std::string_view::npos) return -1;
+  std::string_view value = line.substr(pos + key.size());
+  value = value.substr(0, value.find_first_of(" \t"));
+  Result<int64_t> n = ParseInt64(value);
+  return n.ok() && *n >= 0 ? *n : -1;
+}
+
+}  // namespace
+
 Status WriteMatrixText(const DenseMatrix& matrix, const std::string& path) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) {
@@ -222,10 +244,29 @@ Result<DenseMatrix> ReadMatrixText(const std::string& path) {
   std::string line;
   std::vector<std::vector<double>> rows;
   int64_t line_no = 0;
+  // The "# haten2 matrix rows=R cols=C" header WriteMatrixText writes, if
+  // the file has one: a file that lost rows or columns must not load as a
+  // smaller matrix.
+  bool have_header = false;
+  int64_t header_rows = 0;
+  int64_t header_cols = 0;
   while (std::getline(in, line)) {
     ++line_no;
     std::string_view trimmed = Trim(line);
-    if (trimmed.empty() || trimmed[0] == '#') continue;
+    if (trimmed.empty()) continue;
+    if (trimmed[0] == '#') {
+      if (!have_header && trimmed.find("haten2 matrix") != std::string::npos) {
+        header_rows = HeaderCount(trimmed, "rows=");
+        header_cols = HeaderCount(trimmed, "cols=");
+        if (header_rows < 0 || header_cols < 0) {
+          return Status::InvalidArgument(
+              StrFormat("%s: line %lld: malformed matrix header",
+                        path.c_str(), (long long)line_no));
+        }
+        have_header = true;
+      }
+      continue;
+    }
     std::vector<double> row;
     for (const std::string& field : SplitWhitespace(trimmed)) {
       Result<double> v = ParseDouble(field);
@@ -244,6 +285,14 @@ Result<DenseMatrix> ReadMatrixText(const std::string& path) {
   }
   if (rows.empty()) {
     return Status::InvalidArgument("matrix file has no data rows");
+  }
+  if (have_header &&
+      (static_cast<int64_t>(rows.size()) != header_rows ||
+       static_cast<int64_t>(rows[0].size()) != header_cols)) {
+    return Status::InvalidArgument(StrFormat(
+        "%s: %zu rows x %zu cols, but its header says rows=%lld cols=%lld",
+        path.c_str(), rows.size(), rows[0].size(), (long long)header_rows,
+        (long long)header_cols));
   }
   return DenseMatrix::FromRows(rows);
 }

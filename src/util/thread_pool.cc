@@ -10,12 +10,6 @@ ThreadPool::ThreadPool(size_t num_threads) {
   for (size_t i = 0; i < num_threads; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });
   }
-  // Return only once every worker has started. The subprocess backend forks
-  // from this process; a worker still in thread start-up can hold an
-  // allocator lock at the fork, which the child then waits on forever (the
-  // ASan allocator of g++ 12 takes no lock around fork()).
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return started_ == threads_.size(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -76,11 +70,6 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
 }
 
 void ThreadPool::WorkerLoop() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    ++started_;
-  }
-  all_done_.notify_all();
   while (true) {
     std::function<void()> task;
     {

@@ -54,8 +54,6 @@ class ThreadPool {
   std::condition_variable work_available_;
   std::condition_variable all_done_;
   size_t in_flight_ = 0;
-  /// Workers that have entered WorkerLoop; the constructor waits for all.
-  size_t started_ = 0;
   bool shutting_down_ = false;
 };
 

@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -178,6 +179,55 @@ TEST(Checkpoint, DiscoverySkipsTornTmpAndFallsBackToValidCheckpoint) {
   Result<LoadedCheckpoint> none = LoadLatestCheckpoint(options.directory);
   EXPECT_FALSE(none.ok());
   EXPECT_FALSE(none.status().IsNotFound()) << none.status().ToString();
+}
+
+TEST(Checkpoint, DiscoverySkipsCheckpointWithTornFactorFile) {
+  // A newest checkpoint whose factor file lost its last row must not load
+  // as a smaller factor: discovery falls back to the older checkpoint.
+  CheckpointOptions options;
+  options.directory = FreshDir("ckpt_torn_factor");
+  options.keep_last = 10;
+  CheckpointWriter writer(options);
+  KruskalModel model = SmallKruskal();
+  CheckpointManifest manifest;
+  manifest.method = "parafac";
+  manifest.model_kind = "kruskal";
+  manifest.iteration = 1;
+  ASSERT_OK(writer.Write(manifest, &model, nullptr));
+  manifest.iteration = 2;
+  ASSERT_OK(writer.Write(manifest, &model, nullptr));
+
+  const std::string factor =
+      options.directory + "/" + CheckpointDirName(2) + "/model.mode1.txt";
+  std::ifstream in(factor);
+  std::string content((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  in.close();
+  ASSERT_EQ(content.back(), '\n');
+  content.pop_back();
+  content.resize(content.rfind('\n') + 1);  // cut the last row
+  std::ofstream(factor, std::ios::trunc) << content;
+
+  Result<LoadedCheckpoint> loaded = LoadLatestCheckpoint(options.directory);
+  ASSERT_OK(loaded.status());
+  ASSERT_EQ(loaded->manifest.iteration, 1);
+  ASSERT_EQ(loaded->kruskal.factors.size(), model.factors.size());
+  for (size_t m = 0; m < model.factors.size(); ++m) {
+    EXPECT_DOUBLE_EQ(loaded->kruskal.factors[m].MaxAbsDiff(model.factors[m]),
+                     0.0);
+  }
+}
+
+TEST(Checkpoint, ListingSkipsIterationNumbersBeyondInt) {
+  const std::string dir = FreshDir("ckpt_huge_names");
+  for (const char* name :
+       {"iter_000001", "iter_4294967297", "iter_99999999999"}) {
+    fs::create_directories(dir + "/" + name);
+  }
+  Result<std::vector<std::string>> list = ListCheckpoints(dir);
+  ASSERT_OK(list.status());
+  ASSERT_EQ(list->size(), 1u);
+  EXPECT_EQ(fs::path((*list)[0]).filename().string(), "iter_000001");
 }
 
 TEST(Checkpoint, CorruptManifestsAreRejected) {

@@ -149,18 +149,6 @@ TEST(ClusterConfigValidateTest, RejectsEachBadFieldByName) {
        [](ClusterConfig* c) { c->machine_profiles = {{0.0, 1.0}}; }},
       {"machine_profiles",
        [](ClusterConfig* c) { c->machine_profiles = {{1.0, -1.0}}; }},
-      {"backend", [](ClusterConfig* c) { c->backend = "mpi"; }},
-      {"backend", [](ClusterConfig* c) { c->backend = ""; }},
-      {"num_workers", [](ClusterConfig* c) { c->num_workers = -1; }},
-      {"worker_io_timeout_seconds",
-       [](ClusterConfig* c) { c->worker_io_timeout_seconds = 0.0; }},
-      {"worker_io_timeout_seconds",
-       [](ClusterConfig* c) {
-         c->worker_io_timeout_seconds =
-             std::numeric_limits<double>::quiet_NaN();
-       }},
-      {"inject_worker_kill_after_tasks",
-       [](ClusterConfig* c) { c->inject_worker_kill_after_tasks = -1; }},
       {"contraction", [](ClusterConfig* c) { c->contraction = "gpu"; }},
       {"contraction", [](ClusterConfig* c) { c->contraction = ""; }},
       {"contraction", [](ClusterConfig* c) { c->contraction = "Incore"; }},
@@ -183,15 +171,6 @@ TEST(ClusterConfigValidateTest, RejectsEachBadFieldByName) {
     EXPECT_TRUE(s.IsInvalidArgument()) << c.field << ": " << s.ToString();
     EXPECT_NE(s.ToString().find(c.field), std::string::npos)
         << "error does not name the field: " << s.ToString();
-  }
-}
-
-TEST(ClusterConfigValidateTest, AcceptsBothBackends) {
-  for (const char* backend : {"inprocess", "subprocess"}) {
-    ClusterConfig config = ClusterConfig::ForTesting();
-    config.backend = backend;
-    Status s = config.Validate();
-    EXPECT_TRUE(s.ok()) << backend << ": " << s.ToString();
   }
 }
 
@@ -220,15 +199,6 @@ TEST(ClusterConfigTest, ContractionDefaultsToDataflow) {
   EXPECT_EQ(ClusterConfig().contraction, "dataflow");
   EXPECT_EQ(ClusterConfig::ForTesting().contraction, "dataflow");
   EXPECT_GE(ClusterConfig().incore_memory_mb, 1);
-}
-
-TEST(ClusterConfigTest, EffectiveNumWorkersDerivesFromThreads) {
-  ClusterConfig config;
-  config.num_threads = 3;
-  config.num_workers = 0;
-  EXPECT_EQ(config.EffectiveNumWorkers(), 3);
-  config.num_workers = 7;
-  EXPECT_EQ(config.EffectiveNumWorkers(), 7);
 }
 
 TEST(ClusterConfigValidateTest, AcceptsWholeFailureProbabilityRange) {

@@ -1,6 +1,6 @@
 // Tests for the engine's observability layer: per-phase wall times, skew
 // summaries, failure-path accounting (o.o.m. / abort / spills), the
-// "haten2-stats-v10" JSON export, and the spill-filename race regression
+// "haten2-stats-v11" JSON export, and the spill-filename race regression
 // (concurrent Run calls on one engine).
 
 #include <gtest/gtest.h>
@@ -197,6 +197,36 @@ TEST(EngineStats, OomJobKeepsSpillAndVolumeCounters) {
   EXPECT_EQ(engine.memory().used(), 0u);
   EXPECT_EQ(engine.pipeline().NumFailedJobs(), 1);
   EXPECT_GT(engine.pipeline().TotalSpilledRecords(), 0);
+}
+
+TEST(EngineStats, OomStopsEachTaskAtItsFirstUnchargeableChunk) {
+  // Emitters charge the budget per kChargeChunkRecords records, so a budget
+  // below one chunk stops every map task at its first chunk. The failed map
+  // phase runs no combiner: the job shuffles what the tasks emitted.
+  ClusterConfig config = ClusterConfig::ForTesting();
+  config.total_shuffle_memory_bytes = 4096;
+  Engine engine(config);
+  auto result = engine.Run<int64_t, double, int64_t, double>(
+      "oom-chunks", 40000,
+      [](int64_t i, ShuffleEmitter<int64_t, double>* em) {
+        em->Emit(i % 97, 1.0);
+      },
+      [](const int64_t& key, std::vector<double>& values,
+         OutputEmitter<int64_t, double>* out) {
+        out->Emit(key, static_cast<double>(values.size()));
+      },
+      [](const double& a, const double& b) { return a + b; });
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsResourceExhausted())
+      << result.status().ToString();
+  ASSERT_EQ(engine.pipeline().jobs.size(), 1u);
+  const JobStats& job = engine.pipeline().jobs[0];
+  EXPECT_EQ(job.failure, "oom");
+  constexpr int64_t kChunk =
+      ShuffleEmitter<int64_t, double>::kChargeChunkRecords;
+  EXPECT_EQ(job.pre_combine_records, config.EffectiveMapTasks() * kChunk);
+  EXPECT_EQ(job.map_output_records, job.pre_combine_records);
+  EXPECT_EQ(engine.memory().used(), 0u);
 }
 
 TEST(EngineStats, AbortedJobRecordsFailureKindAndSpills) {
@@ -473,7 +503,7 @@ TEST(EngineStats, StatsReportJsonIsValidAndComplete) {
 
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   for (const char* key :
-       {"\"schema\":\"haten2-stats-v10\"", "\"status\":\"ok\"",
+       {"\"schema\":\"haten2-stats-v11\"", "\"status\":\"ok\"",
         "\"cluster\"", "\"iterations\"", "\"pipeline\"", "\"phases\"",
         "\"map_seconds\"", "\"shuffle_seconds\"", "\"reduce_seconds\"",
         "\"spill\"", "\"fit\"", "\"lambda\"", "\"simulated_seconds\"",
@@ -492,8 +522,6 @@ TEST(EngineStats, StatsReportJsonIsValidAndComplete) {
         "\"speculation_wasted_seconds\"", "\"speculative_execution\"",
         "\"speculation_slowstart\"", "\"straggler_jitter\"",
         "\"straggler_jitter_seed\"", "\"machine_profiles\"",
-        // stats-v6: subprocess-backend additions.
-        "\"backend\"", "\"num_workers\"",
         // stats-v7: contraction-strategy additions.
         "\"contraction\"", "\"incore_memory_mb\"",
         "\"incore_nodes\"", "\"dataflow_nodes\"",
@@ -550,7 +578,7 @@ TEST(EngineStats, WriteStatsJsonFileRoundTrips) {
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
   EXPECT_TRUE(JsonChecker(content).Valid()) << content;
-  EXPECT_NE(content.find("haten2-stats-v10"), std::string::npos);
+  EXPECT_NE(content.find("haten2-stats-v11"), std::string::npos);
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 // Tests for the sort-merge shuffle's order contract and what it buys:
 //   - SortMergeShuffle: reducers see keys ascending, each key's values in
 //     (map task, emission) order, and job output is partition-ascending with
-//     keys ascending within each partition — with spilling on or off,
-//     compression on or off, and on both backends;
+//     keys ascending within each partition — with spilling on or off and
+//     compression on or off;
 //   - LayoutIndependence: the DRI and DRN contractions give bit-identical
-//     blocks whatever the map-task, reduce-task and thread counts, on both
-//     backends.
+//     blocks whatever the map-task, reduce-task and thread counts.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +23,6 @@
 namespace haten2 {
 namespace {
 
-using testing::WithSubprocessBackend;
 using KeyValues = std::vector<std::pair<int64_t, std::vector<int64_t>>>;
 
 constexpr int64_t kRecords = 500;
@@ -47,7 +45,7 @@ Result<KeyValues> RunOrderJob(Engine* engine) {
       });
 }
 
-/// The spill and backend settings the contract must hold under.
+/// The spill settings the contract must hold under.
 struct Setting {
   std::string label;
   ClusterConfig config;
@@ -70,8 +68,7 @@ std::vector<Setting> Settings(int num_reduce_tasks) {
       std::string label = spill ? "spill/" + std::string(
                                                  SpillCompressionName(codec))
                                 : "resident";
-      out.push_back({"inprocess/" + label, c});
-      out.push_back({"subprocess/" + label, WithSubprocessBackend(c, 2)});
+      out.push_back({label, c});
     }
   }
   return out;
@@ -142,40 +139,37 @@ TEST(SortMergeShuffle, CombinerFoldsEachTaskInEmissionOrder) {
   // its values for the key in emission order, and the reducer sees one
   // combined value per task, in task order.
   auto fold = [](const int64_t& a, const int64_t& b) { return a * 3 + b; };
-  for (bool subprocess : {false, true}) {
-    SCOPED_TRACE(subprocess ? "subprocess" : "inprocess");
-    ClusterConfig c = ClusterConfig::ForTesting();
-    c.num_map_tasks = 7;
-    c.num_reduce_tasks = 3;
-    Engine engine(subprocess ? WithSubprocessBackend(c, 2) : c);
-    auto got = engine.Run<int64_t, int64_t, int64_t, std::vector<int64_t>>(
-        "order-combine", kRecords,
-        [](int64_t i, ShuffleEmitter<int64_t, int64_t>* em) {
-          em->Emit(i % 5, i % 4);
-        },
-        [](const int64_t& key, std::vector<int64_t>& values,
-           OutputEmitter<int64_t, std::vector<int64_t>>* out) {
-          out->Emit(key, values);
-        },
-        fold);
-    ASSERT_OK(got.status());
+  ClusterConfig c = ClusterConfig::ForTesting();
+  c.num_map_tasks = 7;
+  c.num_reduce_tasks = 3;
+  Engine engine(c);
+  auto got = engine.Run<int64_t, int64_t, int64_t, std::vector<int64_t>>(
+      "order-combine", kRecords,
+      [](int64_t i, ShuffleEmitter<int64_t, int64_t>* em) {
+        em->Emit(i % 5, i % 4);
+      },
+      [](const int64_t& key, std::vector<int64_t>& values,
+         OutputEmitter<int64_t, std::vector<int64_t>>* out) {
+        out->Emit(key, values);
+      },
+      fold);
+  ASSERT_OK(got.status());
 
-    const int64_t chunk = (kRecords + 6) / 7;
-    ASSERT_EQ(got->size(), 5u);
-    for (const auto& [key, values] : *got) {
-      std::vector<int64_t> want;
-      for (int64_t begin = 0; begin < kRecords; begin += chunk) {
-        bool any = false;
-        int64_t acc = 0;
-        for (int64_t i = begin; i < std::min(begin + chunk, kRecords); ++i) {
-          if (i % 5 != key) continue;
-          acc = any ? fold(acc, i % 4) : i % 4;
-          any = true;
-        }
-        if (any) want.push_back(acc);
+  const int64_t chunk = (kRecords + 6) / 7;
+  ASSERT_EQ(got->size(), 5u);
+  for (const auto& [key, values] : *got) {
+    std::vector<int64_t> want;
+    for (int64_t begin = 0; begin < kRecords; begin += chunk) {
+      bool any = false;
+      int64_t acc = 0;
+      for (int64_t i = begin; i < std::min(begin + chunk, kRecords); ++i) {
+        if (i % 5 != key) continue;
+        acc = any ? fold(acc, i % 4) : i % 4;
+        any = true;
       }
-      EXPECT_EQ(values, want) << "key " << key;
+      if (any) want.push_back(acc);
     }
+    EXPECT_EQ(values, want) << "key " << key;
   }
 }
 
@@ -189,9 +183,8 @@ struct Layout {
   int threads;
 };
 
-/// Evaluates one DRI/DRN contraction of a fixed tensor under every layout
-/// and both backends, and requires every result to equal the first bit for
-/// bit.
+/// Evaluates one DRI/DRN contraction of a fixed tensor under every layout,
+/// and requires every result to equal the first bit for bit.
 void ExpectLayoutIndependent(Variant variant, MergeKind kind) {
   Rng rng(4242);
   SparseTensor x =
@@ -209,41 +202,40 @@ void ExpectLayoutIndependent(Variant variant, MergeKind kind) {
 
   const Layout layouts[] = {{1, 1, 1}, {7, 5, 2}, {16, 16, 4}};
   std::vector<SliceBlocks> reference;  // per free mode, from the first run
-  for (bool subprocess : {false, true}) {
-    for (const Layout& layout : layouts) {
-      SCOPED_TRACE(std::string(subprocess ? "subprocess" : "inprocess") +
-                   " map=" + std::to_string(layout.map_tasks) +
-                   " reduce=" + std::to_string(layout.reduce_tasks) +
-                   " threads=" + std::to_string(layout.threads));
-      ClusterConfig c = ClusterConfig::ForTesting();
-      c.contraction = "dataflow";
-      c.num_map_tasks = layout.map_tasks;
-      c.num_reduce_tasks = layout.reduce_tasks;
-      c.num_threads = layout.threads;
-      Engine engine(subprocess ? WithSubprocessBackend(c, 2) : c);
-      for (int free_mode = 0; free_mode < 3; ++free_mode) {
-        Result<SliceBlocks> y =
-            MultiModeContract(&engine, x, factors, free_mode, kind, variant);
-        ASSERT_OK(y.status());
-        if (reference.size() < 3) {
-          reference.push_back(std::move(y).value());
-          continue;
-        }
-        const SliceBlocks& want = reference[static_cast<size_t>(free_mode)];
-        EXPECT_EQ(y->slice_ids, want.slice_ids) << "free mode " << free_mode;
-        // Bit-identical: compare the doubles' bytes, not their values.
-        ASSERT_EQ(y->values.data().size(), want.values.data().size());
-        EXPECT_EQ(std::memcmp(y->values.data().data(),
-                              want.values.data().data(),
-                              want.values.data().size() * sizeof(double)),
-                  0)
-            << "free mode " << free_mode << ": max abs diff "
-            << y->values.MaxAbsDiff(want.values);
+  for (const Layout& layout : layouts) {
+    SCOPED_TRACE("map=" + std::to_string(layout.map_tasks) +
+                 " reduce=" + std::to_string(layout.reduce_tasks) +
+                 " threads=" + std::to_string(layout.threads));
+    ClusterConfig c = ClusterConfig::ForTesting();
+    c.contraction = "dataflow";
+    c.num_map_tasks = layout.map_tasks;
+    c.num_reduce_tasks = layout.reduce_tasks;
+    c.num_threads = layout.threads;
+    Engine engine(c);
+    for (int free_mode = 0; free_mode < 3; ++free_mode) {
+      Result<SliceBlocks> y =
+          MultiModeContract(&engine, x, factors, free_mode, kind, variant);
+      ASSERT_OK(y.status());
+      if (reference.size() < 3) {
+        reference.push_back(std::move(y).value());
+        continue;
       }
+      const SliceBlocks& want = reference[static_cast<size_t>(free_mode)];
+      EXPECT_EQ(y->slice_ids, want.slice_ids) << "free mode " << free_mode;
+      // Bit-identical: compare the doubles' bytes, not their values.
+      ASSERT_EQ(y->values.data().size(), want.values.data().size());
+      EXPECT_EQ(std::memcmp(y->values.data().data(),
+                            want.values.data().data(),
+                            want.values.data().size() * sizeof(double)),
+                0)
+          << "free mode " << free_mode << ": max abs diff "
+          << y->values.MaxAbsDiff(want.values);
     }
   }
 }
 
+// The names keep their "AndBackends" suffix so results stay comparable by
+// name across commits; the engine has one backend.
 TEST(LayoutIndependence, DriCrossBitIdenticalAcrossLayoutsAndBackends) {
   ExpectLayoutIndependent(Variant::kDri, MergeKind::kCross);
 }

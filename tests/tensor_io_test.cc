@@ -117,6 +117,40 @@ TEST(TensorIo, RejectsIndicesThatOverflowNamingTheLine) {
       << high.ToString();
 }
 
+TEST(TensorIo, RejectsHeaderAfterRecordsNamingTheLine) {
+  // Switching to a late header's dims would drop the records before it.
+  Status late = ParseTensorText(
+                    "0 0 0 1.0\n1 1 1 2.0\n"
+                    "# haten2 tensor order=3 dims=4x4x4\n2 2 2 3.0\n")
+                    .status();
+  EXPECT_TRUE(late.IsInvalidArgument()) << late.ToString();
+  EXPECT_NE(late.message().find("line 3:"), std::string::npos)
+      << late.ToString();
+  // A record of another arity before the header goes the same way.
+  Status arity = ParseTensorText(
+                     "0 0 1.0\n# haten2 tensor order=3 dims=4x4x4\n"
+                     "2 2 2 3.0\n")
+                     .status();
+  EXPECT_TRUE(arity.IsInvalidArgument()) << arity.ToString();
+  EXPECT_NE(arity.message().find("line 2:"), std::string::npos)
+      << arity.ToString();
+}
+
+TEST(TensorIo, MatrixHeaderMustMatchTheDataNamingTheFile) {
+  // A factor file that lost rows or columns must not load as a smaller
+  // matrix, and a header that does not parse is no header to trust.
+  const std::string path = TempPath("haten2_matrix_torn.txt");
+  for (const char* header :
+       {"# haten2 matrix rows=3 cols=2\n", "# haten2 matrix rows=2 cols=3\n",
+        "# haten2 matrix rows=two cols=2\n"}) {
+    std::ofstream(path, std::ios::trunc) << header << "1 2\n3 4\n";
+    Status s = ReadMatrixText(path).status();
+    EXPECT_TRUE(s.IsInvalidArgument()) << header << s.ToString();
+    EXPECT_NE(s.message().find(path), std::string::npos) << s.ToString();
+  }
+  std::remove(path.c_str());
+}
+
 TEST(TensorIo, MissingFileIsIOError) {
   Result<SparseTensor> r = ReadTensorText("/nonexistent/path/t.tns");
   EXPECT_TRUE(r.status().IsIOError());

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "mapreduce/cluster.h"
 #include "tensor/dense_matrix.h"
 #include "tensor/sparse_tensor.h"
 #include "util/logging.h"
@@ -63,15 +62,6 @@ inline int64_t SpillFilesIn(const std::string& dir) {
     if (entry.path().extension() == ".spill") ++n;
   }
   return n;
-}
-
-/// Returns `config` with the subprocess backend selected (and, when
-/// `num_workers` > 0, that worker count).
-inline ClusterConfig WithSubprocessBackend(ClusterConfig config,
-                                           int num_workers = 0) {
-  config.backend = "subprocess";
-  if (num_workers > 0) config.num_workers = num_workers;
-  return config;
 }
 
 #define ASSERT_OK(expr)                                               \

@@ -10,11 +10,9 @@
 # MapReduce engine / spill tests, the plan-scheduler and concurrent-Run
 # stress tests, the cost-model / speculative-execution simulation and
 # cluster-config validation suites (the slot simulation is consulted from
-# worker threads via stats export), the distributed subprocess backend
-# (the coordinator forks worker gangs out of a threaded process — see the
-# die_after_fork note in src/distributed/worker_pool.cc), the
-# sort-merge order-contract and layout-independence suites (threaded
-# reduce partitions on both backends), and the failure-injection suite
+# worker threads via stats export), the sort-merge order-contract and
+# layout-independence suites (threaded reduce partitions at several
+# thread counts), and the failure-injection suite
 # (map-task retries and failed-job cleanup on pool threads). TSan over
 # the whole suite roughly 10x-es the run for code that is single-threaded
 # by construction. Each sanitizer
@@ -46,7 +44,7 @@ for san in "${sanitizers[@]}"; do
   cmake --build "${build_dir}" -j
   ctest_args=()
   if [[ "${san}" == "thread" ]]; then
-    ctest_args=(-R '^(Serving|Engine|MapReduce|Spill|Scheduler|Plan|CostModel|Speculation|ClusterConfig|MachineProfile|Distributed|Worker|SortMergeShuffle|LayoutIndependence|FailureInjection)')
+    ctest_args=(-R '^(Serving|Engine|MapReduce|Spill|Scheduler|Plan|CostModel|Speculation|ClusterConfig|MachineProfile|SortMergeShuffle|LayoutIndependence|FailureInjection)')
   fi
   echo "=== ${san}: testing ==="
   (cd "${build_dir}" && ctest --output-on-failure "${ctest_args[@]}" -j)
@@ -55,16 +53,18 @@ for san in "${sanitizers[@]}"; do
   # write/drain/torn-file tests (tiny spill thresholds, heavy heap churn)
   # under address, and the spill codec (varint shifts, hostile decode
   # input), the text tensor reader (hostile indices near the int64
-  # limits) and the binary tensor and delta-log readers (forged headers
-  # and entry counts) under undefined, which CMakeLists.txt builds with
-  # -fno-sanitize-recover=undefined so a report fails the test.
+  # limits), the binary tensor and delta-log readers (forged headers
+  # and entry counts) and the checkpoint reader (directory names past
+  # INT_MAX, torn manifests and factor files) under undefined, which
+  # CMakeLists.txt builds with -fno-sanitize-recover=undefined so a
+  # report fails the test.
   if [[ "${san}" == "address" ]]; then
     echo "=== ${san}: focused spill-path pass ==="
     (cd "${build_dir}" && ctest --output-on-failure -R '^Spill' -j)
   elif [[ "${san}" == "undefined" ]]; then
     echo "=== ${san}: focused decoder pass ==="
     (cd "${build_dir}" && \
-     ctest --output-on-failure -R '^(SpillCodec|TensorIo|TensorBinaryIo|DeltaLog)' -j)
+     ctest --output-on-failure -R '^(SpillCodec|TensorIo|TensorBinaryIo|DeltaLog|Checkpoint)' -j)
     # The in-core contraction kernels index compressed CSF streams with
     # arithmetic on attacker-ish inputs (duplicate coordinates, 10^12
     # dims, empty slices) and the fingerprint does deliberate unsigned

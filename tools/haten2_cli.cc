@@ -17,14 +17,6 @@
 //   --seed=S                             initialization seed (default 17)
 //   --machines=M                         simulated cluster size (default 40)
 //   --threads=T                          execution threads (default 2)
-//   --backend=inprocess|subprocess       execution backend (default
-//                                        inprocess); subprocess forks
-//                                        worker processes and shards jobs
-//                                        over Unix-domain sockets —
-//                                        bit-identical results
-//   --num_workers=W                      worker processes for the
-//                                        subprocess backend (default 0 =
-//                                        derive from --threads)
 //   --max_concurrent_jobs=J              cap on plan nodes the scheduler
 //                                        runs concurrently (default 1 =
 //                                        serial legacy order)
@@ -89,10 +81,6 @@
 //                                        (deterministic; default 0)
 //   --max_task_attempts=A                attempts per map task before the
 //                                        job aborts (default 4)
-//   --inject_worker_kill_after_tasks=N   subprocess backend drill: kill one
-//                                        worker after N map tasks have been
-//                                        assigned across the run (once;
-//                                        default 0 = off)
 //   --max_node_attempts=A                plan-level recovery: attempts per
 //                                        plan node before the run fails
 //                                        (default 1 = no node retries)
@@ -135,7 +123,7 @@
 //                                        phase times, intermediate-data
 //                                        records/bytes, per-iteration fit,
 //                                        retry/backoff counters)
-//                                        as "haten2-stats-v10" JSON; written
+//                                        as "haten2-stats-v11" JSON; written
 //                                        on failures too, so o.o.m. runs
 //                                        keep their post-mortem numbers
 //
@@ -168,8 +156,7 @@ constexpr const char* kUsage =
     "       [--method=parafac|tucker|parafac-nn|tucker-nn]\n"
     "       [--rank=R] [--core=PxQxR] [--variant=dri|drn|dnn|naive]\n"
     "       [--iterations=N] [--tolerance=T] [--seed=S] [--machines=M]\n"
-    "       [--threads=T] [--backend=inprocess|subprocess]\n"
-    "       [--num_workers=W] [--max_concurrent_jobs=J] [--budget-mb=B]\n"
+    "       [--threads=T] [--max_concurrent_jobs=J] [--budget-mb=B]\n"
     "       [--contraction=auto|dataflow|incore] [--incore_memory_mb=MB]\n"
     "       [--tucker_sketch=none|gaussian|countsketch] [--sketch_size=S]\n"
     "       [--exact_polish_sweeps=P]\n"
@@ -179,7 +166,6 @@ constexpr const char* kUsage =
     "       [--checkpoint_dir=DIR] [--checkpoint_every=N]\n"
     "       [--checkpoint_keep=K] [--task_failure_prob=P]\n"
     "       [--max_task_attempts=A] [--max_node_attempts=A]\n"
-    "       [--inject_worker_kill_after_tasks=N]\n"
     "       [--machine_profiles=SPEED[xCOUNT][@FAILMULT],...]\n"
     "       [--speculation] [--speculation_slowstart=X]\n"
     "       [--straggler_jitter=J] [--straggler_jitter_seed=S]\n"
@@ -220,8 +206,7 @@ int RealMain(int argc, char** argv) {
   FlagParser flags(argc, argv);
   Status valid = flags.Validate({"method", "rank", "core", "variant",
                                  "iterations", "tolerance", "seed",
-                                 "machines", "threads", "backend",
-                                 "num_workers",
+                                 "machines", "threads",
                                  "max_concurrent_jobs", "budget-mb",
                                  "contraction", "incore_memory_mb",
                                  "tucker_sketch", "sketch_size",
@@ -232,7 +217,6 @@ int RealMain(int argc, char** argv) {
                                  "checkpoint_dir", "checkpoint_every",
                                  "checkpoint_keep", "task_failure_prob",
                                  "max_task_attempts", "max_node_attempts",
-                                 "inject_worker_kill_after_tasks",
                                  "machine_profiles", "speculation",
                                  "speculation_slowstart", "straggler_jitter",
                                  "straggler_jitter_seed",
@@ -265,7 +249,6 @@ int RealMain(int argc, char** argv) {
   Result<int64_t> seed = flags.GetInt("seed", 17);
   Result<int64_t> machines = flags.GetInt("machines", 40);
   Result<int64_t> threads = flags.GetInt("threads", 2);
-  Result<int64_t> num_workers = flags.GetInt("num_workers", 0);
   Result<int64_t> max_concurrent_jobs =
       flags.GetInt("max_concurrent_jobs", 1);
   Result<int64_t> budget_mb = flags.GetInt("budget-mb", 0);
@@ -282,8 +265,6 @@ int RealMain(int argc, char** argv) {
       flags.GetDouble("task_failure_prob", 0.0);
   Result<int64_t> max_task_attempts = flags.GetInt("max_task_attempts", 4);
   Result<int64_t> max_node_attempts = flags.GetInt("max_node_attempts", 1);
-  Result<int64_t> inject_worker_kill =
-      flags.GetInt("inject_worker_kill_after_tasks", 0);
   Result<double> speculation_slowstart =
       flags.GetDouble("speculation_slowstart", 1.5);
   Result<double> straggler_jitter = flags.GetDouble("straggler_jitter", 0.0);
@@ -298,14 +279,13 @@ int RealMain(int argc, char** argv) {
   for (const Status& s :
        {variant.status(), rank.status(), iterations.status(),
         tolerance.status(), seed.status(), machines.status(),
-        threads.status(), num_workers.status(),
-        max_concurrent_jobs.status(), budget_mb.status(),
+        threads.status(), max_concurrent_jobs.status(), budget_mb.status(),
         incore_memory_mb.status(), sketch_size.status(),
         exact_polish_sweeps.status(),
         spill_threshold.status(), spill_compression.status(),
         checkpoint_every.status(), checkpoint_keep.status(),
         task_failure_prob.status(), max_task_attempts.status(),
-        max_node_attempts.status(), inject_worker_kill.status(),
+        max_node_attempts.status(),
         speculation_slowstart.status(),
         straggler_jitter.status(), straggler_jitter_seed.status(),
         epoch_nnz.status(), machine_profiles.status(), core.status()}) {
@@ -318,8 +298,6 @@ int RealMain(int argc, char** argv) {
   ClusterConfig config;
   config.num_machines = static_cast<int>(*machines);
   config.num_threads = static_cast<int>(*threads);
-  config.backend = flags.GetString("backend", "inprocess");
-  config.num_workers = static_cast<int>(*num_workers);
   config.max_concurrent_jobs = static_cast<int>(*max_concurrent_jobs);
   config.contraction = flags.GetString("contraction", "dataflow");
   config.incore_memory_mb = *incore_memory_mb;
@@ -334,7 +312,6 @@ int RealMain(int argc, char** argv) {
   config.task_failure_probability = *task_failure_prob;
   config.max_task_attempts = static_cast<int>(*max_task_attempts);
   config.max_node_attempts = static_cast<int>(*max_node_attempts);
-  config.inject_worker_kill_after_tasks = *inject_worker_kill;
   config.machine_profiles = *machine_profiles;
   config.speculative_execution = flags.GetBool("speculation", false);
   config.speculation_slowstart = *speculation_slowstart;
@@ -598,9 +575,6 @@ int RealMain(int argc, char** argv) {
     report.cluster = &config;
     report.trace = &trace;
     report.pipeline = &pipeline_snapshot;
-    const std::vector<distributed::WorkerStats> worker_stats =
-        engine.WorkerStatsSnapshot();
-    report.workers = &worker_stats;
     if (has_refit) report.refit = &refit_report;
     Status json_status = WriteStatsJsonFile(report, stats_json);
     if (!json_status.ok()) {
