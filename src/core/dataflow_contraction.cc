@@ -1,7 +1,9 @@
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <tuple>
 #include <utility>
 
@@ -87,8 +89,11 @@ SliceBlocks SortedBlocks(const ContractionContext& ctx, SliceRows rows) {
 // ---------------------------------------------------------------------------
 
 using KeyedHadamard = std::pair<int64_t, HadamardRecord>;
+/// A Hadamard job's reduce partitions, handed to the merge job as its
+/// ordered input runs (Engine::RunPartitioned).
+using HadamardParts = PartitionedOutput<int64_t, HadamardRecord>;
 
-Result<std::vector<KeyedHadamard>> RunImhpJob(const ContractionContext& ctx) {
+Result<HadamardParts> RunImhpJob(const ContractionContext& ctx) {
   const SparseTensor& x = *ctx.x;
   const int64_t nnz = x.nnz();
   // Matrix cells are part of the job input, one record per (stream, row,
@@ -102,7 +107,12 @@ Result<std::vector<KeyedHadamard>> RunImhpJob(const ContractionContext& ctx) {
   const int64_t domain = matrix_begin.back();
   const int free_mode = ctx.free_mode;
 
-  using KMid = std::pair<int32_t, int64_t>;  // (stream, index along mode)
+  // (stream, index along mode). Both halves are 64-bit so the key has no
+  // padding bytes: the spill codec encodes a key's first 8 bytes, and
+  // uninitialized padding there made spilled bytes vary between runs.
+  using KMid = std::pair<int64_t, int64_t>;
+  static_assert(sizeof(std::pair<KMid, JoinValue>) == 80,
+                "the IMHP shuffle record is 80 bytes wide");
   auto reader = [&](int64_t i, ShuffleEmitter<KMid, JoinValue>* em) {
     if (i < nnz) {
       JoinValue v;
@@ -133,7 +143,7 @@ Result<std::vector<KeyedHadamard>> RunImhpJob(const ContractionContext& ctx) {
 
   auto reducer = [&](const KMid& key, std::vector<JoinValue>& values,
                      OutputEmitter<int64_t, HadamardRecord>* out) {
-    const int s = key.first;
+    const int s = static_cast<int>(key.first);
     const int64_t q_count = ctx.cfactors[static_cast<size_t>(s)]->cols();
     std::vector<double> row(static_cast<size_t>(q_count), 0.0);
     for (const JoinValue& v : values) {
@@ -157,7 +167,7 @@ Result<std::vector<KeyedHadamard>> RunImhpJob(const ContractionContext& ctx) {
     }
   };
 
-  return ctx.engine->Run<KMid, JoinValue, int64_t, HadamardRecord>(
+  return ctx.engine->RunPartitioned<KMid, JoinValue, int64_t, HadamardRecord>(
       "IMHP", domain, reader, reducer);
 }
 
@@ -165,8 +175,8 @@ Result<std::vector<KeyedHadamard>> RunImhpJob(const ContractionContext& ctx) {
 // DRN: one Hadamard job per (stream, column), then one merge job.
 // ---------------------------------------------------------------------------
 
-Result<std::vector<KeyedHadamard>> RunDrnHadamardJob(const ContractionContext& ctx, int s,
-                                                     int64_t q) {
+Result<HadamardParts> RunDrnHadamardJob(const ContractionContext& ctx, int s,
+                                        int64_t q) {
   const SparseTensor& x = *ctx.x;
   const int64_t nnz = x.nnz();
   const int mode = ctx.cmodes[static_cast<size_t>(s)];
@@ -213,8 +223,9 @@ Result<std::vector<KeyedHadamard>> RunDrnHadamardJob(const ContractionContext& c
     }
   };
   std::string job_name = StrFormat("Hadamard[m%d,c%lld]", mode, (long long)q);
-  return ctx.engine->Run<int64_t, JoinValue, int64_t, HadamardRecord>(
-      job_name, domain, reader, reducer);
+  return ctx.engine
+      ->RunPartitioned<int64_t, JoinValue, int64_t, HadamardRecord>(
+          job_name, domain, reader, reducer);
 }
 
 // ---------------------------------------------------------------------------
@@ -222,41 +233,103 @@ Result<std::vector<KeyedHadamard>> RunDrnHadamardJob(const ContractionContext& c
 // free-mode index (see the header note on keying).
 // ---------------------------------------------------------------------------
 
-Result<SliceBlocks> RunMergeJob(const ContractionContext& ctx,
-                                const std::vector<KeyedHadamard>& input) {
+/// \brief The merge join's order, coordinates ascending, packed into one
+/// integer.
+///
+/// Within a slice the free coordinate is fixed and unused Coord slots are
+/// -1, so coordinate order is the order of the contracted coordinates in
+/// ascending mode order. Each takes the bits of its mode's largest index,
+/// from the tensor's dims, first mode most significant. When the widths
+/// sum past 64 bits, `fits` is false and the join sorts the coordinates
+/// themselves.
+class JoinKeyPacking {
+ public:
+  explicit JoinKeyPacking(const ContractionContext& ctx) : cmodes_(ctx.cmodes) {
+    int total = 0;
+    for (int mode : cmodes_) {
+      coord_bits_.push_back(
+          std::bit_width(static_cast<uint64_t>(ctx.x->dim(mode) - 1)));
+      total += coord_bits_.back();
+    }
+    fits_ = total <= 64;
+  }
+
+  bool fits() const { return fits_; }
+
+  uint64_t Pack(const HadamardRecord& rec) const {
+    uint64_t key = 0;
+    for (size_t s = 0; s < cmodes_.size(); ++s) {
+      key = (key << coord_bits_[s]) |
+            static_cast<uint64_t>(rec.coord.c[static_cast<size_t>(cmodes_[s])]);
+    }
+    return key;
+  }
+
+ private:
+  std::vector<int> cmodes_;
+  std::vector<int> coord_bits_;  // at most 63 each: dims are int64_t
+  bool fits_ = false;
+};
+
+Result<SliceBlocks> RunMergeJob(
+    const ContractionContext& ctx,
+    const std::vector<std::span<const KeyedHadamard>>& runs) {
   const int num_streams = ctx.num_streams();
   const int64_t block_size = MakeEmptyBlocks(ctx).BlockSize();
   const std::vector<int64_t> weights = BlockWeights(ctx);
+  const JoinKeyPacking packing(ctx);
 
-  auto reader = [&input](int64_t i,
-                         ShuffleEmitter<int64_t, HadamardRecord>* em) {
-    const KeyedHadamard& rec = input[static_cast<size_t>(i)];
+  // The job's input is the runs' concatenation, read in place: record i is
+  // in the last run whose prefix offset is <= i.
+  std::vector<int64_t> offsets(1, 0);
+  for (const auto& run : runs) {
+    offsets.push_back(offsets.back() + static_cast<int64_t>(run.size()));
+  }
+  auto reader = [&runs, &offsets](int64_t i,
+                                  ShuffleEmitter<int64_t, HadamardRecord>* em) {
+    const size_t r = static_cast<size_t>(
+        std::upper_bound(offsets.begin(), offsets.end(), i) -
+        offsets.begin() - 1);
+    const KeyedHadamard& rec = runs[r][static_cast<size_t>(i - offsets[r])];
     em->Emit(rec.first, rec.second);
   };
 
   auto reducer = [&](const int64_t& slice,
                      std::vector<HadamardRecord>& values,
                      OutputEmitter<int64_t, std::vector<double>>* out) {
-    // Secondary sort on (coord, stream, col): each original tensor
-    // coordinate's records become one run with its streams in order, so the
-    // join is a walk and the block sums run in coordinate order.
-    std::sort(values.begin(), values.end(),
-              [](const HadamardRecord& a, const HadamardRecord& b) {
-                return std::tie(a.coord, a.stream, a.col) <
-                       std::tie(b.coord, b.stream, b.col);
-              });
+    // Secondary sort on (coord, record index) — by the packed key when it
+    // fits, else by the Coord — into (key, record index) pairs: each
+    // original tensor coordinate's records become one run, so the join is
+    // a walk and the block sums run in coordinate order. Within a run each
+    // (stream, col) slot adds its records in input order.
+    std::vector<std::pair<uint64_t, size_t>> order(values.size());
+    for (size_t i = 0; i < values.size(); ++i) {
+      order[i] = {packing.fits() ? packing.Pack(values[i]) : 0, i};
+    }
+    if (packing.fits()) {
+      std::sort(order.begin(), order.end());
+    } else {
+      std::sort(order.begin(), order.end(),
+                [&values](const auto& a, const auto& b) {
+                  const HadamardRecord& x = values[a.second];
+                  const HadamardRecord& y = values[b.second];
+                  return std::tie(x.coord, a.second) <
+                         std::tie(y.coord, b.second);
+                });
+    }
     std::array<std::vector<double>, kMaxMrOrder - 1> stream_vals;
     for (int s = 0; s < num_streams; ++s) {
       stream_vals[static_cast<size_t>(s)].resize(
           static_cast<size_t>(ctx.block_dims[static_cast<size_t>(s)]));
     }
     std::vector<double> block(static_cast<size_t>(block_size), 0.0);
-    for (size_t i = 0; i < values.size();) {
-      const Coord& coord = values[i].coord;
+    for (size_t k = 0; k < order.size();) {
+      const Coord& coord = values[order[k].second].coord;
       std::array<bool, kMaxMrOrder - 1> present{};
       for (auto& vals : stream_vals) std::fill(vals.begin(), vals.end(), 0.0);
-      for (; i < values.size() && values[i].coord == coord; ++i) {
-        const HadamardRecord& rec = values[i];
+      for (; k < order.size() && values[order[k].second].coord == coord;
+           ++k) {
+        const HadamardRecord& rec = values[order[k].second];
         present[static_cast<size_t>(rec.stream)] = true;
         stream_vals[static_cast<size_t>(rec.stream)]
                    [static_cast<size_t>(rec.col)] += rec.value;
@@ -276,7 +349,7 @@ Result<SliceBlocks> RunMergeJob(const ContractionContext& ctx,
         }
       } else {
         // Cross product of all streams' columns (odometer walk).
-        std::vector<int64_t> q(static_cast<size_t>(num_streams), 0);
+        std::array<int64_t, kMaxMrOrder - 1> q{};
         while (true) {
           double p = 1.0;
           int64_t off = 0;
@@ -307,8 +380,8 @@ Result<SliceBlocks> RunMergeJob(const ContractionContext& ctx,
   HATEN2_ASSIGN_OR_RETURN(
       SliceRows out,
       (ctx.engine->Run<int64_t, HadamardRecord, int64_t,
-                       std::vector<double>>(
-          name, static_cast<int64_t>(input.size()), reader, reducer)));
+                       std::vector<double>>(name, offsets.back(), reader,
+                                            reducer)));
   return SortedBlocks(ctx, std::move(out));
 }
 
@@ -840,15 +913,29 @@ Result<SliceBlocks> RunSketchFusedPlan(const ContractionContext& ctx) {
 // Plan builders for the two-phase variants (DRI, DRN).
 // ---------------------------------------------------------------------------
 
+/// The merge job's input runs: every partition of every Hadamard job's
+/// output, in order.
+std::vector<std::span<const KeyedHadamard>> MergeRuns(
+    std::span<const HadamardParts> parts) {
+  std::vector<std::span<const KeyedHadamard>> runs;
+  for (const HadamardParts& part : parts) {
+    for (const auto& partition : part) {
+      if (!partition.empty()) runs.emplace_back(partition);
+    }
+  }
+  return runs;
+}
+
 Result<SliceBlocks> RunDri(const ContractionContext& ctx) {
   Plan plan("contract-dri");
-  std::vector<KeyedHadamard> scaled;
+  HadamardParts scaled;
   SliceBlocks blocks;
-  int imhp = plan.AddProducer<std::vector<KeyedHadamard>>(
+  int imhp = plan.AddProducer<HadamardParts>(
       "IMHP", {}, [&ctx] { return RunImhpJob(ctx); }, &scaled);
   plan.AddProducer<SliceBlocks>(
       MergeName(ctx.kind), {imhp},
-      [&ctx, &scaled] { return RunMergeJob(ctx, scaled); }, &blocks);
+      [&ctx, &scaled] { return RunMergeJob(ctx, MergeRuns({&scaled, 1})); },
+      &blocks);
   AnnotateDataflow(&plan);
   PlanScheduler scheduler(ctx.engine);
   HATEN2_RETURN_IF_ERROR(scheduler.Execute(plan));
@@ -857,16 +944,15 @@ Result<SliceBlocks> RunDri(const ContractionContext& ctx) {
 
 Result<SliceBlocks> RunDrn(const ContractionContext& ctx) {
   Plan plan("contract-drn");
-  // One output slot per (stream, column) job: the merge node concatenates
-  // them in (s, q) order, so the merge job's input order — and with it every
-  // downstream float summation — is independent of which Hadamard node
-  // finished first.
+  // One output slot per (stream, column) job: the merge job reads them in
+  // (s, q) order, so its input order — and with it every downstream float
+  // summation — is independent of which Hadamard node finished first.
   size_t total_jobs = 0;
   for (int s = 0; s < ctx.num_streams(); ++s) {
     total_jobs += static_cast<size_t>(ctx.cfactors[static_cast<size_t>(s)]
                                           ->cols());
   }
-  std::vector<std::vector<KeyedHadamard>> parts(total_jobs);
+  std::vector<HadamardParts> parts(total_jobs);
   std::vector<int> hadamard_nodes;
   hadamard_nodes.reserve(total_jobs);
   size_t slot = 0;
@@ -874,7 +960,7 @@ Result<SliceBlocks> RunDrn(const ContractionContext& ctx) {
     const int mode = ctx.cmodes[static_cast<size_t>(s)];
     for (int64_t q = 0; q < ctx.cfactors[static_cast<size_t>(s)]->cols();
          ++q, ++slot) {
-      hadamard_nodes.push_back(plan.AddProducer<std::vector<KeyedHadamard>>(
+      hadamard_nodes.push_back(plan.AddProducer<HadamardParts>(
           StrFormat("Hadamard[m%d,c%lld]", mode, (long long)q), {},
           [&ctx, s, q] { return RunDrnHadamardJob(ctx, s, q); },
           &parts[slot]));
@@ -883,16 +969,7 @@ Result<SliceBlocks> RunDrn(const ContractionContext& ctx) {
   SliceBlocks blocks;
   plan.AddProducer<SliceBlocks>(
       MergeName(ctx.kind), hadamard_nodes,
-      [&ctx, &parts]() -> Result<SliceBlocks> {
-        std::vector<KeyedHadamard> collected;
-        size_t total = 0;
-        for (const auto& p : parts) total += p.size();
-        collected.reserve(total);
-        for (const auto& p : parts) {
-          collected.insert(collected.end(), p.begin(), p.end());
-        }
-        return RunMergeJob(ctx, collected);
-      },
+      [&ctx, &parts] { return RunMergeJob(ctx, MergeRuns(parts)); },
       &blocks);
   AnnotateDataflow(&plan);
   PlanScheduler scheduler(ctx.engine);

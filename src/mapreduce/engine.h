@@ -20,6 +20,11 @@
 
 namespace haten2 {
 
+/// A job's output as Engine::RunPartitioned returns it: one vector of
+/// reducer outputs per reduce partition, in partition order.
+template <typename K, typename V>
+using PartitionedOutput = std::vector<std::vector<std::pair<K, V>>>;
+
 /// \brief In-process MapReduce engine with Hadoop-shaped semantics.
 ///
 /// A job is (reader, reducer, optional combiner):
@@ -34,7 +39,9 @@ namespace haten2 {
 ///     distinct key, keys ascending, with the key's values in (map task,
 ///     emission) order;
 ///   - the optional combiner (an associative fold over V) runs at the end of
-///     each map task, like a Hadoop combiner.
+///     each map task, like a Hadoop combiner;
+///   - the reducer outputs come back one vector per reduce partition
+///     (RunPartitioned), or concatenated partition-ascending (Run).
 ///
 /// Every job appends JobStats (shuffled records/bytes = the paper's
 /// *intermediate data*) to the engine's pipeline log. Shuffled bytes are
@@ -172,12 +179,41 @@ class Engine {
   /// \returns the concatenated reducer outputs: partition-ascending, with
   ///          keys ascending within each partition.
   ///
+  /// A thin wrapper over RunPartitioned: the concatenation happens after
+  /// the job's pipeline record, so no phase time includes it.
+  template <typename KMid, typename VMid, typename KOut, typename VOut,
+            typename ReaderFn, typename ReduceFn>
+  Result<std::vector<std::pair<KOut, VOut>>> Run(
+      const std::string& name, int64_t num_input_records, ReaderFn&& reader,
+      ReduceFn&& reducer,
+      std::function<VMid(const VMid&, const VMid&)> combiner = nullptr) {
+    HATEN2_ASSIGN_OR_RETURN(
+        auto parts,
+        (RunPartitioned<KMid, VMid, KOut, VOut>(name, num_input_records,
+                                                reader, reducer,
+                                                std::move(combiner))));
+    std::vector<std::pair<KOut, VOut>> output;
+    size_t total = 0;
+    for (const auto& part : parts) total += part.size();
+    output.reserve(total);
+    for (auto& part : parts) {
+      for (auto& rec : part) output.push_back(std::move(rec));
+    }
+    return output;
+  }
+
+  /// Runs one MapReduce job, as Run does, but returns each reduce
+  /// partition's output on its own, in partition order — Hadoop's
+  /// part-r-NNNNN files, each keys ascending. A job whose output feeds
+  /// another job hands these on as the next job's ordered input runs rather
+  /// than concatenating them. Each partition's vector is shrunk to fit.
+  ///
   /// RunInProcess runs the job's tasks; this method owns the job id, the
   /// job's shape, the counters (folded from the tasks' MapTaskReports), the
   /// wall time, and the one pipeline-log record.
   template <typename KMid, typename VMid, typename KOut, typename VOut,
             typename ReaderFn, typename ReduceFn>
-  Result<std::vector<std::pair<KOut, VOut>>> Run(
+  Result<PartitionedOutput<KOut, VOut>> RunPartitioned(
       const std::string& name, int64_t num_input_records, ReaderFn&& reader,
       ReduceFn&& reducer,
       std::function<VMid(const VMid&, const VMid&)> combiner = nullptr) {
@@ -187,7 +223,7 @@ class Engine {
                   "intermediate keys must be fixed-size records");
     static_assert(IsFixedSizeRecord<VMid>::value,
                   "intermediate values must be fixed-size records");
-    using Output = std::vector<std::pair<KOut, VOut>>;
+    using Output = PartitionedOutput<KOut, VOut>;
     // Fail fast on an invalid cluster configuration (the constructor cannot
     // return a Status): a zero bandwidth or negative slot count would
     // otherwise surface only as Inf/NaN simulated seconds in stats JSON.
@@ -252,7 +288,7 @@ class Engine {
   /// the engine's thread pool, and every run stays in this process.
   template <typename KMid, typename VMid, typename KOut, typename VOut,
             typename ReaderFn, typename ReduceFn>
-  Result<std::vector<std::pair<KOut, VOut>>> RunInProcess(
+  Result<PartitionedOutput<KOut, VOut>> RunInProcess(
       const JobShape& shape, const std::string& spill_prefix,
       ReaderFn& reader, ReduceFn& reducer,
       const std::function<VMid(const VMid&, const VMid&)>& combiner,
@@ -337,8 +373,10 @@ class Engine {
     }
 
     // ---- Reduce phase (parallel over partitions): sort-merge grouping. ----
-    using PartitionOutput = std::vector<std::pair<KOut, VOut>>;
-    std::vector<PartitionOutput> partition_outputs(num_partitions);
+    // Each partition's output is shrunk to fit: it outlives the job (a
+    // downstream job reads it), and its growth slack would otherwise stay
+    // resident with it.
+    PartitionedOutput<KOut, VOut> outputs(num_partitions);
     std::vector<int64_t> partition_group_counts(num_partitions, 0);
     pool_.ParallelFor(num_partitions, [&](size_t p) {
       std::vector<std::span<const std::pair<KMid, VMid>>> runs;
@@ -346,27 +384,21 @@ class Engine {
       for (auto& em : emitters) runs.emplace_back(em.buffers()[p]);
       OutputEmitter<KOut, VOut> out;
       partition_group_counts[p] = ReducePartition(runs, reducer, &out);
-      partition_outputs[p] = std::move(out.records());
+      outputs[p] = std::move(out.records());
+      outputs[p].shrink_to_fit();
       for (auto& em : emitters) {  // free as we go
         em.buffers()[p].clear();
         em.buffers()[p].shrink_to_fit();
       }
     });
 
-    std::vector<std::pair<KOut, VOut>> output;
-    {
-      size_t total = 0;
-      for (const auto& po : partition_outputs) total += po.size();
-      output.reserve(total);
+    for (size_t p = 0; p < num_partitions; ++p) {
+      stats->reduce_input_groups += partition_group_counts[p];
+      stats->reduce_output_records += static_cast<int64_t>(outputs[p].size());
     }
-    for (auto& po : partition_outputs) {
-      for (auto& rec : po) output.push_back(std::move(rec));
-    }
-    for (int64_t g : partition_group_counts) stats->reduce_input_groups += g;
-    stats->reduce_output_records = static_cast<int64_t>(output.size());
     stats->phases.reduce_seconds = phase_timer.Lap();
     release_all();
-    return output;
+    return outputs;
   }
 
   void RecordJob(const JobStats& stats) {

@@ -2,9 +2,9 @@
 #define HATEN2_MAPREDUCE_SHUFFLE_H_
 
 // The task-level half of a MapReduce job (mapreduce/engine.h runs the
-// phases): Engine::Run splits a job by its JobShape, runs each map task
-// with RunMapTask (attempt draws, emitter, reader loop) and the combine
-// fold, reduces each partition with the sort-merge grouping
+// phases): Engine::RunPartitioned splits a job by its JobShape, runs each
+// map task with RunMapTask (attempt draws, emitter, reader loop) and the
+// combine fold, reduces each partition with the sort-merge grouping
 // (ReducePartition), and folds the tasks' MapTaskReports into JobStats
 // with FoldMapReports. As on Hadoop, spilled and combined runs are stably
 // sorted by key, and reducers see keys ascending with each key's values in
@@ -30,6 +30,7 @@
 #include "mapreduce/spill_codec.h"
 #include "mapreduce/stats.h"
 #include "util/memory_tracker.h"
+#include "util/radix_sort.h"
 #include "util/result.h"
 
 namespace haten2 {
@@ -45,11 +46,25 @@ struct IsFixedSizeRecord<std::pair<A, B>>
     : std::conjunction<IsFixedSizeRecord<A>, IsFixedSizeRecord<B>> {};
 
 /// Stably sorts a run of records by key: equal keys keep their order.
+/// `int64_t` keys, and pairs of them (one pass on `.second`, then one on
+/// `.first`), take the radix sort of util/radix_sort.h; every other key
+/// type takes std::stable_sort. Both give the same order.
 template <typename K, typename V>
 void StableSortByKey(std::vector<std::pair<K, V>>* run) {
-  std::stable_sort(run->begin(), run->end(), [](const auto& a, const auto& b) {
-    return a.first < b.first;
-  });
+  using Record = std::pair<K, V>;
+  if constexpr (std::is_same_v<K, int64_t>) {
+    StableRadixSort(run, [](const Record& r) { return OrderedBits(r.first); });
+  } else if constexpr (std::is_same_v<K, std::pair<int64_t, int64_t>>) {
+    StableRadixSort(
+        run, [](const Record& r) { return OrderedBits(r.first.second); });
+    StableRadixSort(
+        run, [](const Record& r) { return OrderedBits(r.first.first); });
+  } else {
+    std::stable_sort(run->begin(), run->end(),
+                     [](const Record& a, const Record& b) {
+                       return a.first < b.first;
+                     });
+  }
 }
 
 /// \brief Collects a map task's (key, value) emissions into per-reduce-
@@ -399,11 +414,11 @@ void CombineShuffleBuffer(std::vector<std::pair<K, V>>* buf,
 /// Groups one reduce partition by key and reduces it: the sort-merge
 /// shuffle's reduce side. `runs` are the partition's records from every map
 /// task, in task order, each holding every key's values in emission order.
-/// An index of (key, value pointer) over them is stably sorted by key, so
-/// the records are not copied, and `reducer(key, values, out)` is called
-/// once per distinct key, keys ascending, with the key's values in (map
-/// task, emission) order in one reused buffer. Returns the number of
-/// distinct keys.
+/// An index of (key, value pointer) over them is stably sorted by key
+/// (StableSortByKey: a radix sort for integer keys), so the records are not
+/// copied, and `reducer(key, values, out)` is called once per distinct key,
+/// keys ascending, with the key's values in (map task, emission) order in
+/// one reused buffer. Returns the number of distinct keys.
 template <typename K, typename V, typename KOut, typename VOut,
           typename ReduceFn>
 int64_t ReducePartition(

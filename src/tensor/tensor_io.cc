@@ -20,16 +20,36 @@ std::string HeaderLine(const SparseTensor& tensor) {
                    dims.c_str());
 }
 
-// Parses "dims=AxBxC" from a header line; returns empty on failure.
-std::vector<int64_t> ParseHeaderDims(const std::string& line) {
-  std::vector<int64_t> dims;
+// Parses the dims of a "# haten2 tensor order=N dims=AxBxC" header (line
+// `line_no`): every size must be positive, and `order=`, when present, must
+// count them. Anything else is InvalidArgument naming the line.
+Result<std::vector<int64_t>> ParseHeaderDims(std::string_view line,
+                                             int64_t line_no) {
+  auto bad = [line_no](const std::string& what) {
+    return Status::InvalidArgument(
+        StrFormat("line %lld: tensor header %s", (long long)line_no,
+                  what.c_str()));
+  };
   size_t pos = line.find("dims=");
-  if (pos == std::string::npos) return dims;
-  std::string spec = line.substr(pos + 5);
-  for (const std::string& part : Split(Trim(spec), 'x')) {
+  if (pos == std::string_view::npos) return bad("has no dims=");
+  std::string_view spec = Trim(line.substr(pos + 5));
+  std::vector<int64_t> dims;
+  for (const std::string& part : Split(spec, 'x')) {
     Result<int64_t> v = ParseInt64(part);
-    if (!v.ok() || *v <= 0) return {};
+    if (!v.ok() || *v <= 0) {
+      return bad("dims '" + std::string(spec) + "' are not positive sizes");
+    }
     dims.push_back(*v);
+  }
+  pos = line.find("order=");
+  if (pos != std::string_view::npos) {
+    std::string_view rest = line.substr(pos + 6);
+    std::string token(rest.substr(0, rest.find_first_of(" \t")));
+    Result<int64_t> order = ParseInt64(token);
+    if (!order.ok() || *order != static_cast<int64_t>(dims.size())) {
+      return bad(StrFormat("order=%s does not match its %zu dims",
+                           token.c_str(), dims.size()));
+    }
   }
   return dims;
 }
@@ -52,20 +72,20 @@ Result<SparseTensor> ParseFromStream(std::istream& in,
     std::string_view trimmed = Trim(line);
     if (trimmed.empty()) continue;
     if (trimmed[0] == '#') {
-      if (!have_header && trimmed.find("haten2 tensor") != std::string::npos) {
-        dims = ParseHeaderDims(std::string(trimmed));
-        if (!dims.empty()) {
-          // Switching to the header's dims would drop the records read so
-          // far, so the header must come before every record.
-          if (order != -1) {
-            return Status::InvalidArgument(
-                StrFormat("line %lld: tensor header after the first record",
-                          (long long)line_no));
-          }
-          HATEN2_ASSIGN_OR_RETURN(tensor, SparseTensor::Create(dims));
-          order = tensor.order();
-          have_header = true;
+      // Only a comment that starts as HeaderLine writes it is the header;
+      // free text that mentions "haten2 tensor" stays a comment.
+      if (!have_header && trimmed.starts_with("# haten2 tensor ")) {
+        HATEN2_ASSIGN_OR_RETURN(dims, ParseHeaderDims(trimmed, line_no));
+        // Switching to the header's dims would drop the records read so
+        // far, so the header must come before every record.
+        if (order != -1) {
+          return Status::InvalidArgument(
+              StrFormat("line %lld: tensor header after the first record",
+                        (long long)line_no));
         }
+        HATEN2_ASSIGN_OR_RETURN(tensor, SparseTensor::Create(dims));
+        order = tensor.order();
+        have_header = true;
       }
       continue;
     }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/variant.h"
 #include "linalg/linalg.h"
@@ -278,6 +279,75 @@ TEST(ContractValidation, RejectsBadArguments) {
                                 Variant::kDri)
                   .status()
                   .IsFailedPrecondition());
+}
+
+// ---------------------------------------------------------------------------
+// The merge join's key: the contracted coordinates pack into one 64-bit
+// key when their bit widths fit, and the join sorts the Coords when they do
+// not. Both must give the in-core result, bit-identically under any task
+// layout.
+// ---------------------------------------------------------------------------
+
+/// Contracts an `order`-way tensor with every mode of size `dim` under DRI
+/// and DRN, cross and pairwise, at free modes 0 and order-1: each result
+/// must match the in-core contraction within kTol and be bit-identical
+/// under two map/reduce/thread layouts.
+void ExpectMergeMatchesInCore(int order, int64_t dim) {
+  Rng rng(5150 + static_cast<uint64_t>(order));
+  SparseTensor x = RandomSparseTensor(
+      std::vector<int64_t>(static_cast<size_t>(order), dim), 300, &rng);
+  for (MergeKind kind : {MergeKind::kCross, MergeKind::kPairwise}) {
+    std::vector<DenseMatrix> owned;
+    for (int m = 0; m < order; ++m) {
+      owned.push_back(DenseMatrix::RandomNormal(
+          dim, kind == MergeKind::kCross ? 2 : 3, &rng));
+    }
+    std::vector<const DenseMatrix*> factors;
+    for (const DenseMatrix& f : owned) factors.push_back(&f);
+    for (int free_mode : {0, order - 1}) {
+      ClusterConfig incore = ClusterConfig::ForTesting();
+      incore.contraction = "incore";
+      Engine incore_engine(incore);
+      Result<SliceBlocks> want = MultiModeContract(
+          &incore_engine, x, factors, free_mode, kind, Variant::kDri);
+      ASSERT_OK(want.status());
+      const DenseMatrix want_dense = want->ToDenseMatrix();
+      for (Variant variant : {Variant::kDri, Variant::kDrn}) {
+        SCOPED_TRACE(std::string(VariantName(variant)) + " free mode " +
+                     std::to_string(free_mode));
+        std::vector<SliceBlocks> got;
+        for (int layout : {1, 7}) {
+          ClusterConfig c = ClusterConfig::ForTesting();
+          c.contraction = "dataflow";
+          c.num_map_tasks = layout;
+          c.num_reduce_tasks = layout == 1 ? 1 : 5;
+          c.num_threads = layout == 1 ? 1 : 2;
+          Engine engine(c);
+          Result<SliceBlocks> y =
+              MultiModeContract(&engine, x, factors, free_mode, kind, variant);
+          ASSERT_OK(y.status());
+          EXPECT_LT(y->ToDenseMatrix().MaxAbsDiff(want_dense), kTol);
+          got.push_back(std::move(y).value());
+        }
+        EXPECT_EQ(got[0].slice_ids, got[1].slice_ids);
+        ASSERT_EQ(got[0].values.data().size(), got[1].values.data().size());
+        EXPECT_EQ(std::memcmp(got[0].values.data().data(),
+                              got[1].values.data().data(),
+                              got[0].values.data().size() * sizeof(double)),
+                  0);
+      }
+    }
+  }
+}
+
+TEST(MergeJoinKey, WideKeysFallBackToTheTupleSort) {
+  // Five contracted 13-bit coordinates alone take 65 bits.
+  ExpectMergeMatchesInCore(/*order=*/6, /*dim=*/8192);
+}
+
+TEST(MergeJoinKey, PackedKeyNearSixtyFourBits) {
+  // Four contracted 16-bit coordinates fill the 64 bits exactly.
+  ExpectMergeMatchesInCore(/*order=*/5, /*dim=*/65536);
 }
 
 }  // namespace

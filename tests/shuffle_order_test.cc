@@ -3,6 +3,8 @@
 //     (map task, emission) order, and job output is partition-ascending with
 //     keys ascending within each partition — with spilling on or off and
 //     compression on or off;
+//   - StableSortByKey: the radix path for integer keys orders records
+//     exactly as std::stable_sort does;
 //   - LayoutIndependence: the DRI and DRN contractions give bit-identical
 //     blocks whatever the map-task, reduce-task and thread counts.
 
@@ -11,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,19 +33,21 @@ constexpr int64_t kKeys = 37;
 
 /// Emits two records per input index i, with values 2i and 2i+1: values
 /// ascend in emission order within a map task, and across tasks in task
-/// order (tasks read contiguous chunks). The reducer returns each key's
-/// values as it received them.
+/// order (tasks read contiguous chunks).
+void OrderReader(int64_t i, ShuffleEmitter<int64_t, int64_t>* em) {
+  em->Emit((i * 7919) % kKeys, 2 * i);
+  em->Emit((i * 31 + 5) % kKeys, 2 * i + 1);
+}
+
+/// Returns each key's values as it received them.
+void OrderReducer(const int64_t& key, std::vector<int64_t>& values,
+                  OutputEmitter<int64_t, std::vector<int64_t>>* out) {
+  out->Emit(key, values);
+}
+
 Result<KeyValues> RunOrderJob(Engine* engine) {
   return engine->Run<int64_t, int64_t, int64_t, std::vector<int64_t>>(
-      "order-contract", kRecords,
-      [](int64_t i, ShuffleEmitter<int64_t, int64_t>* em) {
-        em->Emit((i * 7919) % kKeys, 2 * i);
-        em->Emit((i * 31 + 5) % kKeys, 2 * i + 1);
-      },
-      [](const int64_t& key, std::vector<int64_t>& values,
-         OutputEmitter<int64_t, std::vector<int64_t>>* out) {
-        out->Emit(key, values);
-      });
+      "order-contract", kRecords, OrderReader, OrderReducer);
 }
 
 /// The spill settings the contract must hold under.
@@ -126,6 +131,17 @@ TEST(SortMergeShuffle, OutputIsPartitionAscendingThenKeyAscending) {
         EXPECT_LT(prev, key) << "keys out of order within a partition";
       }
     }
+    // Run's output is RunPartitioned's partitions, concatenated.
+    auto parts = engine.RunPartitioned<int64_t, int64_t, int64_t,
+                                       std::vector<int64_t>>(
+        "order-contract", kRecords, OrderReader, OrderReducer);
+    ASSERT_OK(parts.status());
+    ASSERT_EQ(parts->size(), static_cast<size_t>(kPartitions));
+    KeyValues joined;
+    for (const auto& part : *parts) {
+      joined.insert(joined.end(), part.begin(), part.end());
+    }
+    EXPECT_EQ(joined, *got);
     if (first.empty()) {
       first = *got;
     } else {
@@ -170,6 +186,77 @@ TEST(SortMergeShuffle, CombinerFoldsEachTaskInEmissionOrder) {
       if (any) want.push_back(acc);
     }
     EXPECT_EQ(values, want) << "key " << key;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// StableSortByKey: the radix path against std::stable_sort.
+// ---------------------------------------------------------------------------
+
+/// Sorts `run` with StableSortByKey and with std::stable_sort by key; each
+/// record's value is its input position, so equal records in equal order
+/// means equal keys kept their input order.
+template <typename K>
+void ExpectMatchesStdStableSort(const std::vector<K>& keys) {
+  std::vector<std::pair<K, int64_t>> run;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    run.emplace_back(keys[i], static_cast<int64_t>(i));
+  }
+  std::vector<std::pair<K, int64_t>> want = run;
+  std::stable_sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  StableSortByKey(&run);
+  EXPECT_EQ(run, want) << keys.size() << " keys";
+}
+
+/// Sizes from empty and single-record runs up to a reduce partition's.
+std::vector<size_t> SortSizes() {
+  return {0, 1, 2, 63, 64, 65, 1000, 100000};
+}
+
+TEST(StableSortByKey, Int64KeysMatchStdStableSort) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Rng rng(9101);
+  for (size_t n : SortSizes()) {
+    std::vector<int64_t> full, dups, high_constant;
+    for (size_t i = 0; i < n; ++i) {
+      // Full range, extremes included.
+      const uint64_t pick = rng.UniformInt(uint64_t{8});
+      full.push_back(pick == 0 ? kMin : pick == 1 ? kMax
+                                      : rng.UniformInt(kMin, kMax));
+      // Heavy duplicates, negatives among them.
+      dups.push_back(rng.UniformInt(int64_t{-3}, int64_t{3}));
+      // Only the low two bytes vary.
+      high_constant.push_back(int64_t{0x1234560000000000} +
+                              rng.UniformInt(int64_t{0}, int64_t{0xffff}));
+    }
+    ExpectMatchesStdStableSort(full);
+    ExpectMatchesStdStableSort(dups);
+    ExpectMatchesStdStableSort(high_constant);
+  }
+}
+
+TEST(StableSortByKey, Int64PairKeysMatchStdStableSort) {
+  using Key = std::pair<int64_t, int64_t>;
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Rng rng(9102);
+  for (size_t n : SortSizes()) {
+    std::vector<Key> full, dups, streams;
+    for (size_t i = 0; i < n; ++i) {
+      full.emplace_back(rng.UniformInt(kMin, kMax),
+                        rng.UniformInt(kMin, kMax));
+      dups.emplace_back(rng.UniformInt(int64_t{-1}, int64_t{1}),
+                        rng.UniformInt(int64_t{-2}, int64_t{2}));
+      // The IMHP job's (stream, index along mode) shape.
+      streams.emplace_back(rng.UniformInt(int64_t{0}, int64_t{2}),
+                           rng.UniformInt(int64_t{0}, int64_t{19999}));
+    }
+    ExpectMatchesStdStableSort(full);
+    ExpectMatchesStdStableSort(dups);
+    ExpectMatchesStdStableSort(streams);
   }
 }
 

@@ -8,7 +8,10 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
+#include <thread>
 
+#include "core/contract.h"
 #include "core/parafac.h"
 #include "mapreduce/cost_model.h"
 #include "mapreduce/engine.h"
@@ -251,6 +254,78 @@ TEST(Spill, CompressionLowersSimulatedTime) {
             packed_engine.pipeline().TotalSpilledRawBytes());
   EXPECT_LT(CostModel(packed).SimulatePipeline(packed_engine.pipeline()),
             CostModel(raw).SimulatePipeline(raw_engine.pipeline()));
+}
+
+/// Leaves freed heap holding `pattern`: blocks of the sizes a spilling
+/// job's buffers take are written byte by byte and freed, on this thread
+/// and on short-lived threads (whose malloc arenas later threads reuse), so
+/// bytes a later allocation never initializes read as `pattern`.
+void ScribbleFreedHeap(unsigned char pattern) {
+  auto scribble = [pattern] {
+    std::vector<std::unique_ptr<unsigned char[]>> blocks;
+    for (size_t size = 16; size <= (size_t{1} << 16); size *= 2) {
+      for (int k = 0; k < 32; ++k) {
+        blocks.emplace_back(new unsigned char[size]);
+        volatile unsigned char* bytes = blocks.back().get();
+        for (size_t i = 0; i < size; ++i) bytes[i] = pattern;
+      }
+    }
+  };
+  scribble();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) threads.emplace_back(scribble);
+  for (std::thread& t : threads) t.join();
+}
+
+TEST(Spill, DriSpillCountersRepeatAcrossRuns) {
+  // delta_varint codes each spilled record's first 8 key bytes. The IMHP
+  // key once carried 4 uninitialized padding bytes there, so the coded
+  // size — and the CostModel's disk term with it — followed whatever the
+  // heap held. Three runs in one process, each after the freed heap was
+  // scribbled with a different byte, must agree on every job's spill
+  // counters and on the simulated seconds.
+  Rng rng(825);
+  SparseTensor x =
+      haten2::testing::RandomSparseTensor({60, 50, 40}, 3000, &rng);
+  std::vector<DenseMatrix> owned;
+  for (int m = 0; m < 3; ++m) {
+    owned.push_back(DenseMatrix::RandomNormal(x.dim(m), 4, &rng));
+  }
+  std::vector<const DenseMatrix*> factors;
+  for (const DenseMatrix& f : owned) factors.push_back(&f);
+  ClusterConfig config = ClusterConfig::ForTesting();
+  config.contraction = "dataflow";
+  config.spill_directory = PerTestDir();
+  config.spill_threshold_records = 64;
+  config.spill_compression = SpillCompression::kDeltaVarint;
+
+  std::vector<PipelineStats> runs;
+  for (unsigned char pattern : {0x00, 0xa5, 0xff}) {
+    ScribbleFreedHeap(pattern);
+    Engine engine(config);
+    ASSERT_OK(MultiModeContract(&engine, x, factors, /*free_mode=*/0,
+                                MergeKind::kCross, Variant::kDri)
+                  .status());
+    runs.push_back(engine.pipeline());
+  }
+  ASSERT_GT(runs[0].TotalSpilledCompressedBytes(), 0u);
+  const double want = CostModel(config).SimulatePipeline(runs[0]);
+  for (size_t r = 1; r < runs.size(); ++r) {
+    SCOPED_TRACE("run " + std::to_string(r));
+    ASSERT_EQ(runs[r].jobs.size(), runs[0].jobs.size());
+    for (size_t j = 0; j < runs[0].jobs.size(); ++j) {
+      const JobStats& a = runs[0].jobs[j];
+      const JobStats& b = runs[r].jobs[j];
+      EXPECT_EQ(b.name, a.name);
+      EXPECT_EQ(b.spilled_records, a.spilled_records) << a.name;
+      EXPECT_EQ(b.spilled_compressed_bytes, a.spilled_compressed_bytes)
+          << a.name;
+      EXPECT_EQ(b.map_task_spilled_bytes, a.map_task_spilled_bytes)
+          << a.name;
+    }
+    EXPECT_EQ(CostModel(config).SimulatePipeline(runs[r]), want);
+  }
+  EXPECT_EQ(SpillFilesIn(config.spill_directory), 0);
 }
 
 TEST(Spill, TornFirstSpillWriteLeavesNoOrphan) {

@@ -136,6 +136,32 @@ TEST(TensorIo, RejectsHeaderAfterRecordsNamingTheLine) {
       << arity.ToString();
 }
 
+TEST(TensorIo, RejectsMalformedTensorHeaderNamingTheLine) {
+  // A header whose dims do not parse into positive sizes, or whose order=
+  // does not count them, is an error rather than a comment: read as a
+  // comment, the file would load with dims inferred from its records.
+  for (const char* header :
+       {"# haten2 tensor order=3 dims=40x0x40\n",
+        "# haten2 tensor order=3 dims=40xfortyx40\n",
+        "# haten2 tensor order=3 dims=\n", "# haten2 tensor order=3\n",
+        "# haten2 tensor order=2 dims=40x40x40\n",
+        "# haten2 tensor order=three dims=40x40x40\n"}) {
+    Status s = ParseTensorText(std::string("# written by hand\n") + header +
+                               "0 0 0 1.0\n1 1 1 2.0\n")
+                   .status();
+    EXPECT_TRUE(s.IsInvalidArgument()) << header << s.ToString();
+    EXPECT_NE(s.message().find("line 2:"), std::string::npos)
+        << header << s.ToString();
+  }
+  // Free text that mentions the phrase is a comment, and the header
+  // without order= still fixes the dims.
+  Result<SparseTensor> t = ParseTensorText(
+      "# converted to a haten2 tensor by hand\n"
+      "# haten2 tensor dims=40x40x40\n1 1 1 2.0\n");
+  ASSERT_OK(t.status());
+  EXPECT_EQ(t->dims(), (std::vector<int64_t>{40, 40, 40}));
+}
+
 TEST(TensorIo, MatrixHeaderMustMatchTheDataNamingTheFile) {
   // A factor file that lost rows or columns must not load as a smaller
   // matrix, and a header that does not parse is no header to trust.
