@@ -10,8 +10,6 @@
 // the paper's flattening: near-linear scale-up at first, diminishing
 // returns as machines are added.
 
-#include <cinttypes>
-
 #include "bench_json.h"
 #include "bench_util.h"
 #include "workload/random_tensor.h"
@@ -97,49 +95,6 @@ void Run(BenchJsonLog* log) {
   }
   std::printf("\nexpected shape: scale-up grows near-linearly for small M "
               "and flattens toward M=40 (fixed per-job overhead).\n");
-
-  // Part 2: straggler ablation at M=40 — the same measured pipelines
-  // re-simulated on a heterogeneous cluster (4 of the 40 machines at
-  // quarter speed, e.g. a failing disk or a noisy neighbour), with and
-  // without Hadoop-style speculative backups. Uniform + speculation-off is
-  // the exact Part 1 M=40 simulation.
-  PrintHeader("Figure 8, part 2: straggler ablation at M=40 (HaTen2-DRI)",
-              {"cluster", "Tucker T_40", "PARAFAC T_40", "speculated", "won",
-               "wasted"});
-  struct Ablation {
-    const char* label;
-    const char* profiles;
-    bool speculation;
-  };
-  const Ablation ablations[] = {
-      {"uniform", "", false},
-      {"hetero", "1.0x36,0.25x4", false},
-      {"hetero+spec", "1.0x36,0.25x4", true},
-  };
-  for (const Ablation& a : ablations) {
-    ClusterConfig config = PaperCluster(kShuffleBudget);
-    config.num_machines = 40;
-    config.machine_profiles = ParseMachineProfiles(a.profiles).value();
-    config.speculative_execution = a.speculation;
-    CostModel model(config);
-    PipelineSim tucker = model.SimulatePipelineDetailed(tucker_pipeline);
-    PipelineSim parafac = model.SimulatePipelineDetailed(parafac_pipeline);
-    log->Add("stragglers", a.label, "HaTen2-DRI-Tucker",
-             cell_of(tucker_pipeline, tucker.seconds));
-    log->Add("stragglers", a.label, "HaTen2-DRI-PARAFAC",
-             cell_of(parafac_pipeline, parafac.seconds));
-    SpeculationStats spec = tucker.speculation;
-    spec.Add(parafac.speculation);
-    PrintRow({a.label, StrFormat("%.1fs", tucker.seconds),
-              StrFormat("%.1fs", parafac.seconds),
-              StrFormat("%" PRId64, spec.speculated),
-              StrFormat("%" PRId64, spec.won),
-              StrFormat("%.1fs", spec.wasted_seconds)});
-  }
-  std::printf("\nexpected shape: slow machines stretch the makespan; "
-              "speculation claws most of it back by re-running stragglers "
-              "on idle fast slots (backups never displace primary "
-              "tasks, so it cannot be slower than hetero alone).\n");
 }
 
 }  // namespace

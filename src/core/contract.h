@@ -172,7 +172,7 @@ struct SliceBlocks {
 /// With "incore" it runs through ContractInCore's shuffle-free kernels;
 /// "auto" picks in-core when CostModel::EstimateInCoreLayoutBytes fits the
 /// incore_memory_mb budget, dataflow otherwise. The selected path is
-/// recorded per plan node in haten2-stats-v11.
+/// recorded per plan node in haten2-stats-v12.
 ///
 /// Note on CrossMerge/PairwiseMerge keying: the paper's MAP prose keys on
 /// (i, rQ+q) but its REDUCE consumes the whole slice X_i:: and Table III

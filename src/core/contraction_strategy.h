@@ -71,7 +71,7 @@ Result<SliceBlocks> ContractDataflow(const ContractionContext& ctx);
 ///
 /// The evaluation is a single plan node named "InCoreContract[m<free>]",
 /// annotated "incore" with a ContractionTiming carrying the layout-build and
-/// kernel-evaluate wall times (surfaced per node in haten2-stats-v11).
+/// kernel-evaluate wall times (surfaced per node in haten2-stats-v12).
 ///
 /// Numerics: each entry's contribution is formed in ascending contracted-mode
 /// order — the same association the dataflow merges use — so tensors whose

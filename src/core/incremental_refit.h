@@ -15,7 +15,7 @@
 namespace haten2 {
 
 /// Cumulative cost accounting of an ingest session, serialized into the
-/// stats export's `refit` object (haten2-stats-v11).
+/// stats export's `refit` object (haten2-stats-v12).
 struct RefitCounters {
   int64_t epochs = 0;        ///< RefitWithDelta calls completed
   int64_t delta_nnz = 0;     ///< stored delta entries merged, summed

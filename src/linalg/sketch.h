@@ -19,7 +19,7 @@ namespace haten2 {
 // through the splitmix64 finalizer — no stateful generator, no global RNG.
 // Two calls with the same (kind, shape, seed) produce bit-identical
 // matrices on any platform and in any call order, the same discipline the
-// engine's failure injection and straggler jitter follow. That is what
+// engine's failure injection follows. That is what
 // makes sketched runs resumable: a checkpoint restart re-derives the exact
 // operators instead of having to persist them.
 

@@ -1,7 +1,6 @@
 #include "mapreduce/cluster.h"
 
 #include <cmath>
-#include <cstddef>
 
 #include "util/string_util.h"
 
@@ -18,62 +17,6 @@ Status BadField(const char* field, const char* requirement) {
 }
 
 }  // namespace
-
-Result<std::vector<MachineProfile>> ParseMachineProfiles(
-    const std::string& spec) {
-  std::vector<MachineProfile> profiles;
-  if (Trim(spec).empty()) return profiles;  // empty spec = uniform cluster
-  for (const std::string& raw : Split(spec, ',')) {
-    std::string_view entry = Trim(raw);
-    if (entry.empty()) {
-      return Status::InvalidArgument(
-          "machine_profiles: empty entry (stray comma?) in \"" + spec + "\"");
-    }
-    // SPEED[xCOUNT][@FAILMULT]
-    std::string_view speed_part = entry;
-    std::string_view count_part;
-    std::string_view fail_part;
-    size_t at = entry.find('@');
-    if (at != std::string_view::npos) {
-      fail_part = Trim(entry.substr(at + 1));
-      speed_part = entry.substr(0, at);
-    }
-    size_t x = speed_part.find('x');
-    if (x != std::string_view::npos) {
-      count_part = Trim(speed_part.substr(x + 1));
-      speed_part = speed_part.substr(0, x);
-    }
-    speed_part = Trim(speed_part);
-
-    MachineProfile p;
-    HATEN2_ASSIGN_OR_RETURN(p.speed_factor, ParseDouble(speed_part));
-    int64_t count = 1;
-    if (!count_part.empty()) {
-      HATEN2_ASSIGN_OR_RETURN(count, ParseInt64(count_part));
-    }
-    if (!fail_part.empty()) {
-      HATEN2_ASSIGN_OR_RETURN(p.failure_multiplier, ParseDouble(fail_part));
-    }
-    if (!FinitePositive(p.speed_factor)) {
-      return Status::InvalidArgument(
-          "machine_profiles: speed_factor must be finite and > 0 in \"" +
-          std::string(entry) + "\"");
-    }
-    if (!FiniteNonNegative(p.failure_multiplier)) {
-      return Status::InvalidArgument(
-          "machine_profiles: failure_multiplier must be finite and >= 0 "
-          "in \"" +
-          std::string(entry) + "\"");
-    }
-    if (count < 1) {
-      return Status::InvalidArgument(
-          "machine_profiles: count must be >= 1 in \"" + std::string(entry) +
-          "\"");
-    }
-    for (int64_t i = 0; i < count; ++i) profiles.push_back(p);
-  }
-  return profiles;
-}
 
 Status ClusterConfig::Validate() const {
   if (num_machines < 1) return BadField("num_machines", ">= 1");
@@ -123,12 +66,6 @@ Status ClusterConfig::Validate() const {
   if (!FiniteNonNegative(node_backoff_cap_seconds)) {
     return BadField("node_backoff_cap_seconds", "finite and >= 0");
   }
-  if (!FinitePositive(speculation_slowstart)) {
-    return BadField("speculation_slowstart", "finite and > 0");
-  }
-  if (!FiniteNonNegative(straggler_jitter)) {
-    return BadField("straggler_jitter", "finite and >= 0");
-  }
   if (contraction != "auto" && contraction != "dataflow" &&
       contraction != "incore") {
     return Status::InvalidArgument(
@@ -146,21 +83,6 @@ Status ClusterConfig::Validate() const {
   }
   if (sketch_size < 0) return BadField("sketch_size", ">= 0");
   if (exact_polish_sweeps < 0) return BadField("exact_polish_sweeps", ">= 0");
-  for (size_t i = 0; i < machine_profiles.size(); ++i) {
-    const MachineProfile& p = machine_profiles[i];
-    if (!FinitePositive(p.speed_factor)) {
-      return Status::InvalidArgument(StrFormat(
-          "ClusterConfig: machine_profiles[%zu].speed_factor must be "
-          "finite and > 0",
-          i));
-    }
-    if (!FiniteNonNegative(p.failure_multiplier)) {
-      return Status::InvalidArgument(StrFormat(
-          "ClusterConfig: machine_profiles[%zu].failure_multiplier must be "
-          "finite and >= 0",
-          i));
-    }
-  }
   return Status::OK();
 }
 

@@ -3,39 +3,11 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "mapreduce/spill_codec.h"
-#include "util/result.h"
+#include "util/status.h"
 
 namespace haten2 {
-
-/// \brief Performance profile of one simulated machine.
-///
-/// Real Hadoop clusters are heterogeneous — mixed hardware generations,
-/// noisy neighbours, degraded disks — and per-machine speed differences are
-/// the first-order cause of stragglers. The CostModel's slot simulation
-/// places tasks on machines carrying these profiles.
-struct MachineProfile {
-  /// Relative execution speed: a task whose uniform-cluster cost is c
-  /// seconds takes c / speed_factor on this machine. 1.0 = the paper's
-  /// reference machine; 0.5 = half speed. Must be > 0.
-  double speed_factor = 1.0;
-
-  /// Scales the re-execution CPU charged for this machine's failed task
-  /// attempts: a task with k attempts costs
-  /// once * (1 + (k - 1) * failure_multiplier) here. > 1 models machines
-  /// whose retries are disproportionately expensive (thermal throttling,
-  /// failing disks); 0 makes retries free on this machine. Must be >= 0.
-  double failure_multiplier = 1.0;
-};
-
-/// Parses a machine-profile list: comma-separated entries of the form
-/// `SPEED`, `SPEEDxCOUNT`, or `SPEEDxCOUNT@FAILMULT` — e.g.
-/// "1.0x30,0.5x10@2.0" is 30 reference machines plus 10 half-speed machines
-/// whose retries cost double. COUNT defaults to 1, FAILMULT to 1.0.
-Result<std::vector<MachineProfile>> ParseMachineProfiles(
-    const std::string& spec);
 
 /// \brief Configuration of the (simulated) MapReduce cluster.
 ///
@@ -102,9 +74,9 @@ struct ClusterConfig {
   /// writes raw records — byte-for-byte the historical format, kept as the
   /// deterministic test double; `kDeltaVarint` block-compresses each run
   /// (delta+varint on a sorted key prefix, values raw). Budget charges and
-  /// the `spilled_bytes`/`spilled_raw_bytes` counters always use the raw
-  /// record width; `spilled_compressed_bytes` and the CostModel's disk term
-  /// use what actually reached disk.
+  /// the `spilled_bytes` counter always use the raw record width;
+  /// `spilled_compressed_bytes` and the CostModel's disk term use what
+  /// actually reached disk.
   SpillCompression spill_compression = SpillCompression::kNone;
 
   /// Failure injection for the spill *write* path: when > 0, the spill
@@ -147,30 +119,6 @@ struct ClusterConfig {
   double node_backoff_multiplier = 2.0;
   double node_backoff_cap_seconds = 64.0;
 
-  /// Per-machine performance profiles for the CostModel's slot simulation.
-  /// Empty = uniform cluster (every machine is the paper's reference
-  /// machine). Non-empty lists are applied cyclically: machine m uses
-  /// machine_profiles[m % machine_profiles.size()], so one list describes
-  /// the heterogeneity mix across any simulated cluster size (the Fig. 8
-  /// sweep re-simulates M = 10..40 from a single profile list).
-  std::vector<MachineProfile> machine_profiles;
-
-  /// Hadoop-style speculative execution in the CostModel simulation: when a
-  /// running task's expected remaining time exceeds speculation_slowstart
-  /// times the median duration of already-finished tasks in the same phase,
-  /// a backup copy is launched on the fastest idle slot; whichever copy
-  /// finishes first wins and the other is killed. Affects simulated time
-  /// only — decomposition results are computed by the engine and never
-  /// change. Off by default (the paper's baseline cluster).
-  bool speculative_execution = false;
-
-  /// Slowstart threshold for launching a backup task, as a multiple of the
-  /// median finished-task duration. Hadoop's default heuristic is roughly
-  /// "1.2x slower than average"; we default a bit more conservative. Must
-  /// be > 0. Lower values speculate eagerly (more wasted backup work),
-  /// higher values only rescue extreme stragglers.
-  double speculation_slowstart = 1.5;
-
   /// Contraction execution strategy (core/contraction_strategy.h):
   /// "dataflow" always evaluates the bottleneck op as the paper's MapReduce
   /// job pipeline (the default — the variant tables' job counts hold
@@ -203,23 +151,6 @@ struct ClusterConfig {
   /// accuracy the projections gave up (the randomized-Tucker papers'
   /// "polish" step). Must be >= 0; 0 runs sketched sweeps only.
   int exact_polish_sweeps = 2;
-
-  /// Maximum fractional per-task latency jitter in the slot simulation: each
-  /// task copy's duration is scaled by 1 + straggler_jitter * u with
-  /// u ~ U[0,1) drawn deterministically from straggler_jitter_seed and the
-  /// (job, phase, task, copy) identity, so identical configs are
-  /// bit-reproducible. 0 (default) disables jitter entirely — durations are
-  /// exactly the profile-scaled task costs.
-  double straggler_jitter = 0.0;
-  uint64_t straggler_jitter_seed = 0x57a6u;
-
-  /// Profile of simulated machine m (cyclic; uniform reference profile when
-  /// machine_profiles is empty).
-  MachineProfile ProfileOf(int machine) const {
-    if (machine_profiles.empty()) return MachineProfile{};
-    return machine_profiles[static_cast<size_t>(machine) %
-                            machine_profiles.size()];
-  }
 
   /// Checks every field for values that would make the engine or the
   /// CostModel produce nonsense (Inf/NaN simulated seconds, division by

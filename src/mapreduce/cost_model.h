@@ -9,57 +9,6 @@
 
 namespace haten2 {
 
-/// \brief Speculative-execution counters from one simulated task phase, job,
-/// or pipeline (summed): how many backup copies were launched, how many
-/// finished before their primary, and the simulated seconds spent on copies
-/// that were killed (the price of speculation).
-struct SpeculationStats {
-  int64_t speculated = 0;
-  int64_t won = 0;
-  double wasted_seconds = 0.0;
-
-  void Add(const SpeculationStats& o) {
-    speculated += o.speculated;
-    won += o.won;
-    wasted_seconds += o.wasted_seconds;
-  }
-};
-
-/// \brief One task's work as the slot simulation sees it: the CPU+disk cost
-/// of a single successful attempt, split so re-execution can be charged on
-/// CPU only (a failed attempt never reached the spill path — failure
-/// injection decides attempts before any work runs), plus the attempt count
-/// the engine measured.
-struct TaskWork {
-  /// Seconds of per-attempt work on the reference machine (CPU per record).
-  double cpu_once = 0.0;
-  /// Seconds of once-only disk traffic on the reference machine (spill
-  /// writes for map tasks, partition I/O for reduce tasks).
-  double disk_once = 0.0;
-  /// Execution attempts (>= 1); attempts - 1 re-executions are charged
-  /// cpu_once each, scaled by the hosting machine's failure_multiplier.
-  int attempts = 1;
-};
-
-/// Result of simulating one task phase (map or reduce).
-struct PhaseSim {
-  double seconds = 0.0;
-  SpeculationStats speculation;
-};
-
-/// Result of simulating one job: startup + map phase + shuffle + reduce
-/// phase, with the phases' speculation counters summed.
-struct JobSim {
-  double seconds = 0.0;
-  SpeculationStats speculation;
-};
-
-/// Result of simulating a pipeline (serialized jobs + retry backoff).
-struct PipelineSim {
-  double seconds = 0.0;
-  SpeculationStats speculation;
-};
-
 /// \brief Converts measured job counters into the makespan the same job
 /// would have on a ClusterConfig-sized Hadoop cluster.
 ///
@@ -71,39 +20,22 @@ struct PipelineSim {
 /// the simulated scale-up T_10/T_M flattens as machines are added — the
 /// behaviour of Figure 8.
 ///
-/// Scheduling is an event-driven slot simulation: each of the M machines
-/// contributes its configured slots, tasks are dispatched longest-first onto
-/// the fastest idle slot, and task durations are scaled by the hosting
-/// machine's MachineProfile (plus optional seeded jitter). On a uniform
-/// cluster with speculation off this reduces exactly — bit-for-bit — to the
-/// greedy-LPT `Makespan` list schedule the model historically used (kept
-/// below as the reference implementation). With `speculative_execution` on,
-/// stragglers get Hadoop-style backup copies on idle slots; see
-/// docs/OPERATIONS.md for tuning.
+/// The machines are identical, as in the paper's testbed, so each task
+/// phase is scheduled by `Makespan`: greedy longest-processing-time list
+/// scheduling onto the cluster's map (or reduce) slots.
 class CostModel {
  public:
   explicit CostModel(const ClusterConfig& config) : config_(config) {}
 
-  /// Simulated seconds for one job on the configured cluster.
+  /// Simulated seconds for one job on the configured cluster: startup, the
+  /// map makespan, the shuffle, and the reduce makespan.
   double SimulateJob(const JobStats& stats) const;
 
-  /// SimulateJob plus the job's speculation counters.
-  JobSim SimulateJobDetailed(const JobStats& stats) const;
-
   /// Simulated seconds for a job sequence (jobs are serialized on Hadoop:
-  /// each waits for the previous to finish).
+  /// each waits for the previous to finish) plus the plan-level retry
+  /// backoff. Jobs are summed in job-id order, so the total does not depend
+  /// on the order in which concurrent plan nodes finished.
   double SimulatePipeline(const PipelineStats& stats) const;
-
-  /// SimulatePipeline plus speculation counters summed over the jobs.
-  PipelineSim SimulatePipelineDetailed(const PipelineStats& stats) const;
-
-  /// Event-driven simulation of one task phase over
-  /// num_machines * slots_per_machine slots carrying the configured machine
-  /// profiles. `salt` keys the per-task jitter draws (distinct per job and
-  /// phase so map and reduce jitter independently); identical inputs are
-  /// bit-reproducible. Exposed for testing.
-  PhaseSim SimulateTaskPhase(const std::vector<TaskWork>& tasks,
-                             int slots_per_machine, uint64_t salt) const;
 
   /// Upper-bound estimate of the memory an in-core compressed contraction
   /// layout (linalg/sparse_kernels.h CsfLayout) of an nnz-entry tensor with
@@ -117,9 +49,8 @@ class CostModel {
   static uint64_t EstimateInCoreLayoutBytes(int64_t nnz, int num_streams);
 
   /// Greedy longest-processing-time makespan of `task_costs` on `workers`
-  /// parallel workers — the historical uniform-cluster model, kept as the
-  /// reference the slot simulation must match bit-for-bit on uniform
-  /// profiles with speculation off (asserted in tests).
+  /// parallel workers: tasks, longest first, each go to the least-loaded
+  /// worker. `workers` < 1 counts as one worker.
   static double Makespan(std::vector<double> task_costs, int workers);
 
  private:

@@ -38,7 +38,8 @@ struct JobSpec {
   /// dependency must already be added, which makes plans acyclic by
   /// construction.
   std::vector<int> deps;
-  /// Executes the node. Runs on a scheduler thread with an Engine::PlanScope
+  /// Executes the node. Runs on the thread that called
+  /// PlanScheduler::Execute or on one it spawned, with an Engine::PlanScope
   /// installed, so any engine jobs it issues are tagged with the plan id.
   std::function<Status()> run;
   /// Which contraction strategy produced this node ("dataflow" / "incore");

@@ -102,6 +102,98 @@ Status RunNodeWithRetries(const JobSpec& spec, const ClusterConfig& config,
   return s;
 }
 
+/// The ready-queue worker loop over every node of `plan`, run on the
+/// calling thread plus min(max_concurrent, nodes) - 1 spawned threads.
+Status RunNodes(const Plan& plan, const ClusterConfig& config,
+                int max_concurrent, PlanStats* stats) {
+  const int n = plan.size();
+  struct Shared {
+    std::mutex mu;
+    std::condition_variable wake;
+    // Lowest-index ready node first: a deterministic start order. Under cap
+    // 1 every lower node has finished when a node is picked, so the plan
+    // runs in node-index order.
+    std::priority_queue<int, std::vector<int>, std::greater<int>> ready;
+    std::vector<int> pending_deps;
+    std::vector<std::vector<int>> dependents;
+    int completed = 0;
+    int running = 0;
+    bool stop_launching = false;
+    int failed_node = -1;  // lowest-index failure seen so far
+    Status failure = Status::OK();
+  } shared;
+
+  shared.pending_deps.resize(static_cast<size_t>(n));
+  shared.dependents.resize(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const JobSpec& spec = plan.nodes()[static_cast<size_t>(i)];
+    shared.pending_deps[static_cast<size_t>(i)] =
+        static_cast<int>(spec.deps.size());
+    for (int d : spec.deps) shared.dependents[static_cast<size_t>(d)].push_back(i);
+    if (spec.deps.empty()) shared.ready.push(i);
+  }
+
+  // Never the engine's pool: node executors call Engine::Run, which fans
+  // out onto that pool — running executors *on* it would deadlock once
+  // every pool worker is parked inside a node.
+  auto worker = [&]() {
+    std::unique_lock<std::mutex> lock(shared.mu);
+    while (true) {
+      // Sleep until there is something to launch or nothing ever will be:
+      // in a valid DAG, empty ready + nothing running means the plan is
+      // complete (completed == n) or launching stopped after a failure.
+      shared.wake.wait(lock, [&] {
+        return shared.stop_launching || !shared.ready.empty() ||
+               shared.completed == n;
+      });
+      if (shared.stop_launching || shared.completed == n) return;
+      if (shared.ready.empty()) continue;  // a peer claimed the wakeup
+      const int i = shared.ready.top();
+      shared.ready.pop();
+      ++shared.running;
+      stats->max_observed_concurrency =
+          std::max(stats->max_observed_concurrency, shared.running);
+      PlanNodeStats& node = stats->nodes[static_cast<size_t>(i)];
+      lock.unlock();
+
+      Status s;
+      {
+        Engine::PlanScope scope(stats->plan_id, &node.job_ids);
+        s = RunNodeWithRetries(plan.nodes()[static_cast<size_t>(i)], config,
+                               &node);
+      }
+
+      lock.lock();
+      --shared.running;
+      ++shared.completed;
+      if (s.ok()) {
+        node.status = "ok";
+        for (int dep : shared.dependents[static_cast<size_t>(i)]) {
+          if (--shared.pending_deps[static_cast<size_t>(dep)] == 0) {
+            shared.ready.push(dep);
+          }
+        }
+      } else {
+        node.status = "failed";
+        if (shared.failed_node < 0 || i < shared.failed_node) {
+          shared.failed_node = i;
+          shared.failure = s;
+        }
+        shared.stop_launching = true;
+      }
+      shared.wake.notify_all();
+    }
+  };
+
+  const int num_workers = std::min(max_concurrent, n);
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<size_t>(num_workers - 1));
+  for (int t = 1; t < num_workers; ++t) threads.emplace_back(worker);
+  worker();
+  for (std::thread& t : threads) t.join();
+  return shared.failure;
+}
+
 }  // namespace
 
 PlanScheduler::PlanScheduler(Engine* engine, int max_concurrent)
@@ -129,8 +221,7 @@ Status PlanScheduler::Execute(const Plan& plan) {
   }
 
   WallTimer timer;
-  Status status = max_concurrent_ == 1 ? ExecuteSerial(plan, &stats)
-                                       : ExecuteConcurrent(plan, &stats);
+  Status status = RunNodes(plan, engine_->config(), max_concurrent_, &stats);
   // In-core contraction executors report their phase split through the
   // spec's timing sink; harvest it after the run (failure paths included —
   // a node that died mid-evaluate still shows its layout time).
@@ -146,112 +237,6 @@ Status PlanScheduler::Execute(const Plan& plan) {
   FinalizeStats(&stats, timer.ElapsedSeconds());
   engine_->RecordPlan(stats);
   return status;
-}
-
-Status PlanScheduler::ExecuteSerial(const Plan& plan, PlanStats* stats) {
-  // Node-index order is a topological order (deps reference lower indices),
-  // and it is exactly the order the legacy eager drivers issued jobs in —
-  // cap 1 reproduces their job sequence verbatim.
-  stats->max_observed_concurrency = 1;
-  for (int i = 0; i < plan.size(); ++i) {
-    const JobSpec& spec = plan.nodes()[static_cast<size_t>(i)];
-    PlanNodeStats& node = stats->nodes[static_cast<size_t>(i)];
-    Engine::PlanScope scope(stats->plan_id, &node.job_ids);
-    Status s = RunNodeWithRetries(spec, engine_->config(), &node);
-    if (!s.ok()) {
-      node.status = "failed";
-      return s;  // later nodes keep their initial "skipped" status
-    }
-    node.status = "ok";
-  }
-  return Status::OK();
-}
-
-Status PlanScheduler::ExecuteConcurrent(const Plan& plan, PlanStats* stats) {
-  const int n = plan.size();
-  struct Shared {
-    std::mutex mu;
-    std::condition_variable wake;
-    // Lowest-index ready node first: deterministic start order, and under a
-    // generous cap the launch sequence matches the serial one.
-    std::priority_queue<int, std::vector<int>, std::greater<int>> ready;
-    std::vector<int> pending_deps;
-    std::vector<std::vector<int>> dependents;
-    int completed = 0;
-    int running = 0;
-    bool stop_launching = false;
-    int failed_node = -1;  // lowest-index failure seen so far
-    Status failure = Status::OK();
-  } shared;
-
-  shared.pending_deps.resize(static_cast<size_t>(n));
-  shared.dependents.resize(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const JobSpec& spec = plan.nodes()[static_cast<size_t>(i)];
-    shared.pending_deps[static_cast<size_t>(i)] =
-        static_cast<int>(spec.deps.size());
-    for (int d : spec.deps) shared.dependents[static_cast<size_t>(d)].push_back(i);
-    if (spec.deps.empty()) shared.ready.push(i);
-  }
-
-  // Scheduler-owned threads: node executors call Engine::Run, which fans
-  // out onto the engine's pool — running executors *on* that pool would
-  // deadlock once every pool worker is parked inside a node.
-  auto worker = [&]() {
-    std::unique_lock<std::mutex> lock(shared.mu);
-    while (true) {
-      // Sleep until there is something to launch or nothing ever will be:
-      // in a valid DAG, empty ready + nothing running means the plan is
-      // complete (completed == n) or launching stopped after a failure.
-      shared.wake.wait(lock, [&] {
-        return shared.stop_launching || !shared.ready.empty() ||
-               shared.completed == n;
-      });
-      if (shared.stop_launching || shared.completed == n) return;
-      if (shared.ready.empty()) continue;  // a peer claimed the wakeup
-      const int i = shared.ready.top();
-      shared.ready.pop();
-      ++shared.running;
-      stats->max_observed_concurrency =
-          std::max(stats->max_observed_concurrency, shared.running);
-      PlanNodeStats& node = stats->nodes[static_cast<size_t>(i)];
-      lock.unlock();
-
-      Status s;
-      {
-        Engine::PlanScope scope(stats->plan_id, &node.job_ids);
-        s = RunNodeWithRetries(plan.nodes()[static_cast<size_t>(i)],
-                               engine_->config(), &node);
-      }
-
-      lock.lock();
-      --shared.running;
-      ++shared.completed;
-      if (s.ok()) {
-        node.status = "ok";
-        for (int dep : shared.dependents[static_cast<size_t>(i)]) {
-          if (--shared.pending_deps[static_cast<size_t>(dep)] == 0) {
-            shared.ready.push(dep);
-          }
-        }
-      } else {
-        node.status = "failed";
-        if (shared.failed_node < 0 || i < shared.failed_node) {
-          shared.failed_node = i;
-          shared.failure = s;
-        }
-        shared.stop_launching = true;
-      }
-      shared.wake.notify_all();
-    }
-  };
-
-  const int num_workers = std::min(max_concurrent_, n);
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(num_workers));
-  for (int t = 0; t < num_workers; ++t) threads.emplace_back(worker);
-  for (std::thread& t : threads) t.join();
-  return shared.failure;
 }
 
 }  // namespace haten2

@@ -35,11 +35,13 @@ namespace haten2 {
 ///     failures (bad input, contract violations) fail fast, and a node that
 ///     exhausts its attempts fails the plan exactly as before.
 ///
-/// Node executors run on scheduler-owned threads, never on the engine's
-/// worker pool: a node calls Engine::Run, which itself fans out onto the
-/// pool, and nesting that inside a pool task would deadlock a fully
-/// subscribed pool. Each executor runs under an Engine::PlanScope, so every
-/// job it issues is tagged with the plan id and attributed to the node.
+/// Node executors run on the thread that called Execute plus
+/// min(cap, nodes) - 1 threads Execute spawns (none under cap 1), never on
+/// the engine's worker pool: a node calls Engine::Run, which itself fans
+/// out onto the pool, and nesting that inside a pool task would deadlock a
+/// fully subscribed pool. Each executor runs under an Engine::PlanScope, so
+/// every job it issues is tagged with the plan id and attributed to the
+/// node.
 ///
 /// Execute records a PlanStats into the engine's pipeline log: the DAG
 /// shape, per-node timing and status, the concurrency actually observed,
@@ -57,9 +59,6 @@ class PlanScheduler {
   int max_concurrent() const { return max_concurrent_; }
 
  private:
-  Status ExecuteSerial(const Plan& plan, PlanStats* stats);
-  Status ExecuteConcurrent(const Plan& plan, PlanStats* stats);
-
   Engine* engine_;
   int max_concurrent_;
 };

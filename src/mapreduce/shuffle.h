@@ -591,7 +591,6 @@ inline void FoldMapReports(const std::vector<MapTaskReport>& reports,
       static_cast<uint64_t>(stats->map_output_records) * record_bytes;
   stats->spilled_bytes =
       static_cast<uint64_t>(stats->spilled_records) * record_bytes;
-  stats->spilled_raw_bytes = stats->spilled_bytes;
 }
 
 /// Classifies a map phase by its tasks' `flags`: a task out of attempts

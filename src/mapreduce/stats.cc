@@ -49,7 +49,7 @@ int64_t PipelineStats::TotalSpilledRecords() const {
 
 uint64_t PipelineStats::TotalSpilledRawBytes() const {
   uint64_t t = 0;
-  for (const JobStats& j : jobs) t += j.spilled_raw_bytes;
+  for (const JobStats& j : jobs) t += j.spilled_bytes;
   return t;
 }
 
@@ -165,9 +165,9 @@ std::string PipelineStats::ToString() const {
         HumanSeconds(j.phases.reduce_seconds).c_str());
     if (j.spilled_records > 0) {
       out += StrFormat(" spilled=%s", HumanCount(j.spilled_records).c_str());
-      if (j.spilled_compressed_bytes != j.spilled_raw_bytes) {
+      if (j.spilled_compressed_bytes != j.spilled_bytes) {
         out += StrFormat(" (%s -> %s on disk)",
-                         HumanBytes(j.spilled_raw_bytes).c_str(),
+                         HumanBytes(j.spilled_bytes).c_str(),
                          HumanBytes(j.spilled_compressed_bytes).c_str());
       }
     }

@@ -81,15 +81,12 @@ struct JobStats {
   int64_t map_task_retries = 0;
   /// Records written to (and re-read from) spill files during the shuffle.
   int64_t spilled_records = 0;
-  /// Raw serialized width of those records (spilled_records * record
-  /// width) — retained under its historical name for pre-v4 consumers;
-  /// always equals spilled_raw_bytes.
+  /// Raw (pre-codec) serialized width of those records (spilled_records *
+  /// record width).
   uint64_t spilled_bytes = 0;
-  /// Raw (pre-codec) bytes of the spilled records.
-  uint64_t spilled_raw_bytes = 0;
   /// Bytes the spill runs actually occupied on disk after
-  /// ClusterConfig::spill_compression (== spilled_raw_bytes when the codec
-  /// is `none`). This is the width the CostModel charges disk bandwidth.
+  /// ClusterConfig::spill_compression (== spilled_bytes when the codec is
+  /// `none`). This is the width the CostModel charges disk bandwidth.
   uint64_t spilled_compressed_bytes = 0;
   /// On-disk (compressed) spill bytes written by each map task — the
   /// per-task disk traffic behind CostModel::SimulateJob's map disk term.

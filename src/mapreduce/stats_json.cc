@@ -54,22 +54,19 @@ void JobStatsToJson(const JobStats& job, const CostModel* cost,
       .Key("tasks");
   SkewToJson(job.MapTaskSkew(), w);
   w->EndObject();
-  // "bytes" keeps its pre-v4 meaning (raw record width); the v4 fields
-  // separate raw from on-disk volume. compression_ratio is raw/compressed
-  // (>= 1 when the codec wins; 1.0 when nothing spilled).
+  // Raw (record width) vs on-disk volume. compression_ratio is
+  // raw/compressed (>= 1 when the codec wins; 1.0 when nothing spilled).
   double compression_ratio =
       job.spilled_compressed_bytes > 0
-          ? static_cast<double>(job.spilled_raw_bytes) /
+          ? static_cast<double>(job.spilled_bytes) /
                 static_cast<double>(job.spilled_compressed_bytes)
           : 1.0;
   w->Key("spill")
       .BeginObject()
       .Key("records")
       .Value(job.spilled_records)
-      .Key("bytes")
-      .Value(job.spilled_bytes)
       .Key("raw_bytes")
-      .Value(job.spilled_raw_bytes)
+      .Value(job.spilled_bytes)
       .Key("compressed_bytes")
       .Value(job.spilled_compressed_bytes)
       .Key("compression_ratio")
@@ -89,17 +86,7 @@ void JobStatsToJson(const JobStats& job, const CostModel* cost,
   SkewToJson(job.ReducePartitionSkew(), w);
   w->EndObject();
   if (cost != nullptr) {
-    JobSim sim = cost->SimulateJobDetailed(job);
-    w->Key("simulated_seconds").Value(sim.seconds);
-    w->Key("speculation")
-        .BeginObject()
-        .Key("speculated")
-        .Value(sim.speculation.speculated)
-        .Key("won")
-        .Value(sim.speculation.won)
-        .Key("wasted_seconds")
-        .Value(sim.speculation.wasted_seconds)
-        .EndObject();
+    w->Key("simulated_seconds").Value(cost->SimulateJob(job));
   }
   w->EndObject();
 }
@@ -132,12 +119,7 @@ void PipelineStatsToJson(const PipelineStats& pipeline, const CostModel* cost,
   w->Key("incore_nodes").Value(pipeline.IncoreNodes());
   w->Key("dataflow_nodes").Value(pipeline.DataflowNodes());
   if (cost != nullptr) {
-    PipelineSim sim = cost->SimulatePipelineDetailed(pipeline);
-    w->Key("simulated_seconds").Value(sim.seconds);
-    w->Key("speculated_tasks").Value(sim.speculation.speculated);
-    w->Key("speculation_won").Value(sim.speculation.won);
-    w->Key("speculation_wasted_seconds")
-        .Value(sim.speculation.wasted_seconds);
+    w->Key("simulated_seconds").Value(cost->SimulatePipeline(pipeline));
   }
   w->Key("jobs").BeginArray();
   for (const JobStats& job : pipeline.jobs) JobStatsToJson(job, cost, w);
@@ -260,37 +242,7 @@ void ClusterConfigToJson(const ClusterConfig& config, JsonWriter* w) {
       .Value(config.max_task_attempts)
       .Key("max_node_attempts")
       .Value(config.max_node_attempts)
-      .Key("speculative_execution")
-      .Value(config.speculative_execution)
-      .Key("speculation_slowstart")
-      .Value(config.speculation_slowstart)
-      .Key("straggler_jitter")
-      .Value(config.straggler_jitter)
-      .Key("straggler_jitter_seed")
-      .Value(config.straggler_jitter_seed)
-      .Key("machine_profiles")
-      .BeginArray();
-  // Run-length grouped profile list (empty = uniform reference machines).
-  for (size_t i = 0; i < config.machine_profiles.size();) {
-    const MachineProfile& p = config.machine_profiles[i];
-    size_t j = i;
-    while (j < config.machine_profiles.size() &&
-           config.machine_profiles[j].speed_factor == p.speed_factor &&
-           config.machine_profiles[j].failure_multiplier ==
-               p.failure_multiplier) {
-      ++j;
-    }
-    w->BeginObject()
-        .Key("machines")
-        .Value(static_cast<int64_t>(j - i))
-        .Key("speed_factor")
-        .Value(p.speed_factor)
-        .Key("failure_multiplier")
-        .Value(p.failure_multiplier)
-        .EndObject();
-    i = j;
-  }
-  w->EndArray().EndObject();
+      .EndObject();
 }
 
 std::string StatsReportToJson(const StatsReport& report) {
@@ -299,7 +251,7 @@ std::string StatsReportToJson(const StatsReport& report) {
   const CostModel* cost = report.cluster != nullptr ? &cost_model : nullptr;
   JsonWriter w;
   w.BeginObject();
-  w.Key("schema").Value("haten2-stats-v11");
+  w.Key("schema").Value("haten2-stats-v12");
   if (!report.tool.empty()) w.Key("tool").Value(report.tool);
   if (!report.method.empty()) w.Key("method").Value(report.method);
   if (!report.variant.empty()) w.Key("variant").Value(report.variant);

@@ -12,7 +12,7 @@
 namespace haten2 {
 
 /// JSON serialization of the engine's and drivers' statistics — the stable
-/// "haten2-stats-v11" schema documented in docs/INTERNALS.md. The schema is
+/// "haten2-stats-v12" schema documented in docs/INTERNALS.md. The schema is
 /// what --stats_json and the BENCH_*.json harness exports emit, so the
 /// perf trajectory can be read by machines across PRs.
 ///
@@ -53,6 +53,14 @@ namespace haten2 {
 /// report's `workers` array and the failure kind "worker_lost". The engine
 /// has one execution backend, so there is nothing left to select or count.
 /// Every other field is unchanged.
+///
+/// v12 drops v5's speculation counters (the per-job `speculation` object
+/// and the pipeline's speculated_tasks/speculation_won/
+/// speculation_wasted_seconds) and the cluster object's straggler keys
+/// (speculative_execution, speculation_slowstart, straggler_jitter,
+/// straggler_jitter_seed, machine_profiles): the cost model simulates one
+/// uniform cluster. It also drops the per-job `spill.bytes` alias, which
+/// always equalled `spill.raw_bytes`. Every other field is unchanged.
 ///
 /// All byte counters use the engine's serialized record width
 /// (sizeof of the intermediate record pair, padding included) — the same
@@ -115,7 +123,7 @@ struct StatsReport {
   const RefitStatsReport* refit = nullptr;
 };
 
-/// Serializes the whole report ("haten2-stats-v11").
+/// Serializes the whole report ("haten2-stats-v12").
 std::string StatsReportToJson(const StatsReport& report);
 
 /// Serializes `report` and writes it to `path`.

@@ -39,7 +39,7 @@ class RefitController {
 
   /// Staleness and throughput accounting for the refit loop, exported into
   /// the serving stats JSON (`refit` object) and, via the CLI mapping, the
-  /// haten2-stats-v11 engine schema.
+  /// haten2-stats-v12 engine schema.
   struct Counters {
     int64_t epochs_sealed = 0;     ///< epochs the controller has seen sealed
     int64_t epochs_installed = 0;  ///< refits that reached the registry

@@ -1,5 +1,5 @@
 // Validates the benchmark harnesses' "haten2-bench-v1" JSON export — the
-// shape the fig8 straggler-ablation cells flow through — against the
+// shape the fig8 machine-sweep cells flow through — against the
 // independent JSON syntax checker, including the embedded stats-v5 pipeline
 // objects.
 
@@ -39,8 +39,8 @@ TEST(BenchJsonTest, LogValidatesAndCarriesV5PipelineFields) {
   m.simulated_seconds = 12.5;
   m.pipeline = SmallPipeline();
   m.jobs = m.pipeline.NumJobs();
-  log.Add("stragglers", "uniform", "HaTen2-DRI-Tucker", m);
-  log.Add("stragglers", "hetero+spec", "HaTen2-DRI-Tucker", m);
+  log.Add("machines", "M=10", "HaTen2-DRI-Tucker", m);
+  log.Add("machines", "M=40", "HaTen2-DRI-Tucker", m);
 
   std::string json = log.ToJson();
   EXPECT_TRUE(testing::JsonChecker(json).Valid()) << json;
@@ -48,26 +48,6 @@ TEST(BenchJsonTest, LogValidatesAndCarriesV5PipelineFields) {
   // The embedded pipelines carry the stats-v5 plan aggregate.
   EXPECT_NE(json.find("\"critical_path_with_backoff_seconds\""),
             std::string::npos);
-}
-
-TEST(BenchJsonTest, CostGatedSpeculationCountersAppearWithACostModel) {
-  // The bench log embeds pipelines without a CostModel (cost-gated keys
-  // absent); the CLI export passes one. Both shapes must stay valid JSON.
-  PipelineStats pipeline = SmallPipeline();
-  ClusterConfig config = ClusterConfig::ForTesting();
-  config.speculative_execution = true;
-  CostModel cost(config);
-  JsonWriter w;
-  PipelineStatsToJson(pipeline, &cost, &w);
-  std::string json = w.str();
-  EXPECT_TRUE(testing::JsonChecker(json).Valid()) << json;
-  EXPECT_NE(json.find("\"speculated_tasks\""), std::string::npos);
-  EXPECT_NE(json.find("\"speculation_won\""), std::string::npos);
-  EXPECT_NE(json.find("\"speculation_wasted_seconds\""), std::string::npos);
-
-  JsonWriter bare;
-  PipelineStatsToJson(pipeline, /*cost=*/nullptr, &bare);
-  EXPECT_EQ(bare.str().find("\"speculated_tasks\""), std::string::npos);
 }
 
 }  // namespace

@@ -141,14 +141,6 @@ TEST(ClusterConfigValidateTest, RejectsEachBadFieldByName) {
        [](ClusterConfig* c) { c->node_backoff_multiplier = 0.5; }},
       {"node_backoff_cap_seconds",
        [](ClusterConfig* c) { c->node_backoff_cap_seconds = -1.0; }},
-      {"speculation_slowstart",
-       [](ClusterConfig* c) { c->speculation_slowstart = 0.0; }},
-      {"straggler_jitter",
-       [](ClusterConfig* c) { c->straggler_jitter = -0.1; }},
-      {"machine_profiles",
-       [](ClusterConfig* c) { c->machine_profiles = {{0.0, 1.0}}; }},
-      {"machine_profiles",
-       [](ClusterConfig* c) { c->machine_profiles = {{1.0, -1.0}}; }},
       {"contraction", [](ClusterConfig* c) { c->contraction = "gpu"; }},
       {"contraction", [](ClusterConfig* c) { c->contraction = ""; }},
       {"contraction", [](ClusterConfig* c) { c->contraction = "Incore"; }},
@@ -229,51 +221,6 @@ TEST(ClusterConfigValidateTest, EngineFailsFastOnInvalidConfig) {
       << result.status().ToString();
   // Nothing ran: the pipeline log stays empty.
   EXPECT_TRUE(engine.pipeline().jobs.empty());
-}
-
-TEST(MachineProfileTest, ParseSingleSpeed) {
-  auto profiles = ParseMachineProfiles("0.5");
-  ASSERT_OK(profiles.status());
-  ASSERT_EQ(profiles->size(), 1u);
-  EXPECT_DOUBLE_EQ((*profiles)[0].speed_factor, 0.5);
-  EXPECT_DOUBLE_EQ((*profiles)[0].failure_multiplier, 1.0);
-}
-
-TEST(MachineProfileTest, ParseCountsAndFailureMultipliers) {
-  auto profiles = ParseMachineProfiles("1.0x30, 0.5x10@2.0");
-  ASSERT_OK(profiles.status());
-  ASSERT_EQ(profiles->size(), 40u);
-  EXPECT_DOUBLE_EQ((*profiles)[0].speed_factor, 1.0);
-  EXPECT_DOUBLE_EQ((*profiles)[29].speed_factor, 1.0);
-  EXPECT_DOUBLE_EQ((*profiles)[30].speed_factor, 0.5);
-  EXPECT_DOUBLE_EQ((*profiles)[30].failure_multiplier, 2.0);
-  EXPECT_DOUBLE_EQ((*profiles)[39].failure_multiplier, 2.0);
-}
-
-TEST(MachineProfileTest, EmptySpecIsUniform) {
-  auto profiles = ParseMachineProfiles("");
-  ASSERT_OK(profiles.status());
-  EXPECT_TRUE(profiles->empty());
-}
-
-TEST(MachineProfileTest, ParseRejectsGarbage) {
-  EXPECT_FALSE(ParseMachineProfiles("fast").ok());
-  EXPECT_FALSE(ParseMachineProfiles("1.0,,2.0").ok());
-  EXPECT_FALSE(ParseMachineProfiles("0.0").ok());       // zero speed
-  EXPECT_FALSE(ParseMachineProfiles("1.0x0").ok());     // zero count
-  EXPECT_FALSE(ParseMachineProfiles("1.0x2@-1").ok());  // negative fail mult
-}
-
-TEST(MachineProfileTest, ProfilesApplyCyclically) {
-  ClusterConfig config;
-  config.machine_profiles = ParseMachineProfiles("1.0,0.5").value();
-  EXPECT_DOUBLE_EQ(config.ProfileOf(0).speed_factor, 1.0);
-  EXPECT_DOUBLE_EQ(config.ProfileOf(1).speed_factor, 0.5);
-  EXPECT_DOUBLE_EQ(config.ProfileOf(2).speed_factor, 1.0);
-  EXPECT_DOUBLE_EQ(config.ProfileOf(39).speed_factor, 0.5);
-  // Empty list: every machine is the reference machine.
-  ClusterConfig uniform;
-  EXPECT_DOUBLE_EQ(uniform.ProfileOf(7).speed_factor, 1.0);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the engine's observability layer: per-phase wall times, skew
 // summaries, failure-path accounting (o.o.m. / abort / spills), the
-// "haten2-stats-v11" JSON export, and the spill-filename race regression
+// "haten2-stats-v12" JSON export, and the spill-filename race regression
 // (concurrent Run calls on one engine).
 
 #include <gtest/gtest.h>
@@ -503,7 +503,7 @@ TEST(EngineStats, StatsReportJsonIsValidAndComplete) {
 
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   for (const char* key :
-       {"\"schema\":\"haten2-stats-v11\"", "\"status\":\"ok\"",
+       {"\"schema\":\"haten2-stats-v12\"", "\"status\":\"ok\"",
         "\"cluster\"", "\"iterations\"", "\"pipeline\"", "\"phases\"",
         "\"map_seconds\"", "\"shuffle_seconds\"", "\"reduce_seconds\"",
         "\"spill\"", "\"fit\"", "\"lambda\"", "\"simulated_seconds\"",
@@ -515,13 +515,8 @@ TEST(EngineStats, StatsReportJsonIsValidAndComplete) {
         "\"raw_bytes\"", "\"compressed_bytes\"", "\"compression_ratio\"",
         "\"total_spilled_raw_bytes\"", "\"total_spilled_compressed_bytes\"",
         "\"spill_compression\"",
-        // stats-v5: speculation + heterogeneous-cluster additions.
-        "\"critical_path_with_backoff_seconds\"", "\"speculation\"",
-        "\"speculated\"", "\"won\"", "\"wasted_seconds\"",
-        "\"speculated_tasks\"", "\"speculation_won\"",
-        "\"speculation_wasted_seconds\"", "\"speculative_execution\"",
-        "\"speculation_slowstart\"", "\"straggler_jitter\"",
-        "\"straggler_jitter_seed\"", "\"machine_profiles\"",
+        // stats-v5: the plan aggregate with backoff.
+        "\"critical_path_with_backoff_seconds\"",
         // stats-v7: contraction-strategy additions.
         "\"contraction\"", "\"incore_memory_mb\"",
         "\"incore_nodes\"", "\"dataflow_nodes\"",
@@ -531,6 +526,17 @@ TEST(EngineStats, StatsReportJsonIsValidAndComplete) {
         "\"tucker_sketch\"", "\"sketch_size\"",
         "\"exact_polish_sweeps\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
+  }
+  // stats-v12 removed the straggler layer's keys and the spill alias.
+  for (const char* key :
+       {"\"speculation\"", "\"speculated\"", "\"won\"",
+        "\"wasted_seconds\"", "\"speculated_tasks\"",
+        "\"speculation_won\"", "\"speculation_wasted_seconds\"",
+        "\"speculative_execution\"", "\"speculation_slowstart\"",
+        "\"straggler_jitter\"", "\"straggler_jitter_seed\"",
+        "\"machine_profiles\"", "\"speed_factor\"",
+        "\"failure_multiplier\"", "\"bytes\""}) {
+    EXPECT_EQ(json.find(key), std::string::npos) << "still present " << key;
   }
 }
 
@@ -578,7 +584,7 @@ TEST(EngineStats, WriteStatsJsonFileRoundTrips) {
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
   EXPECT_TRUE(JsonChecker(content).Valid()) << content;
-  EXPECT_NE(content.find("haten2-stats-v11"), std::string::npos);
+  EXPECT_NE(content.find("haten2-stats-v12"), std::string::npos);
 }
 
 }  // namespace

@@ -8,9 +8,9 @@
 # thread over the concurrency-bearing subsystems: the serving tests
 # (concurrent hot-swap, sharded caching, multi-threaded pipeline), the
 # MapReduce engine / spill tests, the plan-scheduler and concurrent-Run
-# stress tests, the cost-model / speculative-execution simulation and
-# cluster-config validation suites (the slot simulation is consulted from
-# worker threads via stats export), the sort-merge order-contract and
+# stress tests, the cost-model and cluster-config validation suites (the
+# cost model is consulted from worker threads via stats export), the
+# sort-merge order-contract and
 # layout-independence suites (threaded reduce partitions at several
 # thread counts), and the failure-injection suite
 # (map-task retries and failed-job cleanup on pool threads). TSan over
@@ -44,7 +44,7 @@ for san in "${sanitizers[@]}"; do
   cmake --build "${build_dir}" -j
   ctest_args=()
   if [[ "${san}" == "thread" ]]; then
-    ctest_args=(-R '^(Serving|Engine|MapReduce|Spill|Scheduler|Plan|CostModel|Speculation|ClusterConfig|MachineProfile|SortMergeShuffle|LayoutIndependence|FailureInjection)')
+    ctest_args=(-R '^(Serving|Engine|MapReduce|Spill|Scheduler|Plan|CostModel|ClusterConfig|SortMergeShuffle|LayoutIndependence|FailureInjection)')
   fi
   echo "=== ${san}: testing ==="
   (cd "${build_dir}" && ctest --output-on-failure "${ctest_args[@]}" -j)

@@ -84,25 +84,6 @@
 //   --max_node_attempts=A                plan-level recovery: attempts per
 //                                        plan node before the run fails
 //                                        (default 1 = no node retries)
-//   --machine_profiles=SPEC              heterogeneous cluster for the cost
-//                                        model: comma-separated
-//                                        SPEED[xCOUNT][@FAILMULT] entries
-//                                        applied cyclically over the
-//                                        simulated machines, e.g.
-//                                        "1.0x30,0.5x10@2.0" (empty =
-//                                        uniform reference machines)
-//   --speculation                        enable Hadoop-style speculative
-//                                        backup tasks in the cost-model
-//                                        simulation (affects simulated time
-//                                        only, never results)
-//   --speculation_slowstart=X            launch a backup when a task's
-//                                        remaining time exceeds X times the
-//                                        median finished task (default 1.5)
-//   --straggler_jitter=J                 max fractional per-task latency
-//                                        jitter in the simulation
-//                                        (default 0 = off)
-//   --straggler_jitter_seed=S            seed for the deterministic jitter
-//                                        draws (default 0x57a6)
 //   --ingest_log=PATH                    streaming ingest (parafac
 //                                        methods only):
 //                                        after fitting <tensor-file> as the
@@ -123,7 +104,7 @@
 //                                        phase times, intermediate-data
 //                                        records/bytes, per-iteration fit,
 //                                        retry/backoff counters)
-//                                        as "haten2-stats-v11" JSON; written
+//                                        as "haten2-stats-v12" JSON; written
 //                                        on failures too, so o.o.m. runs
 //                                        keep their post-mortem numbers
 //
@@ -166,9 +147,6 @@ constexpr const char* kUsage =
     "       [--checkpoint_dir=DIR] [--checkpoint_every=N]\n"
     "       [--checkpoint_keep=K] [--task_failure_prob=P]\n"
     "       [--max_task_attempts=A] [--max_node_attempts=A]\n"
-    "       [--machine_profiles=SPEED[xCOUNT][@FAILMULT],...]\n"
-    "       [--speculation] [--speculation_slowstart=X]\n"
-    "       [--straggler_jitter=J] [--straggler_jitter_seed=S]\n"
     "       [--ingest_log=PATH] [--epoch_nnz=N]\n"
     "       [--stats_json=PATH]\n";
 
@@ -217,9 +195,6 @@ int RealMain(int argc, char** argv) {
                                  "checkpoint_dir", "checkpoint_every",
                                  "checkpoint_keep", "task_failure_prob",
                                  "max_task_attempts", "max_node_attempts",
-                                 "machine_profiles", "speculation",
-                                 "speculation_slowstart", "straggler_jitter",
-                                 "straggler_jitter_seed",
                                  "ingest_log", "epoch_nnz", "one-based",
                                  "help"});
   if (!valid.ok() || flags.GetBool("help", false) ||
@@ -265,14 +240,7 @@ int RealMain(int argc, char** argv) {
       flags.GetDouble("task_failure_prob", 0.0);
   Result<int64_t> max_task_attempts = flags.GetInt("max_task_attempts", 4);
   Result<int64_t> max_node_attempts = flags.GetInt("max_node_attempts", 1);
-  Result<double> speculation_slowstart =
-      flags.GetDouble("speculation_slowstart", 1.5);
-  Result<double> straggler_jitter = flags.GetDouble("straggler_jitter", 0.0);
-  Result<int64_t> straggler_jitter_seed =
-      flags.GetInt("straggler_jitter_seed", 0x57a6);
   Result<int64_t> epoch_nnz = flags.GetInt("epoch_nnz", 0);
-  Result<std::vector<MachineProfile>> machine_profiles =
-      ParseMachineProfiles(flags.GetString("machine_profiles", ""));
   Result<std::vector<int64_t>> core =
       flags.GetDims("core", std::vector<int64_t>(
                                 static_cast<size_t>(tensor->order()), 10));
@@ -285,10 +253,7 @@ int RealMain(int argc, char** argv) {
         spill_threshold.status(), spill_compression.status(),
         checkpoint_every.status(), checkpoint_keep.status(),
         task_failure_prob.status(), max_task_attempts.status(),
-        max_node_attempts.status(),
-        speculation_slowstart.status(),
-        straggler_jitter.status(), straggler_jitter_seed.status(),
-        epoch_nnz.status(), machine_profiles.status(), core.status()}) {
+        max_node_attempts.status(), epoch_nnz.status(), core.status()}) {
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
@@ -312,11 +277,6 @@ int RealMain(int argc, char** argv) {
   config.task_failure_probability = *task_failure_prob;
   config.max_task_attempts = static_cast<int>(*max_task_attempts);
   config.max_node_attempts = static_cast<int>(*max_node_attempts);
-  config.machine_profiles = *machine_profiles;
-  config.speculative_execution = flags.GetBool("speculation", false);
-  config.speculation_slowstart = *speculation_slowstart;
-  config.straggler_jitter = *straggler_jitter;
-  config.straggler_jitter_seed = static_cast<uint64_t>(*straggler_jitter_seed);
   // Reject nonsense (zero bandwidths, empty slot pools, ...) up front: an
   // invalid config would otherwise surface as Inf/NaN simulated seconds
   // silently serialized into the stats JSON.
