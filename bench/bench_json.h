@@ -5,7 +5,7 @@
 // harness collects its measured cells into a BenchJsonLog and writes
 // BENCH_<name>.json next to the human-readable table. The "haten2-bench-v1"
 // schema (documented in docs/INTERNALS.md) shares its per-job shape with
-// the CLI's "haten2-stats-v12" export, so one reader covers both.
+// the CLI's "haten2-stats-v13" export, so one reader covers both.
 //
 // Output directory: $HATEN2_BENCH_JSON_DIR when set, else the working
 // directory.
@@ -70,10 +70,6 @@ class BenchJsonLog {
       w.Value(cell.m.max_intermediate_bytes);
       w.Key("total_intermediate_records");
       w.Value(cell.m.total_intermediate_records);
-      w.Key("total_spilled_raw_bytes");
-      w.Value(cell.m.total_spilled_raw_bytes);
-      w.Key("total_spilled_compressed_bytes");
-      w.Value(cell.m.total_spilled_compressed_bytes);
       w.Key("pipeline");
       PipelineStatsToJson(cell.m.pipeline, /*cost=*/nullptr, &w);
       w.EndObject();

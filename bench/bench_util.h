@@ -61,10 +61,6 @@ struct Measurement {
   int64_t max_intermediate_records = 0;
   uint64_t max_intermediate_bytes = 0;
   int64_t total_intermediate_records = 0;
-  /// Spill volume, raw vs on-disk (post-codec) width — equal when spill
-  /// compression is off; both 0 when nothing spilled.
-  uint64_t total_spilled_raw_bytes = 0;
-  uint64_t total_spilled_compressed_bytes = 0;
 
   /// Snapshot of the engine's per-job log for this cell (empty for
   /// single-machine baselines), so the JSON export keeps the full detail
@@ -96,8 +92,6 @@ Measurement MeasureMr(Engine* engine, Body&& body) {
   out.max_intermediate_records = pipeline.MaxIntermediateRecords();
   out.max_intermediate_bytes = pipeline.MaxIntermediateBytes();
   out.total_intermediate_records = pipeline.TotalIntermediateRecords();
-  out.total_spilled_raw_bytes = pipeline.TotalSpilledRawBytes();
-  out.total_spilled_compressed_bytes = pipeline.TotalSpilledCompressedBytes();
   out.simulated_seconds =
       CostModel(engine->config()).SimulatePipeline(pipeline);
   out.pipeline = std::move(pipeline);

@@ -12,8 +12,6 @@
 
 #include <cinttypes>
 
-#include <filesystem>
-
 #include "bench_json.h"
 #include "bench_util.h"
 #include "workload/random_tensor.h"
@@ -124,69 +122,6 @@ void PartRank(BenchJsonLog* log) {
            tensors, ranks, log);
 }
 
-// Fig. 7-style I/O ablation for the shuffle-heavy variants: with spilling
-// forced on, how much simulated disk time does block-compressing the spill
-// runs (delta+varint keys) buy DNN and DRN? Compressed bytes feed the
-// CostModel's per-task disk term, so the win shows up directly in the
-// simulated column.
-void PartSpillCompression(BenchJsonLog* log) {
-  RandomTensorSpec spec;
-  spec.dims = {3000, 3000, 3000};
-  spec.nnz = 30000;
-  spec.seed = 2077;
-  SparseTensor x = GenerateRandomTensor(spec).value();
-
-  const std::string spill_dir =
-      (std::filesystem::temp_directory_path() / "haten2_fig7_spills")
-          .string();
-  std::filesystem::create_directories(spill_dir);
-
-  PrintHeader("Figure 7(d): spill compression (I=3000, nnz=3*10^4, rank 5; "
-              "4 map tasks / 4 partitions, spill threshold 256)",
-              {"variant", "none", "delta_varint", "spill ratio"});
-  for (Variant variant : {Variant::kDnn, Variant::kDrn}) {
-    std::vector<std::string> cells = {
-        variant == Variant::kDnn ? "HaTen2-DNN" : "HaTen2-DRN"};
-    uint64_t raw = 0;
-    uint64_t compressed = 0;
-    for (SpillCompression codec :
-         {SpillCompression::kNone, SpillCompression::kDeltaVarint}) {
-      ClusterConfig config = PaperCluster(kShuffleBudget);
-      config.spill_directory = spill_dir;
-      // The default 160x160 task/partition grid dilutes each buffer below
-      // any useful threshold; pin a coarse split so the sort-spill path
-      // actually engages and the codec has runs to compress.
-      config.num_map_tasks = 4;
-      config.num_reduce_tasks = 4;
-      config.spill_threshold_records = 256;
-      config.spill_compression = codec;
-      Engine engine(config);
-      Haten2Options options;
-      options.max_iterations = 1;
-      options.variant = variant;
-      Measurement result = MeasureMr(&engine, [&] {
-        return Haten2ParafacAls(&engine, x, 5, options).status();
-      });
-      if (codec == SpillCompression::kNone) {
-        raw = result.total_spilled_raw_bytes;
-      } else {
-        compressed = result.total_spilled_compressed_bytes;
-      }
-      log->Add("spill_compression",
-               std::string(SpillCompressionName(codec)),
-               variant == Variant::kDnn ? "HaTen2-DNN" : "HaTen2-DRN",
-               result);
-      cells.push_back(result.Cell());
-    }
-    cells.push_back(compressed > 0
-                        ? StrFormat("%.2fx", static_cast<double>(raw) /
-                                                 static_cast<double>(
-                                                     compressed))
-                        : "no spills");
-    PrintRow(cells);
-  }
-}
-
 // Figure 7(e) extension: IMHP dataflow vs the in-core contraction strategy
 // on an in-memory-sized tensor. Same PARAFAC-DRI decomposition, same input;
 // the only change is ClusterConfig::contraction. The wall column is real
@@ -244,7 +179,6 @@ int main() {
   haten2::bench::PartDims(&log);
   haten2::bench::PartDensity(&log);
   haten2::bench::PartRank(&log);
-  haten2::bench::PartSpillCompression(&log);
   haten2::bench::PartContractionAblation(&log);
   log.Write();
   return 0;

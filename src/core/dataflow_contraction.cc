@@ -107,9 +107,8 @@ Result<HadamardParts> RunImhpJob(const ContractionContext& ctx) {
   const int64_t domain = matrix_begin.back();
   const int free_mode = ctx.free_mode;
 
-  // (stream, index along mode). Both halves are 64-bit so the key has no
-  // padding bytes: the spill codec encodes a key's first 8 bytes, and
-  // uninitialized padding there made spilled bytes vary between runs.
+  // (stream, index along mode). Both halves are 64-bit, so the key has no
+  // padding bytes.
   using KMid = std::pair<int64_t, int64_t>;
   static_assert(sizeof(std::pair<KMid, JoinValue>) == 80,
                 "the IMHP shuffle record is 80 bytes wide");

@@ -45,12 +45,6 @@ Status ClusterConfig::Validate() const {
   if (!FinitePositive(disk_bytes_per_second)) {
     return BadField("disk_bytes_per_second", "finite and > 0");
   }
-  if (spill_threshold_records < 1) {
-    return BadField("spill_threshold_records", ">= 1");
-  }
-  if (inject_spill_failure_after_bytes < 0) {
-    return BadField("inject_spill_failure_after_bytes", ">= 0");
-  }
   if (!(task_failure_probability >= 0.0 && task_failure_probability <= 1.0)) {
     return BadField("task_failure_probability", "in [0, 1]");
   }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "mapreduce/spill_codec.h"
 #include "util/status.h"
 
 namespace haten2 {
@@ -50,7 +49,8 @@ struct ClusterConfig {
   double map_seconds_per_record = 1.0e-6;
   double reduce_seconds_per_record = 1.0e-6;
 
-  /// Per-machine shuffle (network) and spill (disk) bandwidth.
+  /// Per-machine shuffle (network) and reduce-partition I/O (disk)
+  /// bandwidth.
   double network_bytes_per_second = 100.0e6;
   double disk_bytes_per_second = 200.0e6;
 
@@ -59,32 +59,6 @@ struct ClusterConfig {
   /// reported as "o.o.m." in the benchmark harnesses.
   /// 0 means unlimited.
   uint64_t total_shuffle_memory_bytes = 0;
-
-  /// Shuffle spilling (Hadoop's sort-spill): when `spill_directory` is
-  /// non-empty, a map task writes a partition's buffered records to a spill
-  /// file once it holds `spill_threshold_records`, bounding the task's
-  /// *resident* memory; the reduce phase streams the spills back. Spilled
-  /// records still count against total_shuffle_memory_bytes — the budget
-  /// models the cluster's total intermediate-data capacity (RAM and local
-  /// disks together), which is what the paper's o.o.m. events exhaust.
-  std::string spill_directory;
-  int64_t spill_threshold_records = 64 * 1024;
-
-  /// On-disk encoding of spill runs (mapreduce/spill_codec.h). `kNone`
-  /// writes raw records — byte-for-byte the historical format, kept as the
-  /// deterministic test double; `kDeltaVarint` block-compresses each run
-  /// (delta+varint on a sorted key prefix, values raw). Budget charges and
-  /// the `spilled_bytes` counter always use the raw record width;
-  /// `spilled_compressed_bytes` and the CostModel's disk term use what
-  /// actually reached disk.
-  SpillCompression spill_compression = SpillCompression::kNone;
-
-  /// Failure injection for the spill *write* path: when > 0, the spill
-  /// write that would push an emitter's cumulative spill-file bytes past
-  /// this limit fails partway through (a torn write, as a full disk
-  /// produces), exercising the torn-file cleanup. 0 disables. Deterministic
-  /// like task_failure_probability: reruns tear at the same byte.
-  int64_t inject_spill_failure_after_bytes = 0;
 
   /// Failure injection: probability that each map-task attempt fails and is
   /// re-executed, as Hadoop does with crashed tasks. Attempts are decided

@@ -22,9 +22,13 @@ double CostModel::Makespan(std::vector<double> task_costs, int workers) {
   if (task_costs.empty()) return 0.0;
   if (workers < 1) workers = 1;
   std::sort(task_costs.begin(), task_costs.end(), std::greater<double>());
-  // Min-heap of worker loads.
-  std::priority_queue<double, std::vector<double>, std::greater<double>> loads;
-  for (int w = 0; w < workers; ++w) loads.push(0.0);
+  // Min-heap of worker loads. LPT never gives a task to a busy worker while
+  // an idle one is left, so workers beyond the task count stay idle and
+  // need no entry.
+  const size_t used =
+      std::min(task_costs.size(), static_cast<size_t>(workers));
+  std::priority_queue<double, std::vector<double>, std::greater<double>> loads(
+      std::greater<double>(), std::vector<double>(used, 0.0));
   for (double c : task_costs) {
     double lightest = loads.top();
     loads.pop();
@@ -39,25 +43,16 @@ double CostModel::Makespan(std::vector<double> task_costs, int workers) {
 }
 
 double CostModel::SimulateJob(const JobStats& stats) const {
-  // Map tasks: CPU per record for every attempt, plus the disk time of the
-  // bytes the task actually spilled (post-codec width), charged once:
-  // failure injection fails an attempt before any work runs, so a failed
-  // attempt never reached the spill path. An in-memory shuffle spills
-  // nothing and pays no disk bandwidth.
+  // Map tasks: CPU per record for every attempt.
   std::vector<double> map_costs;
   map_costs.reserve(stats.map_task_records.size());
   for (size_t t = 0; t < stats.map_task_records.size(); ++t) {
     const int attempts = t < stats.map_task_attempts.size()
                              ? std::max(1, stats.map_task_attempts[t])
                              : 1;
-    const double spilled =
-        t < stats.map_task_spilled_bytes.size()
-            ? static_cast<double>(stats.map_task_spilled_bytes[t])
-            : 0.0;
     map_costs.push_back(static_cast<double>(stats.map_task_records[t]) *
-                            config_.map_seconds_per_record *
-                            static_cast<double>(attempts) +
-                        spilled / config_.disk_bytes_per_second);
+                        config_.map_seconds_per_record *
+                        static_cast<double>(attempts));
   }
 
   // Shuffle: aggregate bytes across the cluster's aggregate bandwidth.

@@ -11,7 +11,6 @@
 
 #include "mapreduce/cluster.h"
 #include "mapreduce/shuffle.h"
-#include "mapreduce/spill_codec.h"
 #include "mapreduce/stats.h"
 #include "util/memory_tracker.h"
 #include "util/result.h"
@@ -232,20 +231,11 @@ class Engine {
     JobStats stats;
     stats.name = name;
     stats.map_input_records = num_input_records;
-    // One sequence number per job, taken exactly once: it keys both the
-    // spill-file prefix and the failure-injection decisions. (Taking it in
-    // two steps — a load() for the prefix and a later fetch_add() — let two
-    // concurrent Run() calls build identical spill prefixes and corrupt each
-    // other's spill files.)
+    // One sequence number per job, taken exactly once: it keys the
+    // failure-injection decisions.
     stats.job_id = job_sequence_.fetch_add(1, std::memory_order_relaxed);
     stats.plan_id = current_plan_id_;
     if (job_id_sink_ != nullptr) job_id_sink_->push_back(stats.job_id);
-    std::string spill_prefix;
-    if (!config_.spill_directory.empty()) {
-      spill_prefix = config_.spill_directory + "/haten2_" +
-                     std::to_string(reinterpret_cast<uintptr_t>(this)) +
-                     "_j" + std::to_string(stats.job_id);
-    }
 
     // The counters are sized before the job runs, so a failed job reports
     // its task and partition counts (zero-filled where nothing ran).
@@ -256,31 +246,13 @@ class Engine {
     stats.reduce_partition_bytes.assign(
         static_cast<size_t>(shape.num_partitions), 0);
     Result<Output> result = RunInProcess<KMid, VMid, KOut, VOut>(
-        shape, spill_prefix, reader, reducer, combiner, &reports, &stats);
+        shape, reader, reducer, combiner, &reports, &stats);
     // Post-mortem stats describe failed runs (the paper's o.o.m. deaths) as
-    // faithfully as successful ones: the reports were taken before any
-    // spill cleanup.
+    // faithfully as successful ones.
     FoldMapReports(reports, ShuffleEmitter<KMid, VMid>::kRecordBytes, &stats);
     stats.wall_seconds = timer.ElapsedSeconds();
     RecordJob(stats);
     return result;
-  }
-
-  /// Convenience wrapper: runs a job whose input is an in-memory vector of
-  /// (key, value) pairs, with a classic map function signature.
-  template <typename KMid, typename VMid, typename KOut, typename VOut,
-            typename KIn, typename VIn, typename MapFn, typename ReduceFn>
-  Result<std::vector<std::pair<KOut, VOut>>> RunOnPairs(
-      const std::string& name, const std::vector<std::pair<KIn, VIn>>& input,
-      MapFn&& map_fn, ReduceFn&& reducer,
-      std::function<VMid(const VMid&, const VMid&)> combiner = nullptr) {
-    return Run<KMid, VMid, KOut, VOut>(
-        name, static_cast<int64_t>(input.size()),
-        [&input, &map_fn](int64_t i, ShuffleEmitter<KMid, VMid>* em) {
-          const auto& rec = input[static_cast<size_t>(i)];
-          map_fn(rec.first, rec.second, em);
-        },
-        std::forward<ReduceFn>(reducer), std::move(combiner));
   }
 
  private:
@@ -289,8 +261,7 @@ class Engine {
   template <typename KMid, typename VMid, typename KOut, typename VOut,
             typename ReaderFn, typename ReduceFn>
   Result<PartitionedOutput<KOut, VOut>> RunInProcess(
-      const JobShape& shape, const std::string& spill_prefix,
-      ReaderFn& reader, ReduceFn& reducer,
+      const JobShape& shape, ReaderFn& reader, ReduceFn& reducer,
       const std::function<VMid(const VMid&, const VMid&)>& combiner,
       std::vector<MapTaskReport>* reports, JobStats* stats) {
     constexpr uint64_t kRecordBytes = ShuffleEmitter<KMid, VMid>::kRecordBytes;
@@ -302,10 +273,8 @@ class Engine {
     // ---- Map phase ----
     std::vector<ShuffleEmitter<KMid, VMid>> emitters;
     emitters.reserve(num_tasks);
-    for (int t = 0; t < shape.num_tasks; ++t) {
-      emitters.push_back(MapTaskEmitter<KMid, VMid>(config_, shape,
-                                                    spill_prefix, t,
-                                                    &tracker_));
+    for (size_t t = 0; t < num_tasks; ++t) {
+      emitters.emplace_back(shape.num_partitions, &tracker_);
     }
     pool_.ParallelFor(num_tasks, [&](size_t t) {
       (*reports)[t] = RunMapTask(config_, stats->job_id, static_cast<int>(t),
@@ -313,28 +282,16 @@ class Engine {
     });
     stats->phases.map_seconds = phase_timer.Lap();
 
-    // Everything the emitters charged is released when the job ends; a
-    // failed job also removes its spill files.
+    // Everything the emitters charged is released when the job ends.
     auto release_all = [this, &emitters] {
       for (auto& em : emitters) tracker_.Release(em.charged_bytes());
     };
-    auto fail_job = [&](Status status) -> Status {
-      for (auto& em : emitters) em.RemoveAllSpills();
+    Status map_failure =
+        MapPhaseFailure(name, MapReportFlags(*reports), stats);
+    if (!map_failure.ok()) {
       release_all();
-      return status;
-    };
-
-    // A spill write error keeps the emitter's own message, which names the
-    // file.
-    Status spill_write_error;
-    for (size_t t = 0; t < num_tasks; ++t) {
-      if ((*reports)[t].flags & kTaskEmitterIO) {
-        spill_write_error = emitters[t].failure_status();
-      }
+      return map_failure;
     }
-    Status map_failure = MapPhaseFailure(name, MapReportFlags(*reports),
-                                         spill_write_error, stats);
-    if (!map_failure.ok()) return fail_job(map_failure);
 
     // ---- Combine phase (per map task, per partition) ----
     if (combiner) {
@@ -344,20 +301,11 @@ class Engine {
       stats->phases.combine_seconds = phase_timer.Lap();
     }
 
-    // ---- Shuffle phase (parallel over partitions): each task's spilled
-    // runs are read back in front of its resident records. ----
-    std::atomic<bool> spill_read_failed{false};
-    std::mutex spill_error_mu;
-    Status spill_read_status = Status::OK();
+    // ---- Shuffle phase (parallel over partitions): count what each
+    // reduce partition receives from the map tasks' buffers. ----
     pool_.ParallelFor(num_partitions, [&](size_t p) {
       int64_t received = 0;
       for (auto& em : emitters) {
-        Status reloaded = em.ReloadSpill(p);
-        if (!reloaded.ok()) {
-          spill_read_failed.store(true, std::memory_order_relaxed);
-          std::lock_guard<std::mutex> lock(spill_error_mu);
-          if (spill_read_status.ok()) spill_read_status = reloaded;
-        }
         received += static_cast<int64_t>(em.buffers()[p].size());
       }
       stats->reduce_partition_records[p] = received;
@@ -365,12 +313,6 @@ class Engine {
           static_cast<uint64_t>(received) * kRecordBytes;
     });
     stats->phases.shuffle_seconds = phase_timer.Lap();
-
-    if (spill_read_failed.load(std::memory_order_relaxed)) {
-      stats->failure = "io_error";
-      return fail_job(Status::IOError("job '" + name + "': " +
-                                      spill_read_status.message()));
-    }
 
     // ---- Reduce phase (parallel over partitions): sort-merge grouping. ----
     // Each partition's output is shrunk to fit: it outlives the job (a

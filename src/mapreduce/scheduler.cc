@@ -57,7 +57,7 @@ void FinalizeStats(PlanStats* stats, double wall_seconds) {
 
 /// Transient node failures worth re-running: an aborted job (a task ran out
 /// of attempts — fresh job ids draw a fresh injection pattern) and I/O
-/// errors (spill read/write). kResourceExhausted is transient only when the
+/// errors. kResourceExhausted is transient only when the
 /// config says the budget may have been raised between attempts. Everything
 /// else (bad input, contract violations) is permanent and fails fast.
 bool IsTransientNodeFailure(const Status& s, const ClusterConfig& config) {

@@ -41,24 +41,6 @@ uint64_t PipelineStats::TotalIntermediateBytes() const {
   return t;
 }
 
-int64_t PipelineStats::TotalSpilledRecords() const {
-  int64_t t = 0;
-  for (const JobStats& j : jobs) t += j.spilled_records;
-  return t;
-}
-
-uint64_t PipelineStats::TotalSpilledRawBytes() const {
-  uint64_t t = 0;
-  for (const JobStats& j : jobs) t += j.spilled_bytes;
-  return t;
-}
-
-uint64_t PipelineStats::TotalSpilledCompressedBytes() const {
-  uint64_t t = 0;
-  for (const JobStats& j : jobs) t += j.spilled_compressed_bytes;
-  return t;
-}
-
 int64_t PipelineStats::TotalMapTaskRetries() const {
   int64_t t = 0;
   for (const JobStats& j : jobs) t += j.map_task_retries;
@@ -135,13 +117,6 @@ int64_t PipelineStats::DataflowNodes() const {
   return t;
 }
 
-void PipelineStats::Append(const PipelineStats& other) {
-  jobs.insert(jobs.end(), other.jobs.begin(), other.jobs.end());
-  plans.insert(plans.end(), other.plans.begin(), other.plans.end());
-  invariant_cache_hits += other.invariant_cache_hits;
-  invariant_cache_misses += other.invariant_cache_misses;
-}
-
 std::string PipelineStats::ToString() const {
   std::string out = StrFormat(
       "pipeline: %lld jobs, max intermediate %s records (%s), wall %s\n",
@@ -163,14 +138,6 @@ std::string PipelineStats::ToString() const {
         HumanSeconds(j.phases.combine_seconds).c_str(),
         HumanSeconds(j.phases.shuffle_seconds).c_str(),
         HumanSeconds(j.phases.reduce_seconds).c_str());
-    if (j.spilled_records > 0) {
-      out += StrFormat(" spilled=%s", HumanCount(j.spilled_records).c_str());
-      if (j.spilled_compressed_bytes != j.spilled_bytes) {
-        out += StrFormat(" (%s -> %s on disk)",
-                         HumanBytes(j.spilled_bytes).c_str(),
-                         HumanBytes(j.spilled_compressed_bytes).c_str());
-      }
-    }
     if (j.map_task_retries > 0) {
       out += StrFormat(" retries=%lld", (long long)j.map_task_retries);
     }

@@ -18,7 +18,7 @@ struct PhaseTimes {
   double map_seconds = 0.0;
   /// End-of-task combiners; 0 when the job has no combiner.
   double combine_seconds = 0.0;
-  /// Shuffle: spilled runs read back into their reduce partitions.
+  /// Shuffle: counting the records each reduce partition receives.
   double shuffle_seconds = 0.0;
   /// Sort-merge grouping, reducer invocations and output concatenation.
   double reduce_seconds = 0.0;
@@ -46,15 +46,14 @@ TaskSkew SkewOf(std::vector<int64_t> counts);
 /// data* — the quantity Tables III and IV of the paper bound per method. The
 /// per-task vectors feed the CostModel's simulated makespan.
 ///
-/// Byte counters use the serialized record width sizeof(std::pair<K, V>)
-/// (padding included) — the same width spill files occupy on disk, so
-/// "bytes" in stats equals bytes observable outside the process (see
-/// docs/INTERNALS.md, Accounting).
+/// Byte counters use the record width sizeof(std::pair<K, V>) (padding
+/// included) — the width a record occupies in the resident buffers the
+/// shuffle budget charges (see docs/INTERNALS.md, Accounting).
 struct JobStats {
   std::string name;
 
   /// Engine-wide monotonically increasing job identifier (the same sequence
-  /// number that keys spill-file prefixes). Stable under concurrent
+  /// number that keys the failure-injection draws). Stable under concurrent
   /// scheduling: drivers attribute jobs to ALS iterations by id ranges, not
   /// by position in the pipeline log (which records completion order).
   int64_t job_id = -1;
@@ -79,18 +78,6 @@ struct JobStats {
   std::vector<int> map_task_attempts;
   /// Total retried map-task attempts in this job.
   int64_t map_task_retries = 0;
-  /// Records written to (and re-read from) spill files during the shuffle.
-  int64_t spilled_records = 0;
-  /// Raw (pre-codec) serialized width of those records (spilled_records *
-  /// record width).
-  uint64_t spilled_bytes = 0;
-  /// Bytes the spill runs actually occupied on disk after
-  /// ClusterConfig::spill_compression (== spilled_bytes when the codec is
-  /// `none`). This is the width the CostModel charges disk bandwidth.
-  uint64_t spilled_compressed_bytes = 0;
-  /// On-disk (compressed) spill bytes written by each map task — the
-  /// per-task disk traffic behind CostModel::SimulateJob's map disk term.
-  std::vector<uint64_t> map_task_spilled_bytes;
   /// Shuffled records received by each reduce partition.
   std::vector<int64_t> reduce_partition_records;
   /// Shuffled bytes received by each reduce partition.
@@ -102,8 +89,8 @@ struct JobStats {
   PhaseTimes phases;
 
   /// Empty for a successful job; otherwise how it died:
-  /// "oom" (shuffle-memory budget), "aborted" (a task exceeded
-  /// max_task_attempts), or "io_error" (spill read/write failure).
+  /// "oom" (shuffle-memory budget) or "aborted" (a task exceeded
+  /// max_task_attempts).
   std::string failure;
   bool failed() const { return !failure.empty(); }
 
@@ -209,11 +196,6 @@ struct PipelineStats {
 
   int64_t TotalIntermediateRecords() const;
   uint64_t TotalIntermediateBytes() const;
-  int64_t TotalSpilledRecords() const;
-  /// Raw vs on-disk (post-codec) spill volume over the pipeline's jobs;
-  /// equal when spill compression is off.
-  uint64_t TotalSpilledRawBytes() const;
-  uint64_t TotalSpilledCompressedBytes() const;
   int64_t TotalMapTaskRetries() const;
   /// Jobs that ended with a non-empty JobStats::failure.
   int64_t NumFailedJobs() const;
@@ -240,7 +222,6 @@ struct PipelineStats {
   int64_t IncoreNodes() const;
   int64_t DataflowNodes() const;
 
-  void Append(const PipelineStats& other);
   void Clear() {
     jobs.clear();
     plans.clear();

@@ -54,24 +54,6 @@ void JobStatsToJson(const JobStats& job, const CostModel* cost,
       .Key("tasks");
   SkewToJson(job.MapTaskSkew(), w);
   w->EndObject();
-  // Raw (record width) vs on-disk volume. compression_ratio is
-  // raw/compressed (>= 1 when the codec wins; 1.0 when nothing spilled).
-  double compression_ratio =
-      job.spilled_compressed_bytes > 0
-          ? static_cast<double>(job.spilled_bytes) /
-                static_cast<double>(job.spilled_compressed_bytes)
-          : 1.0;
-  w->Key("spill")
-      .BeginObject()
-      .Key("records")
-      .Value(job.spilled_records)
-      .Key("raw_bytes")
-      .Value(job.spilled_bytes)
-      .Key("compressed_bytes")
-      .Value(job.spilled_compressed_bytes)
-      .Key("compression_ratio")
-      .Value(compression_ratio)
-      .EndObject();
   uint64_t reduce_bytes = 0;
   for (uint64_t b : job.reduce_partition_bytes) reduce_bytes += b;
   w->Key("reduce")
@@ -102,10 +84,6 @@ void PipelineStatsToJson(const PipelineStats& pipeline, const CostModel* cost,
   w->Key("total_intermediate_records")
       .Value(pipeline.TotalIntermediateRecords());
   w->Key("total_intermediate_bytes").Value(pipeline.TotalIntermediateBytes());
-  w->Key("total_spilled_records").Value(pipeline.TotalSpilledRecords());
-  w->Key("total_spilled_raw_bytes").Value(pipeline.TotalSpilledRawBytes());
-  w->Key("total_spilled_compressed_bytes")
-      .Value(pipeline.TotalSpilledCompressedBytes());
   w->Key("total_map_task_retries").Value(pipeline.TotalMapTaskRetries());
   w->Key("scheduled_concurrency").Value(pipeline.MaxScheduledConcurrency());
   w->Key("critical_path_seconds").Value(pipeline.TotalCriticalPathSeconds());
@@ -232,10 +210,6 @@ void ClusterConfigToJson(const ClusterConfig& config, JsonWriter* w) {
       .Value(config.job_startup_seconds)
       .Key("total_shuffle_memory_bytes")
       .Value(config.total_shuffle_memory_bytes)
-      .Key("spill_threshold_records")
-      .Value(config.spill_threshold_records)
-      .Key("spill_compression")
-      .Value(SpillCompressionName(config.spill_compression))
       .Key("task_failure_probability")
       .Value(config.task_failure_probability)
       .Key("max_task_attempts")
@@ -251,7 +225,7 @@ std::string StatsReportToJson(const StatsReport& report) {
   const CostModel* cost = report.cluster != nullptr ? &cost_model : nullptr;
   JsonWriter w;
   w.BeginObject();
-  w.Key("schema").Value("haten2-stats-v12");
+  w.Key("schema").Value("haten2-stats-v13");
   if (!report.tool.empty()) w.Key("tool").Value(report.tool);
   if (!report.method.empty()) w.Key("method").Value(report.method);
   if (!report.variant.empty()) w.Key("variant").Value(report.variant);

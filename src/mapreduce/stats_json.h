@@ -12,7 +12,7 @@
 namespace haten2 {
 
 /// JSON serialization of the engine's and drivers' statistics — the stable
-/// "haten2-stats-v12" schema documented in docs/INTERNALS.md. The schema is
+/// "haten2-stats-v13" schema documented in docs/INTERNALS.md. The schema is
 /// what --stats_json and the BENCH_*.json harness exports emit, so the
 /// perf trajectory can be read by machines across PRs.
 ///
@@ -62,9 +62,16 @@ namespace haten2 {
 /// uniform cluster. It also drops the per-job `spill.bytes` alias, which
 /// always equalled `spill.raw_bytes`. Every other field is unchanged.
 ///
-/// All byte counters use the engine's serialized record width
-/// (sizeof of the intermediate record pair, padding included) — the same
-/// width spill files occupy on disk.
+/// v13 drops shuffle spilling's keys: the per-job `spill` object, the
+/// pipeline's total_spilled_records/total_spilled_raw_bytes/
+/// total_spilled_compressed_bytes, the cluster object's
+/// spill_threshold_records/spill_compression, and the failure kind
+/// "io_error". The engine keeps every shuffle buffer resident, so there is
+/// no spill traffic to report. Every other field is unchanged.
+///
+/// All byte counters use the engine's record width (sizeof of the
+/// intermediate record pair, padding included) — the width a record
+/// occupies in the resident buffers the shuffle budget charges.
 
 /// Appends one job as a JSON object. With a non-null `cost`, includes the
 /// job's simulated cluster seconds.
@@ -108,7 +115,7 @@ struct StatsReport {
   std::string method;   ///< e.g. "parafac"
   std::string variant;  ///< e.g. "dri"
   std::string dataset;  ///< input path or generator description
-  /// "ok", or the failure kind ("oom", "aborted", "io_error", "error").
+  /// "ok", or the failure kind ("oom", "aborted", "error").
   std::string status = "ok";
   double wall_seconds = 0.0;
 
@@ -123,7 +130,7 @@ struct StatsReport {
   const RefitStatsReport* refit = nullptr;
 };
 
-/// Serializes the whole report ("haten2-stats-v12").
+/// Serializes the whole report ("haten2-stats-v13").
 std::string StatsReportToJson(const StatsReport& report);
 
 /// Serializes `report` and writes it to `path`.

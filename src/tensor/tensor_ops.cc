@@ -243,19 +243,6 @@ DenseMatrix Kronecker(const DenseMatrix& a, const DenseMatrix& b) {
   return out;
 }
 
-Result<DenseMatrix> HadamardProduct(const DenseMatrix& a,
-                                    const DenseMatrix& b) {
-  if (!a.SameShape(b)) {
-    return Status::InvalidArgument("Hadamard product shape mismatch");
-  }
-  DenseMatrix out(a.rows(), a.cols());
-  for (int64_t i = 0; i < a.rows() * a.cols(); ++i) {
-    out.data()[static_cast<size_t>(i)] =
-        a.data()[static_cast<size_t>(i)] * b.data()[static_cast<size_t>(i)];
-  }
-  return out;
-}
-
 Result<DenseTensor> ReconstructKruskal(
     const std::vector<double>& lambda,
     const std::vector<const DenseMatrix*>& factors) {

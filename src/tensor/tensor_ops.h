@@ -58,10 +58,6 @@ Result<DenseMatrix> KhatriRao(const DenseMatrix& a, const DenseMatrix& b);
 /// Kronecker product A ⊗ B.
 DenseMatrix Kronecker(const DenseMatrix& a, const DenseMatrix& b);
 
-/// Element-wise (Hadamard) product A * B; shapes must match.
-Result<DenseMatrix> HadamardProduct(const DenseMatrix& a,
-                                    const DenseMatrix& b);
-
 /// Dense reconstruction of a Kruskal (PARAFAC) model:
 /// sum_r lambda[r] · a_r ∘ b_r ∘ ... (any order >= 1). Test-scale only.
 Result<DenseTensor> ReconstructKruskal(

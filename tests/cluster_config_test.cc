@@ -36,7 +36,6 @@ TEST(ClusterConfigTest, DefaultsMatchThePaperTestbed) {
   EXPECT_GT(config.job_startup_seconds, 0.0);
   EXPECT_EQ(config.total_shuffle_memory_bytes, 0u);  // unlimited
   EXPECT_DOUBLE_EQ(config.task_failure_probability, 0.0);
-  EXPECT_TRUE(config.spill_directory.empty());
 }
 
 TEST(ClusterConfigTest, ForTestingIsSmallAndFast) {
@@ -120,10 +119,6 @@ TEST(ClusterConfigValidateTest, RejectsEachBadFieldByName) {
        [](ClusterConfig* c) { c->network_bytes_per_second = 0.0; }},
       {"disk_bytes_per_second",
        [](ClusterConfig* c) { c->disk_bytes_per_second = -200e6; }},
-      {"spill_threshold_records",
-       [](ClusterConfig* c) { c->spill_threshold_records = 0; }},
-      {"inject_spill_failure_after_bytes",
-       [](ClusterConfig* c) { c->inject_spill_failure_after_bytes = -1; }},
       {"task_failure_probability",
        [](ClusterConfig* c) { c->task_failure_probability = 1.5; }},
       {"task_failure_probability",

@@ -309,7 +309,7 @@ TEST(ContractionBitIdentity, ParafacMissingValues) {
 }
 
 // ---------------------------------------------------------------------------
-// haten2-stats-v12 surface.
+// haten2-stats-v13 surface.
 // ---------------------------------------------------------------------------
 
 TEST(ContractionStats, V7RecordsStrategyAndTimings) {

@@ -146,10 +146,6 @@ TEST(PipelineStatsType, AggregationAndFormatting) {
   std::string text = stats.ToString();
   EXPECT_NE(text.find("first"), std::string::npos);
   EXPECT_NE(text.find("second"), std::string::npos);
-  PipelineStats more;
-  more.jobs = {a};
-  stats.Append(more);
-  EXPECT_EQ(stats.NumJobs(), 3);
   stats.Clear();
   EXPECT_EQ(stats.NumJobs(), 0);
 }

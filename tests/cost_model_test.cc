@@ -1,7 +1,7 @@
 // Tests for the CostModel's job and pipeline simulation: the pinned value of
 // one job, LPT scheduling properties, the per-attempt retry accounting (CPU
-// per attempt, spill disk once), and a pipeline total that does not depend
-// on the order the jobs were logged in.
+// per attempt), and a pipeline total that does not depend on the order the
+// jobs were logged in.
 
 #include "mapreduce/cost_model.h"
 
@@ -19,17 +19,16 @@ namespace haten2 {
 namespace {
 
 TEST(CostModelSim, SimulateJobMatchesLegacyFormulaOnUniformCluster) {
-  // A job with spilled map tasks and loaded reduce partitions, no retries,
-  // on the paper defaults (40 machines, 4+4 slots). The literal is the
-  // value the event-driven slot simulation computed before Makespan became
-  // the only scheduler: the simulated seconds must not move by a bit.
+  // A job with loaded map tasks and reduce partitions, no retries, on the
+  // paper defaults (40 machines, 4+4 slots). The literal is the value the
+  // cost model computed for this job before the map-side disk term went:
+  // the simulated seconds must not move by a bit.
   JobStats job;
   job.map_output_bytes = 1 << 26;
   job.map_task_records = {100000, 250000, 50000, 900000, 1};
-  job.map_task_spilled_bytes = {1u << 20, 0, 3u << 20, 1u << 19, 0};
   job.reduce_partition_records = {400000, 100, 800000};
   job.reduce_partition_bytes = {1u << 22, 1u << 10, 1u << 23};
-  EXPECT_EQ(CostModel(ClusterConfig()).SimulateJob(job), 9.7613416960000006);
+  EXPECT_EQ(CostModel(ClusterConfig()).SimulateJob(job), 9.7587202560000001);
 }
 
 // ---------------------------------------------------------------------------
@@ -64,53 +63,33 @@ TEST(CostModelProperty, UniformTasksScheduleExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Retry accounting: re-execution CPU per attempt, spill disk once.
+// Retry accounting: re-execution CPU per attempt.
 // ---------------------------------------------------------------------------
 
-TEST(CostModelRetry, ChargesCpuPerAttemptButSpillDiskOnce) {
+TEST(CostModelRetry, ChargesCpuPerAttempt) {
   ClusterConfig config;
   config.num_machines = 1;
   config.map_slots_per_machine = 1;
   config.job_startup_seconds = 0.0;
-  // One map task: 1.0 s of CPU (1M records at 1 us) and 1.0 s of spill disk
-  // (200 MB at 200 MB/s).
+  // One map task: 1.0 s of CPU (1M records at 1 us).
   JobStats job;
   job.map_task_records = {1000000};
-  job.map_task_spilled_bytes = {200000000};
   job.map_task_attempts = {3};
-  double sim = CostModel(config).SimulateJob(job);
-  // 3 attempts x 1.0 s CPU + 1.0 s disk — not (1.0 + 1.0) * 3: the failed
-  // attempts never reached the spill path.
-  EXPECT_DOUBLE_EQ(sim, 4.0);
+  // 3 attempts x 1.0 s CPU.
+  EXPECT_DOUBLE_EQ(CostModel(config).SimulateJob(job), 3.0);
 }
 
-TEST(CostModelRetry, SpillDiskCostInvariantUnderAttemptCount) {
-  // Pure-disk tasks (zero records): however many times failure injection
-  // would have re-run them, the simulated cost must not move at all.
-  ClusterConfig config;
-  JobStats job;
-  job.map_task_records = {0, 0, 0};
-  job.map_task_spilled_bytes = {1u << 24, 1u << 22, 1u << 26};
-  job.map_task_attempts = {1, 1, 1};
-  double once = CostModel(config).SimulateJob(job);
-  job.map_task_attempts = {4, 2, 3};
-  EXPECT_EQ(CostModel(config).SimulateJob(job), once);
-}
-
-TEST(CostModelRetry, SpillDiskCostInvariantUnderFailureProbability) {
-  // End-to-end: the same spilling workload run with and without failure
-  // injection yields identical simulated disk cost. Simulating with zero
-  // per-record CPU isolates the disk term: retries may only ever move CPU.
-  const std::string spill_dir = testing::PerTestDir();
-  auto run = [&](double failure_prob) {
+TEST(CostModelRetry, FailureInjectionMovesOnlyCpuCost) {
+  // End-to-end: the same workload run with and without failure injection.
+  // With zero per-record CPU the two simulate equal, because retries may
+  // only ever move CPU; with CPU on, the flaky run is slower.
+  auto run = [](double failure_prob) {
     ClusterConfig config = ClusterConfig::ForTesting();
-    config.spill_directory = spill_dir;
-    config.spill_threshold_records = 16;
     config.task_failure_probability = failure_prob;
     config.max_task_attempts = 10;  // keep the flaky run from aborting
     Engine engine(config);
     auto result = engine.Run<int64_t, int64_t, int64_t, int64_t>(
-        "spilling", 4096,
+        "flaky", 4096,
         [](int64_t i, ShuffleEmitter<int64_t, int64_t>* em) {
           em->Emit(i % 64, i);
         },
@@ -124,7 +103,6 @@ TEST(CostModelRetry, SpillDiskCostInvariantUnderFailureProbability) {
   JobStats clean = run(0.0);
   JobStats flaky = run(0.5);
   ASSERT_GT(flaky.map_task_retries, 0) << "injection never fired";
-  ASSERT_GT(clean.spilled_bytes, 0u) << "nothing spilled";
 
   ClusterConfig sim_config;
   sim_config.map_seconds_per_record = 0.0;

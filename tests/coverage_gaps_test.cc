@@ -1,7 +1,6 @@
 // Tests for corners not covered elsewhere: DenseTensor::Fold error paths,
-// engine combiner via RunOnPairs, FlagParser boolean spellings, Engine with
-// order-2 tensors through the full drivers, and SliceBlocks on an empty
-// contraction result.
+// FlagParser boolean spellings, Engine with order-2 tensors through the full
+// drivers, and SliceBlocks on an empty contraction result.
 
 #include <gtest/gtest.h>
 
@@ -27,28 +26,6 @@ TEST(FoldErrors, RejectsBadShapes) {
                   .IsInvalidArgument());
   EXPECT_TRUE(DenseTensor::Fold(mat, 0, {3, 0, 2}).status()
                   .IsInvalidArgument());
-}
-
-TEST(EngineRunOnPairs, CombinerComposesWithPairInput) {
-  std::vector<std::pair<int64_t, int64_t>> input;
-  for (int i = 0; i < 500; ++i) input.emplace_back(i % 3, 1);
-  Engine engine(ClusterConfig::ForTesting());
-  auto result = engine.RunOnPairs<int64_t, int64_t, int64_t, int64_t>(
-      "pairs-combine", input,
-      [](const int64_t& k, const int64_t& v,
-         ShuffleEmitter<int64_t, int64_t>* em) { em->Emit(k, v); },
-      [](const int64_t& k, std::vector<int64_t>& vs,
-         OutputEmitter<int64_t, int64_t>* out) {
-        int64_t sum = 0;
-        for (int64_t v : vs) sum += v;
-        out->Emit(k, sum);
-      },
-      [](const int64_t& a, const int64_t& b) { return a + b; });
-  ASSERT_OK(result.status());
-  int64_t total = 0;
-  for (auto& [k, v] : *result) total += v;
-  EXPECT_EQ(total, 500);
-  EXPECT_LT(engine.pipeline().jobs[0].map_output_records, 500);
 }
 
 TEST(FlagParserSpellings, BooleanForms) {

@@ -1,5 +1,6 @@
 // DeltaLog: append/seal semantics, merged views, the binary round-trip,
-// and corruption detection — the ingest side of the refit loop.
+// and corruption detection (including a seeded mutation fuzz of whole
+// files) — the ingest side of the refit loop.
 
 #include "tensor/delta_log.h"
 
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "mutation_fuzz.h"
 #include "tensor/sparse_tensor.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -240,6 +242,60 @@ TEST(DeltaLog, MergedViewFromMidLog) {
   ASSERT_TRUE(tail.ok());
   EXPECT_EQ(tail->nnz(), 1);
   EXPECT_DOUBLE_EQ(tail->Get({1, 1}), 2.0);
+}
+
+/// Expects every index of `t` to lie inside `dims`.
+void ExpectInBounds(const SparseTensor& t, const std::vector<int64_t>& dims) {
+  ASSERT_EQ(t.dims(), dims);
+  for (int64_t e = 0; e < t.nnz(); ++e) {
+    for (int m = 0; m < t.order(); ++m) {
+      EXPECT_GE(t.index(e, m), 0);
+      EXPECT_LT(t.index(e, m), dims[static_cast<size_t>(m)]);
+    }
+  }
+}
+
+TEST(DeltaLog, MutatedFilesFailCleanlyOrStayInBounds) {
+  // Seeded mutations of valid logs of orders 1-3, each with sealed epochs
+  // and an unsealed tail. Every case must be rejected with a Status or
+  // read as a log whose every index lies inside its dims. Half the cases
+  // re-seal the body checksum, so the mutation reaches the entry parser
+  // instead of the integrity check.
+  const std::string path = testing::PerTestDir() + "/fuzz.log";
+  Rng rng(817);
+  std::vector<std::string> seeds;
+  for (const std::vector<int64_t>& dims :
+       std::vector<std::vector<int64_t>>{{40}, {8, 6}, {5, 4, 3}}) {
+    SparseTensor triples = RandomSparseTensor(dims, 10, &rng);
+    Result<DeltaLog> log = DeltaLogFromTensor(triples, dims, /*epoch_nnz=*/4);
+    ASSERT_OK(log.status());
+    ASSERT_OK(log->Append(triples.IndexPtr(0), triples.order(), 1.5));
+    ASSERT_OK(WriteDeltaLogBinary(*log, path));
+    seeds.push_back(testing::ReadFileBytes(path));
+  }
+  constexpr int kCases = 12000;
+  testing::FuzzCounts counts = testing::FuzzMutations(
+      seeds, kCases, 20261021, [&path](int c, std::string bytes) {
+        if ((c / 4) % 2 == 1) testing::ResealBinaryChecksum(&bytes);
+        testing::WriteFileBytes(path, bytes);
+        Result<DeltaLog> log = ReadDeltaLogBinary(path);
+        if (!log.ok()) {
+          EXPECT_TRUE(log.status().IsInvalidArgument() ||
+                      log.status().IsOutOfRange())
+              << log.status().ToString();
+          return false;
+        }
+        // Sealing moves the unsealed tail into an epoch, where it can be
+        // checked like the others.
+        if (log->open_appends() > 0) EXPECT_OK(log->SealEpoch().status());
+        for (int64_t i = 0; i < log->num_epochs(); ++i) {
+          ExpectInBounds(log->epoch(i), log->dims());
+        }
+        return true;
+      });
+  EXPECT_EQ(counts.accepted + counts.rejected, kCases);
+  EXPECT_GT(counts.accepted, 0);
+  EXPECT_GT(counts.rejected, 0);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // End-to-end determinism: full decompositions must be bitwise identical
-// across engine thread counts, across spilling on/off, and across repeated
-// runs — the property that makes every experiment in this repository
-// reproducible.
+// across engine thread counts and across repeated runs — the property that
+// makes every experiment in this repository reproducible.
 
 #include <gtest/gtest.h>
 

@@ -1,7 +1,6 @@
 // Tests for the engine's observability layer: per-phase wall times, skew
-// summaries, failure-path accounting (o.o.m. / abort / spills), the
-// "haten2-stats-v12" JSON export, and the spill-filename race regression
-// (concurrent Run calls on one engine).
+// summaries, failure-path accounting (o.o.m. / abort), the
+// "haten2-stats-v13" JSON export, and concurrent Run calls on one engine.
 
 #include <gtest/gtest.h>
 
@@ -23,9 +22,6 @@
 
 namespace haten2 {
 namespace {
-
-using ::haten2::testing::PerTestDir;
-using ::haten2::testing::SpillFilesIn;
 
 /// Runs word count and returns the histogram; asserts success.
 std::map<int64_t, int64_t> WordCount(Engine* engine,
@@ -147,7 +143,6 @@ TEST(EngineStats, CountersIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a.pre_combine_records, b.pre_combine_records);
   EXPECT_EQ(a.reduce_input_groups, b.reduce_input_groups);
   EXPECT_EQ(a.reduce_output_records, b.reduce_output_records);
-  EXPECT_EQ(a.spilled_records, b.spilled_records);
   EXPECT_EQ(a.map_task_records, b.map_task_records);
   EXPECT_EQ(a.reduce_partition_records, b.reduce_partition_records);
   EXPECT_EQ(a.reduce_partition_bytes, b.reduce_partition_bytes);
@@ -158,10 +153,8 @@ TEST(EngineStats, CountersIdenticalAcrossThreadCounts) {
 // Failure-path accounting (the post-mortem numbers of the paper's o.o.m.
 // deaths).
 
-TEST(EngineStats, OomJobKeepsSpillAndVolumeCounters) {
+TEST(EngineStats, OomJobKeepsVolumeCounters) {
   ClusterConfig config = ClusterConfig::ForTesting();
-  config.spill_directory = PerTestDir();
-  config.spill_threshold_records = 64;
   config.total_shuffle_memory_bytes = 64 * 1024;
   Engine engine(config);
   std::vector<int64_t> words(100000, 1);
@@ -183,20 +176,16 @@ TEST(EngineStats, OomJobKeepsSpillAndVolumeCounters) {
   EXPECT_EQ(job.failure, "oom");
   // The shuffle volumes the job materialized before dying are recorded...
   EXPECT_GT(job.map_output_records, 0);
-  EXPECT_GT(job.map_output_bytes, 0u);
-  EXPECT_GT(job.spilled_records, 0);
-  EXPECT_EQ(job.spilled_bytes,
-            static_cast<uint64_t>(job.spilled_records) *
+  EXPECT_EQ(job.map_output_bytes,
+            static_cast<uint64_t>(job.map_output_records) *
                 (ShuffleEmitter<int64_t, int64_t>::kRecordBytes));
   // ...the partition vectors report their true size (zero-filled: the job
   // never reached the shuffle phase)...
   EXPECT_EQ(static_cast<int>(job.reduce_partition_records.size()),
             config.EffectiveReduceTasks());
-  // ...and the spill files are still cleaned up, with the budget released.
-  EXPECT_EQ(SpillFilesIn(config.spill_directory), 0);
+  // ...and the budget is released.
   EXPECT_EQ(engine.memory().used(), 0u);
   EXPECT_EQ(engine.pipeline().NumFailedJobs(), 1);
-  EXPECT_GT(engine.pipeline().TotalSpilledRecords(), 0);
 }
 
 TEST(EngineStats, OomStopsEachTaskAtItsFirstUnchargeableChunk) {
@@ -229,13 +218,11 @@ TEST(EngineStats, OomStopsEachTaskAtItsFirstUnchargeableChunk) {
   EXPECT_EQ(engine.memory().used(), 0u);
 }
 
-TEST(EngineStats, AbortedJobRecordsFailureKindAndSpills) {
+TEST(EngineStats, AbortedJobRecordsFailureKindAndVolumes) {
   // Find a failure seed whose sampled failures abort the job.
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     ClusterConfig config = ClusterConfig::ForTesting();
     config.num_machines = 8;
-    config.spill_directory = PerTestDir();
-    config.spill_threshold_records = 16;
     config.task_failure_probability = 0.4;
     config.max_task_attempts = 1;
     config.failure_seed = seed;
@@ -255,9 +242,8 @@ TEST(EngineStats, AbortedJobRecordsFailureKindAndSpills) {
     const JobStats& job = engine.pipeline().jobs[0];
     EXPECT_TRUE(job.failed());
     EXPECT_EQ(job.failure, "aborted");
-    // Surviving tasks' spills were counted before cleanup.
-    EXPECT_GT(job.spilled_records, 0);
-    EXPECT_EQ(SpillFilesIn(config.spill_directory), 0);
+    // Surviving tasks' output was counted.
+    EXPECT_GT(job.map_output_records, 0);
     EXPECT_EQ(engine.memory().used(), 0u);
     return;
   }
@@ -385,22 +371,18 @@ TEST(EngineStats, PipelineSinceExcludesPlansWithoutJobIds) {
 }
 
 // ---------------------------------------------------------------------------
-// S1 regression: concurrent Run() calls on one spilling engine must not
-// collide on spill filenames.
+// Concurrent Run() calls on one engine keep their outputs and stats apart.
 
-TEST(EngineStats, ConcurrentRunsWithSpillingProduceCorrectOutputs) {
+TEST(EngineStats, ConcurrentRunsProduceCorrectOutputs) {
   std::vector<int64_t> words_a = RandomWords(20000, 94, 64);
   std::vector<int64_t> words_b = RandomWords(20000, 95, 64);
-  ClusterConfig plain = ClusterConfig::ForTesting();
-  Engine reference(plain);
+  ClusterConfig config = ClusterConfig::ForTesting();
+  Engine reference(config);
   std::map<int64_t, int64_t> want_a = WordCount(&reference, words_a, "ref-a");
   std::map<int64_t, int64_t> want_b = WordCount(&reference, words_b, "ref-b");
 
-  ClusterConfig spilling = plain;
-  spilling.spill_directory = PerTestDir();
-  spilling.spill_threshold_records = 32;  // force many spill files
   for (int round = 0; round < 4; ++round) {
-    Engine engine(spilling);
+    Engine engine(config);
     std::map<int64_t, int64_t> got_a;
     std::map<int64_t, int64_t> got_b;
     std::thread ta([&] { got_a = WordCount(&engine, words_a, "conc-a"); });
@@ -411,9 +393,8 @@ TEST(EngineStats, ConcurrentRunsWithSpillingProduceCorrectOutputs) {
     EXPECT_EQ(got_b, want_b) << "round " << round;
     EXPECT_EQ(engine.pipeline().NumJobs(), 2);
     for (const JobStats& job : engine.pipeline().jobs) {
-      EXPECT_GT(job.spilled_records, 0) << job.name;
+      EXPECT_EQ(job.map_output_records, 20000) << job.name;
     }
-    EXPECT_EQ(SpillFilesIn(spilling.spill_directory), 0);
     EXPECT_EQ(engine.memory().used(), 0u);
   }
 }
@@ -503,18 +484,15 @@ TEST(EngineStats, StatsReportJsonIsValidAndComplete) {
 
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   for (const char* key :
-       {"\"schema\":\"haten2-stats-v12\"", "\"status\":\"ok\"",
+       {"\"schema\":\"haten2-stats-v13\"", "\"status\":\"ok\"",
         "\"cluster\"", "\"iterations\"", "\"pipeline\"", "\"phases\"",
         "\"map_seconds\"", "\"shuffle_seconds\"", "\"reduce_seconds\"",
-        "\"spill\"", "\"fit\"", "\"lambda\"", "\"simulated_seconds\"",
+        "\"fit\"", "\"lambda\"", "\"simulated_seconds\"",
         "\"max_intermediate_records\"", "\"tasks\"", "\"partitions\"",
         "\"job_id\"", "\"plan_id\"", "\"plans\"", "\"scheduled_concurrency\"",
         "\"critical_path_seconds\"", "\"invariant_cache_hits\"",
         "\"max_concurrent_jobs\"", "\"node_retries\"",
         "\"node_backoff_seconds\"", "\"max_node_attempts\"",
-        "\"raw_bytes\"", "\"compressed_bytes\"", "\"compression_ratio\"",
-        "\"total_spilled_raw_bytes\"", "\"total_spilled_compressed_bytes\"",
-        "\"spill_compression\"",
         // stats-v5: the plan aggregate with backoff.
         "\"critical_path_with_backoff_seconds\"",
         // stats-v7: contraction-strategy additions.
@@ -527,7 +505,8 @@ TEST(EngineStats, StatsReportJsonIsValidAndComplete) {
         "\"exact_polish_sweeps\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
-  // stats-v12 removed the straggler layer's keys and the spill alias.
+  // stats-v12 removed the straggler layer's keys and the spill alias;
+  // stats-v13 removed every spill key.
   for (const char* key :
        {"\"speculation\"", "\"speculated\"", "\"won\"",
         "\"wasted_seconds\"", "\"speculated_tasks\"",
@@ -535,7 +514,12 @@ TEST(EngineStats, StatsReportJsonIsValidAndComplete) {
         "\"speculative_execution\"", "\"speculation_slowstart\"",
         "\"straggler_jitter\"", "\"straggler_jitter_seed\"",
         "\"machine_profiles\"", "\"speed_factor\"",
-        "\"failure_multiplier\"", "\"bytes\""}) {
+        "\"failure_multiplier\"", "\"bytes\"", "\"spill\"",
+        "\"raw_bytes\"", "\"compressed_bytes\"", "\"compression_ratio\"",
+        "\"total_spilled_records\"", "\"total_spilled_raw_bytes\"",
+        "\"total_spilled_compressed_bytes\"",
+        "\"spill_threshold_records\"", "\"spill_compression\"",
+        "io_error"}) {
     EXPECT_EQ(json.find(key), std::string::npos) << "still present " << key;
   }
 }
@@ -584,7 +568,7 @@ TEST(EngineStats, WriteStatsJsonFileRoundTrips) {
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
   EXPECT_TRUE(JsonChecker(content).Valid()) << content;
-  EXPECT_NE(content.find("haten2-stats-v12"), std::string::npos);
+  EXPECT_NE(content.find("haten2-stats-v13"), std::string::npos);
 }
 
 }  // namespace

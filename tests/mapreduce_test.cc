@@ -164,27 +164,6 @@ TEST(EnginePipeline, AccumulatesAndClears) {
   EXPECT_EQ(engine.pipeline().NumJobs(), 0);
 }
 
-TEST(EngineRunOnPairs, ClassicMapSignature) {
-  std::vector<std::pair<std::string, int64_t>> input = {
-      {"a", 1}, {"b", 2}, {"a", 3}};
-  Engine engine(ClusterConfig::ForTesting());
-  auto result = engine.RunOnPairs<int64_t, int64_t, int64_t, int64_t>(
-      "pairs", input,
-      [](const std::string& key, const int64_t& value,
-         ShuffleEmitter<int64_t, int64_t>* em) {
-        em->Emit(static_cast<int64_t>(key.size()), value);
-      },
-      [](const int64_t& k, std::vector<int64_t>& vs,
-         OutputEmitter<int64_t, int64_t>* out) {
-        int64_t sum = 0;
-        for (int64_t v : vs) sum += v;
-        out->Emit(k, sum);
-      });
-  ASSERT_OK(result.status());
-  ASSERT_EQ(result->size(), 1u);
-  EXPECT_EQ((*result)[0].second, 6);
-}
-
 // ---------------------------------------------------------------------------
 // Cost model.
 // ---------------------------------------------------------------------------

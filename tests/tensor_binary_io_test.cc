@@ -1,5 +1,6 @@
 // Tests for the binary tensor format: round-trips, auto-detection, and
-// corruption handling (truncation, bad magic, checksum mismatch).
+// corruption handling (truncation, bad magic, checksum mismatch, and a
+// seeded mutation fuzz of whole files).
 
 #include "tensor/tensor_binary_io.h"
 
@@ -8,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "mutation_fuzz.h"
 #include "tensor/tensor_io.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -162,6 +164,46 @@ TEST(TensorBinaryIo, BinaryIsSmallerThanTextForLargeTensors) {
   EXPECT_LT(file_size(bin_path), file_size(txt_path));
   std::remove(bin_path.c_str());
   std::remove(txt_path.c_str());
+}
+
+TEST(TensorBinaryIo, MutatedFilesFailCleanlyOrStayInBounds) {
+  // Seeded mutations of valid files of orders 1-4. Every case must be
+  // rejected with a Status or read as a tensor whose every index lies
+  // inside its dims. Half the cases re-seal the body checksum, so the
+  // mutation reaches the entry parser instead of the integrity check.
+  const std::string path = haten2::testing::PerTestDir() + "/fuzz.htb";
+  Rng rng(816);
+  std::vector<std::string> seeds;
+  for (const std::vector<int64_t>& dims :
+       std::vector<std::vector<int64_t>>{{50}, {9, 7}, {6, 5, 4},
+                                         {4, 3, 3, 2}}) {
+    ASSERT_OK(WriteTensorBinary(
+        haten2::testing::RandomSparseTensor(dims, 12, &rng), path));
+    seeds.push_back(haten2::testing::ReadFileBytes(path));
+  }
+  constexpr int kCases = 12000;
+  haten2::testing::FuzzCounts counts = haten2::testing::FuzzMutations(
+      seeds, kCases, 20261020, [&path](int c, std::string bytes) {
+        if ((c / 4) % 2 == 1) haten2::testing::ResealBinaryChecksum(&bytes);
+        haten2::testing::WriteFileBytes(path, bytes);
+        Result<SparseTensor> t = ReadTensorBinary(path);
+        if (!t.ok()) {
+          EXPECT_TRUE(t.status().IsInvalidArgument() ||
+                      t.status().IsOutOfRange())
+              << t.status().ToString();
+          return false;
+        }
+        for (int64_t e = 0; e < t->nnz(); ++e) {
+          for (int m = 0; m < t->order(); ++m) {
+            EXPECT_GE(t->index(e, m), 0);
+            EXPECT_LT(t->index(e, m), t->dim(m));
+          }
+        }
+        return true;
+      });
+  EXPECT_EQ(counts.accepted + counts.rejected, kCases);
+  EXPECT_GT(counts.accepted, 0);
+  EXPECT_GT(counts.rejected, 0);
 }
 
 }  // namespace

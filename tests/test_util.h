@@ -39,7 +39,7 @@ inline SparseTensor RandomSparseTensor(const std::vector<int64_t>& dims,
 /// A scratch directory under TempDir() named after the running test
 /// (created if missing). ctest runs every test case as its own process, in
 /// parallel under -j, so a directory shared between cases lets one case
-/// see — and count — another case's spill files.
+/// see — and overwrite — another case's files.
 inline std::string PerTestDir() {
   const ::testing::TestInfo* info =
       ::testing::UnitTest::GetInstance()->current_test_info();
@@ -53,15 +53,6 @@ inline std::string PerTestDir() {
   std::string dir = std::string(::testing::TempDir()) + "/" + name;
   std::filesystem::create_directories(dir);
   return dir;
-}
-
-/// Number of spill files (*.spill) directly in `dir`.
-inline int64_t SpillFilesIn(const std::string& dir) {
-  int64_t n = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() == ".spill") ++n;
-  }
-  return n;
 }
 
 #define ASSERT_OK(expr)                                               \

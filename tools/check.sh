@@ -7,7 +7,7 @@
 # With no arguments, runs address and undefined over the full suite, then
 # thread over the concurrency-bearing subsystems: the serving tests
 # (concurrent hot-swap, sharded caching, multi-threaded pipeline), the
-# MapReduce engine / spill tests, the plan-scheduler and concurrent-Run
+# MapReduce engine tests, the plan-scheduler and concurrent-Run
 # stress tests, the cost-model and cluster-config validation suites (the
 # cost model is consulted from worker threads via stats export), the
 # sort-merge order-contract and
@@ -44,27 +44,22 @@ for san in "${sanitizers[@]}"; do
   cmake --build "${build_dir}" -j
   ctest_args=()
   if [[ "${san}" == "thread" ]]; then
-    ctest_args=(-R '^(Serving|Engine|MapReduce|Spill|Scheduler|Plan|CostModel|ClusterConfig|SortMergeShuffle|LayoutIndependence|FailureInjection)')
+    ctest_args=(-R '^(Serving|Engine|MapReduce|Scheduler|Plan|CostModel|ClusterConfig|SortMergeShuffle|LayoutIndependence|FailureInjection)')
   fi
   echo "=== ${san}: testing ==="
   (cd "${build_dir}" && ctest --output-on-failure "${ctest_args[@]}" -j)
-  # Focused re-runs of the riskiest I/O paths, kept explicit so a future
-  # filter on the full pass cannot silently drop them: the spill
-  # write/drain/torn-file tests (tiny spill thresholds, heavy heap churn)
-  # under address, and the spill codec (varint shifts, hostile decode
-  # input), the text tensor reader (hostile indices near the int64
-  # limits), the binary tensor and delta-log readers (forged headers
-  # and entry counts) and the checkpoint reader (directory names past
-  # INT_MAX, torn manifests and factor files) under undefined, which
-  # CMakeLists.txt builds with -fno-sanitize-recover=undefined so a
-  # report fails the test.
-  if [[ "${san}" == "address" ]]; then
-    echo "=== ${san}: focused spill-path pass ==="
-    (cd "${build_dir}" && ctest --output-on-failure -R '^Spill' -j)
-  elif [[ "${san}" == "undefined" ]]; then
+  # Focused re-runs of the riskiest I/O paths under undefined, kept
+  # explicit so a future filter on the full pass cannot silently drop
+  # them: the text tensor reader (hostile indices near the int64 limits),
+  # the binary tensor and delta-log readers (forged headers and entry
+  # counts, and the seeded mutation fuzz of whole files) and the
+  # checkpoint reader (directory names past INT_MAX, torn manifests and
+  # factor files). CMakeLists.txt builds this leg with
+  # -fno-sanitize-recover=undefined, so a report fails the test.
+  if [[ "${san}" == "undefined" ]]; then
     echo "=== ${san}: focused decoder pass ==="
     (cd "${build_dir}" && \
-     ctest --output-on-failure -R '^(SpillCodec|TensorIo|TensorBinaryIo|DeltaLog|Checkpoint)' -j)
+     ctest --output-on-failure -R '^(TensorIo|TensorBinaryIo|DeltaLog|Checkpoint)' -j)
     # The in-core contraction kernels index compressed CSF streams with
     # arithmetic on attacker-ish inputs (duplicate coordinates, 10^12
     # dims, empty slices) and the fingerprint does deliberate unsigned

@@ -46,17 +46,6 @@
 //                                        consulted by --contraction=auto
 //                                        (default 1024)
 //   --budget-mb=B                        shuffle-memory budget (0=unlimited)
-//   --spill_dir=DIR                      enable Hadoop-style sort-spill:
-//                                        map tasks write partition buffers
-//                                        exceeding the threshold to spill
-//                                        files under DIR
-//   --spill_threshold=N                  records a partition buffer holds
-//                                        before it spills (default 65536)
-//   --spill_compression=none|delta_varint
-//                                        on-disk spill-run encoding
-//                                        (default none = raw records;
-//                                        delta_varint block-compresses
-//                                        sorted keys, results unchanged)
 //   --output=PREFIX                      write factors to PREFIX.mode<k>.txt
 //                                        (and PREFIX.lambda.txt / .core.txt)
 //   --checkpoint_dir=DIR                 write atomic iteration checkpoints
@@ -141,8 +130,6 @@ constexpr const char* kUsage =
     "       [--contraction=auto|dataflow|incore] [--incore_memory_mb=MB]\n"
     "       [--tucker_sketch=none|gaussian|countsketch] [--sketch_size=S]\n"
     "       [--exact_polish_sweeps=P]\n"
-    "       [--spill_dir=DIR] [--spill_threshold=N]\n"
-    "       [--spill_compression=none|delta_varint]\n"
     "       [--output=PREFIX] [--resume[=PREFIX]] [--stats]\n"
     "       [--checkpoint_dir=DIR] [--checkpoint_every=N]\n"
     "       [--checkpoint_keep=K] [--task_failure_prob=P]\n"
@@ -189,8 +176,6 @@ int RealMain(int argc, char** argv) {
                                  "contraction", "incore_memory_mb",
                                  "tucker_sketch", "sketch_size",
                                  "exact_polish_sweeps",
-                                 "spill_dir", "spill_threshold",
-                                 "spill_compression",
                                  "output", "resume", "stats", "stats_json",
                                  "checkpoint_dir", "checkpoint_every",
                                  "checkpoint_keep", "task_failure_prob",
@@ -231,9 +216,6 @@ int RealMain(int argc, char** argv) {
   Result<int64_t> sketch_size = flags.GetInt("sketch_size", 0);
   Result<int64_t> exact_polish_sweeps =
       flags.GetInt("exact_polish_sweeps", 2);
-  Result<int64_t> spill_threshold = flags.GetInt("spill_threshold", 64 * 1024);
-  Result<SpillCompression> spill_compression =
-      ParseSpillCompression(flags.GetString("spill_compression", "none"));
   Result<int64_t> checkpoint_every = flags.GetInt("checkpoint_every", 5);
   Result<int64_t> checkpoint_keep = flags.GetInt("checkpoint_keep", 2);
   Result<double> task_failure_prob =
@@ -249,11 +231,10 @@ int RealMain(int argc, char** argv) {
         tolerance.status(), seed.status(), machines.status(),
         threads.status(), max_concurrent_jobs.status(), budget_mb.status(),
         incore_memory_mb.status(), sketch_size.status(),
-        exact_polish_sweeps.status(),
-        spill_threshold.status(), spill_compression.status(),
-        checkpoint_every.status(), checkpoint_keep.status(),
-        task_failure_prob.status(), max_task_attempts.status(),
-        max_node_attempts.status(), epoch_nnz.status(), core.status()}) {
+        exact_polish_sweeps.status(), checkpoint_every.status(),
+        checkpoint_keep.status(), task_failure_prob.status(),
+        max_task_attempts.status(), max_node_attempts.status(),
+        epoch_nnz.status(), core.status()}) {
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
@@ -271,9 +252,6 @@ int RealMain(int argc, char** argv) {
   config.exact_polish_sweeps = static_cast<int>(*exact_polish_sweeps);
   config.total_shuffle_memory_bytes =
       static_cast<uint64_t>(*budget_mb) << 20;
-  config.spill_directory = flags.GetString("spill_dir", "");
-  config.spill_threshold_records = *spill_threshold;
-  config.spill_compression = *spill_compression;
   config.task_failure_probability = *task_failure_prob;
   config.max_task_attempts = static_cast<int>(*max_task_attempts);
   config.max_node_attempts = static_cast<int>(*max_node_attempts);
@@ -523,8 +501,6 @@ int RealMain(int argc, char** argv) {
       report.status = "oom";
     } else if (run_status.IsAborted()) {
       report.status = "aborted";
-    } else if (run_status.IsIOError()) {
-      report.status = "io_error";
     } else {
       report.status = "error";
     }
