@@ -5,7 +5,7 @@
 // harness collects its measured cells into a BenchJsonLog and writes
 // BENCH_<name>.json next to the human-readable table. The "haten2-bench-v1"
 // schema (documented in docs/INTERNALS.md) shares its per-job shape with
-// the CLI's "haten2-stats-v13" export, so one reader covers both.
+// the CLI's "haten2-stats-v14" export, so one reader covers both.
 //
 // Output directory: $HATEN2_BENCH_JSON_DIR when set, else the working
 // directory.

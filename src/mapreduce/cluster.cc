@@ -49,17 +49,6 @@ Status ClusterConfig::Validate() const {
     return BadField("task_failure_probability", "in [0, 1]");
   }
   if (max_task_attempts < 1) return BadField("max_task_attempts", ">= 1");
-  if (max_node_attempts < 1) return BadField("max_node_attempts", ">= 1");
-  if (!FiniteNonNegative(node_backoff_base_seconds)) {
-    return BadField("node_backoff_base_seconds", "finite and >= 0");
-  }
-  if (!(std::isfinite(node_backoff_multiplier) &&
-        node_backoff_multiplier >= 1.0)) {
-    return BadField("node_backoff_multiplier", "finite and >= 1");
-  }
-  if (!FiniteNonNegative(node_backoff_cap_seconds)) {
-    return BadField("node_backoff_cap_seconds", "finite and >= 0");
-  }
   if (contraction != "auto" && contraction != "dataflow" &&
       contraction != "incore") {
     return Status::InvalidArgument(

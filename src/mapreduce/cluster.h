@@ -32,6 +32,8 @@ struct ClusterConfig {
   /// legacy eager-Run sequence. Values > 1 overlap independent jobs on the
   /// engine's thread pool; note the shuffle-memory budget is shared, so
   /// concurrent jobs can together exhaust a budget each would fit alone.
+  /// Job ids, the job log's order and failure-injection draws are the same
+  /// at every value (PlanScheduler assigns ids by node index).
   int max_concurrent_jobs = 1;
 
   /// Number of map tasks a job's input is split into; 0 = one per map slot.
@@ -62,36 +64,14 @@ struct ClusterConfig {
 
   /// Failure injection: probability that each map-task attempt fails and is
   /// re-executed, as Hadoop does with crashed tasks. Attempts are decided
-  /// deterministically from failure_seed, so runs are reproducible, and a
-  /// re-executed task re-emits exactly the same records — job output is
-  /// invariant under retries (asserted in tests). A task failing
-  /// max_task_attempts times in a row fails the whole job with kAborted.
+  /// deterministically from failure_seed and the job id, so runs are
+  /// reproducible, and a re-executed task re-emits exactly the same records
+  /// — job output is invariant under retries (asserted in tests). A task
+  /// failing max_task_attempts times in a row fails the job with kAborted,
+  /// and with it the run, which resumes from its last ALS checkpoint.
   double task_failure_probability = 0.0;
   int max_task_attempts = 4;
   uint64_t failure_seed = 0xfa11u;
-
-  /// Plan-level recovery (mapreduce/scheduler.h): how many times the
-  /// PlanScheduler runs one plan node end-to-end before giving up, counting
-  /// the first attempt. 1 disables node retries (any failure is final —
-  /// the pre-recovery behaviour). Only *transient* failures are retried:
-  /// kAborted (a job exhausted its task attempts) and kIOError; permanent
-  /// statuses (bad input, contract violations) fail immediately.
-  int max_node_attempts = 1;
-
-  /// Whether kResourceExhausted ("o.o.m.") counts as transient for node
-  /// retries. Off by default: re-running an o.o.m. node under the same
-  /// shuffle-memory budget fails identically; turn this on only when the
-  /// budget was raised between attempts (e.g. by an external controller).
-  bool retry_oom_nodes = false;
-
-  /// Simulated backoff before the k-th node retry:
-  /// min(base * multiplier^(k-1), cap) seconds. Backoff is *simulated
-  /// cluster time* — recorded in PlanNodeStats::backoff_seconds and added
-  /// to the CostModel's pipeline makespan, never slept for real (the
-  /// in-process engine has no contended resource worth waiting out).
-  double node_backoff_base_seconds = 4.0;
-  double node_backoff_multiplier = 2.0;
-  double node_backoff_cap_seconds = 64.0;
 
   /// Contraction execution strategy (core/contraction_strategy.h):
   /// "dataflow" always evaluates the bottleneck op as the paper's MapReduce

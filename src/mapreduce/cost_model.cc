@@ -83,23 +83,11 @@ double CostModel::SimulateJob(const JobStats& stats) const {
 }
 
 double CostModel::SimulatePipeline(const PipelineStats& stats) const {
-  // Under concurrent plan scheduling the log holds jobs in completion
-  // order; a float sum in that order could differ in the last bit between
-  // identical runs. The sort is stable so jobs with equal ids (hand-built
-  // pipelines) keep their log order.
-  std::vector<const JobStats*> jobs;
-  jobs.reserve(stats.jobs.size());
-  for (const JobStats& j : stats.jobs) jobs.push_back(&j);
-  std::stable_sort(jobs.begin(), jobs.end(),
-                   [](const JobStats* a, const JobStats* b) {
-                     return a->job_id < b->job_id;
-                   });
+  // Summed in log order, which the engine keeps in job-id order, so the
+  // float sum does not depend on which concurrent plan node finished first.
   double seconds = 0.0;
-  for (const JobStats* j : jobs) seconds += SimulateJob(*j);
-  // Plan-level retry backoff is simulated cluster time: the in-process
-  // engine never sleeps it, so it is charged here, where the retried jobs'
-  // costs already accrued (each attempt's jobs appear in `jobs`).
-  return seconds + stats.TotalNodeBackoffSeconds();
+  for (const JobStats& j : stats.jobs) seconds += SimulateJob(j);
+  return seconds;
 }
 
 }  // namespace haten2

@@ -32,9 +32,9 @@ class CostModel {
   double SimulateJob(const JobStats& stats) const;
 
   /// Simulated seconds for a job sequence (jobs are serialized on Hadoop:
-  /// each waits for the previous to finish) plus the plan-level retry
-  /// backoff. Jobs are summed in job-id order, so the total does not depend
-  /// on the order in which concurrent plan nodes finished.
+  /// each waits for the previous to finish), summed in log order. The
+  /// engine's log is in job-id order, so the total does not depend on the
+  /// order in which concurrent plan nodes finished.
   double SimulatePipeline(const PipelineStats& stats) const;
 
   /// Upper-bound estimate of the memory an in-core compressed contraction

@@ -1,6 +1,7 @@
 #ifndef HATEN2_MAPREDUCE_ENGINE_H_
 #define HATEN2_MAPREDUCE_ENGINE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -14,6 +15,7 @@
 #include "mapreduce/stats.h"
 #include "util/memory_tracker.h"
 #include "util/result.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -68,7 +70,8 @@ class Engine {
   const ClusterConfig& config() const { return config_; }
   MemoryTracker& memory() { return tracker_; }
 
-  /// Log of every job executed since the last ClearPipeline().
+  /// Log of every job executed since the last ClearPipeline(), in job-id
+  /// order.
   ///
   /// The returned reference is only safe to read while no Run() call or
   /// plan is in flight; under concurrent scheduling use PipelineSnapshot().
@@ -106,10 +109,18 @@ class Engine {
     pipeline_.Clear();
   }
 
-  /// The id the next job started on this engine will receive. Taken before
-  /// a batch of work, it is the job watermark PipelineSince() filters by.
+  /// The lowest job id not yet taken or reserved. Taken before a batch of
+  /// work, it is the job watermark PipelineSince() filters by: every job of
+  /// the batch, plan-reserved ones included, gets an id at least this large.
   int64_t NextJobId() const {
     return job_sequence_.load(std::memory_order_relaxed);
+  }
+
+  /// Reserves `count` consecutive job ids and returns the first.
+  /// PlanScheduler reserves one per plan node before the plan runs, so a
+  /// node's job id is the first plus its index, whichever thread runs it.
+  int64_t TakeJobIds(int64_t count) {
+    return job_sequence_.fetch_add(count, std::memory_order_relaxed);
   }
 
   /// The id the next scheduled plan will receive: the plan watermark
@@ -140,29 +151,34 @@ class Engine {
     }
   }
 
-  /// \brief RAII plan-execution context for the current thread.
+  /// \brief RAII plan-node context for the current thread.
   ///
-  /// While alive, every Engine::Run on this thread tags its JobStats with
-  /// `plan_id` and appends its job id to `sink` (the scheduler's per-node
-  /// job list). The scheduler instantiates one around each node executor;
-  /// scopes nest (the previous context is restored on destruction).
+  /// While alive, the engine job this thread runs is tagged with `plan_id`,
+  /// gets the node's reserved `job_id` and appends it to `sink` (the node's
+  /// job list); a second job fails with kFailedPrecondition. The scheduler
+  /// instantiates one around each node executor; scopes nest (the previous
+  /// context is restored on destruction).
   class PlanScope {
    public:
-    PlanScope(int64_t plan_id, std::vector<int64_t>* sink)
-        : prev_plan_id_(current_plan_id_), prev_sink_(job_id_sink_) {
-      current_plan_id_ = plan_id;
-      job_id_sink_ = sink;
+    PlanScope(int64_t plan_id, int64_t job_id, std::vector<int64_t>* sink)
+        : plan_id_(plan_id), job_id_(job_id), sink_(sink), prev_(current_) {
+      current_ = this;
     }
-    ~PlanScope() {
-      current_plan_id_ = prev_plan_id_;
-      job_id_sink_ = prev_sink_;
-    }
+    ~PlanScope() { current_ = prev_; }
     PlanScope(const PlanScope&) = delete;
     PlanScope& operator=(const PlanScope&) = delete;
 
    private:
-    int64_t prev_plan_id_;
-    std::vector<int64_t>* prev_sink_;
+    friend class Engine;
+    int64_t plan_id_;
+    int64_t job_id_;
+    std::vector<int64_t>* sink_;
+    PlanScope* prev_;
+    /// thread_local (rather than an Engine member) because the scheduler
+    /// runs node executors on its own threads while unrelated threads may
+    /// call Run() directly on the same engine — those direct jobs must stay
+    /// untagged (plan_id -1) and take fresh ids.
+    inline static thread_local PlanScope* current_ = nullptr;
   };
 
   /// Runs one MapReduce job.
@@ -207,9 +223,9 @@ class Engine {
   /// another job hands these on as the next job's ordered input runs rather
   /// than concatenating them. Each partition's vector is shrunk to fit.
   ///
-  /// RunInProcess runs the job's tasks; this method owns the job id, the
-  /// job's shape, the counters (folded from the tasks' MapTaskReports), the
-  /// wall time, and the one pipeline-log record.
+  /// RunInProcess runs the job's tasks; this method owns the job id (see
+  /// TakeJobId), the job's shape, the counters (folded from the tasks'
+  /// MapTaskReports), the wall time, and the one pipeline-log record.
   template <typename KMid, typename VMid, typename KOut, typename VOut,
             typename ReaderFn, typename ReduceFn>
   Result<PartitionedOutput<KOut, VOut>> RunPartitioned(
@@ -231,11 +247,10 @@ class Engine {
     JobStats stats;
     stats.name = name;
     stats.map_input_records = num_input_records;
-    // One sequence number per job, taken exactly once: it keys the
-    // failure-injection decisions.
-    stats.job_id = job_sequence_.fetch_add(1, std::memory_order_relaxed);
-    stats.plan_id = current_plan_id_;
-    if (job_id_sink_ != nullptr) job_id_sink_->push_back(stats.job_id);
+    // The id keys the failure-injection decisions.
+    HATEN2_ASSIGN_OR_RETURN(stats.job_id, TakeJobId(name));
+    stats.plan_id =
+        PlanScope::current_ != nullptr ? PlanScope::current_->plan_id_ : -1;
 
     // The counters are sized before the job runs, so a failed job reports
     // its task and partition counts (zero-filled where nothing ran).
@@ -343,9 +358,31 @@ class Engine {
     return outputs;
   }
 
+  /// A starting job's id: the one its plan node reserved, or the next free
+  /// one outside any plan. Fails, before anything is allocated, when the
+  /// node already ran a job.
+  Result<int64_t> TakeJobId(const std::string& name) {
+    PlanScope* scope = PlanScope::current_;
+    if (scope == nullptr) {
+      return job_sequence_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (!scope->sink_->empty()) {
+      return Status::FailedPrecondition(StrFormat(
+          "job '%s': its plan node already ran job %lld, and a plan node "
+          "runs at most one engine job",
+          name.c_str(), static_cast<long long>(scope->sink_->front())));
+    }
+    scope->sink_->push_back(scope->job_id_);
+    return scope->job_id_;
+  }
+
+  /// Inserts in job-id order: concurrent plan nodes finish in any order.
   void RecordJob(const JobStats& stats) {
     std::lock_guard<std::mutex> lock(mu_);
-    pipeline_.jobs.push_back(stats);
+    auto pos = std::upper_bound(
+        pipeline_.jobs.begin(), pipeline_.jobs.end(), stats.job_id,
+        [](int64_t id, const JobStats& j) { return id < j.job_id; });
+    pipeline_.jobs.insert(pos, stats);
   }
 
   ClusterConfig config_;
@@ -358,13 +395,6 @@ class Engine {
   mutable std::mutex mu_;
   std::atomic<int64_t> job_sequence_{0};
   std::atomic<int64_t> plan_sequence_{0};
-
-  /// Per-thread plan context installed by PlanScope. thread_local (rather
-  /// than a member) because the scheduler runs node executors on its own
-  /// threads while unrelated threads may call Run() directly on the same
-  /// engine — those direct jobs must stay untagged (plan_id -1).
-  inline static thread_local int64_t current_plan_id_ = -1;
-  inline static thread_local std::vector<int64_t>* job_id_sink_ = nullptr;
 };
 
 }  // namespace haten2

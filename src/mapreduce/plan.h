@@ -28,7 +28,9 @@ struct ContractionTiming {
 /// indices of the nodes whose outputs it consumes.
 ///
 /// `run` typically wraps one Engine::Run call (an HaTen2 MapReduce job);
-/// assembly nodes that only concatenate upstream outputs are also valid.
+/// assembly nodes that only concatenate upstream outputs are also valid. A
+/// node runs at most one engine job: a second one fails with
+/// kFailedPrecondition (see PlanScheduler).
 /// The executor communicates data through slots owned by the plan builder
 /// (see Plan::AddProducer), not through the scheduler: the plan layer
 /// sequences work, it does not marshal records.
@@ -40,7 +42,8 @@ struct JobSpec {
   std::vector<int> deps;
   /// Executes the node. Runs on the thread that called
   /// PlanScheduler::Execute or on one it spawned, with an Engine::PlanScope
-  /// installed, so any engine jobs it issues are tagged with the plan id.
+  /// installed, so the engine job it issues is tagged with the plan id and
+  /// gets the node's reserved job id.
   std::function<Status()> run;
   /// Which contraction strategy produced this node ("dataflow" / "incore");
   /// empty for nodes that are not part of a contraction evaluation. Copied

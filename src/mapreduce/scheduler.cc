@@ -13,14 +13,9 @@
 namespace haten2 {
 namespace {
 
-/// Longest dependency-chain sum of node seconds over the nodes that ran.
-/// With `include_backoff`, each node's simulated retry backoff counts as
-/// part of the node's time on the chain — the view that is reconcilable
-/// with CostModel::SimulatePipeline, which charges backoff on the serial
-/// total (see docs/INTERNALS.md, stats v5). Without it, the path is pure
-/// executor time: the lower bound on wall time with infinite workers and
-/// no retries, which is what the in-process scheduler actually slept.
-double CriticalPathSeconds(const PlanStats& stats, bool include_backoff) {
+/// Longest dependency-chain sum of node seconds over the nodes that ran:
+/// the lower bound on the plan's wall time with infinite workers.
+double CriticalPathSeconds(const PlanStats& stats) {
   std::vector<double> cp(stats.nodes.size(), 0.0);
   double best = 0.0;
   // Nodes are stored in topological order (deps reference lower indices),
@@ -33,7 +28,6 @@ double CriticalPathSeconds(const PlanStats& stats, bool include_backoff) {
       longest_dep = std::max(longest_dep, cp[static_cast<size_t>(d)]);
     }
     cp[i] = n.seconds + longest_dep;
-    if (include_backoff) cp[i] += n.backoff_seconds;
     best = std::max(best, cp[i]);
   }
   return best;
@@ -41,71 +35,18 @@ double CriticalPathSeconds(const PlanStats& stats, bool include_backoff) {
 
 void FinalizeStats(PlanStats* stats, double wall_seconds) {
   stats->wall_seconds = wall_seconds;
-  stats->critical_path_seconds =
-      CriticalPathSeconds(*stats, /*include_backoff=*/false);
-  stats->critical_path_with_backoff_seconds =
-      CriticalPathSeconds(*stats, /*include_backoff=*/true);
+  stats->critical_path_seconds = CriticalPathSeconds(*stats);
   stats->total_node_seconds = 0.0;
-  stats->total_node_retries = 0;
-  stats->total_backoff_seconds = 0.0;
   for (const PlanNodeStats& n : stats->nodes) {
     stats->total_node_seconds += n.seconds;
-    if (n.attempts > 1) stats->total_node_retries += n.attempts - 1;
-    stats->total_backoff_seconds += n.backoff_seconds;
   }
-}
-
-/// Transient node failures worth re-running: an aborted job (a task ran out
-/// of attempts — fresh job ids draw a fresh injection pattern) and I/O
-/// errors. kResourceExhausted is transient only when the
-/// config says the budget may have been raised between attempts. Everything
-/// else (bad input, contract violations) is permanent and fails fast.
-bool IsTransientNodeFailure(const Status& s, const ClusterConfig& config) {
-  switch (s.code()) {
-    case StatusCode::kAborted:
-    case StatusCode::kIOError:
-      return true;
-    case StatusCode::kResourceExhausted:
-      return config.retry_oom_nodes;
-    default:
-      return false;
-  }
-}
-
-/// Simulated backoff before retry number `retry` (1-based): capped
-/// exponential, min(base * multiplier^(retry-1), cap).
-double NodeBackoffSeconds(const ClusterConfig& config, int retry) {
-  double backoff = config.node_backoff_base_seconds;
-  for (int i = 1; i < retry; ++i) backoff *= config.node_backoff_multiplier;
-  return std::min(backoff, config.node_backoff_cap_seconds);
-}
-
-/// Runs one node executor up to config.max_node_attempts times, accumulating
-/// per-attempt wall time into node->seconds and simulated backoff into
-/// node->backoff_seconds. Callers wrap this in the node's Engine::PlanScope,
-/// so the jobs of *every* attempt are attributed to the node.
-Status RunNodeWithRetries(const JobSpec& spec, const ClusterConfig& config,
-                          PlanNodeStats* node) {
-  const int max_attempts = std::max(1, config.max_node_attempts);
-  Status s = Status::OK();
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    node->attempts = attempt;
-    WallTimer attempt_timer;
-    s = spec.run();
-    node->seconds += attempt_timer.ElapsedSeconds();
-    if (s.ok()) return s;
-    if (attempt == max_attempts || !IsTransientNodeFailure(s, config)) {
-      return s;
-    }
-    node->backoff_seconds += NodeBackoffSeconds(config, attempt);
-  }
-  return s;
 }
 
 /// The ready-queue worker loop over every node of `plan`, run on the
 /// calling thread plus min(max_concurrent, nodes) - 1 spawned threads.
-Status RunNodes(const Plan& plan, const ClusterConfig& config,
-                int max_concurrent, PlanStats* stats) {
+/// Node i's engine job gets id `first_job_id + i`.
+Status RunNodes(const Plan& plan, int64_t first_job_id, int max_concurrent,
+                PlanStats* stats) {
   const int n = plan.size();
   struct Shared {
     std::mutex mu;
@@ -158,9 +99,11 @@ Status RunNodes(const Plan& plan, const ClusterConfig& config,
 
       Status s;
       {
-        Engine::PlanScope scope(stats->plan_id, &node.job_ids);
-        s = RunNodeWithRetries(plan.nodes()[static_cast<size_t>(i)], config,
-                               &node);
+        Engine::PlanScope scope(stats->plan_id, first_job_id + i,
+                                &node.job_ids);
+        WallTimer node_timer;
+        s = plan.nodes()[static_cast<size_t>(i)].run();
+        node.seconds = node_timer.ElapsedSeconds();
       }
 
       lock.lock();
@@ -209,6 +152,9 @@ Status PlanScheduler::Execute(const Plan& plan) {
 
   PlanStats stats;
   stats.plan_id = engine_->TakePlanId();
+  // One id per node, reserved before any node starts, so which job gets
+  // which id does not depend on thread timing.
+  const int64_t first_job_id = engine_->TakeJobIds(plan.size());
   stats.name = plan.name();
   stats.concurrency_limit = max_concurrent_;
   stats.nodes.reserve(plan.nodes().size());
@@ -221,7 +167,7 @@ Status PlanScheduler::Execute(const Plan& plan) {
   }
 
   WallTimer timer;
-  Status status = RunNodes(plan, engine_->config(), max_concurrent_, &stats);
+  Status status = RunNodes(plan, first_job_id, max_concurrent_, &stats);
   // In-core contraction executors report their phase split through the
   // spec's timing sink; harvest it after the run (failure paths included —
   // a node that died mid-evaluate still shows its layout time).

@@ -21,27 +21,24 @@ namespace haten2 {
 ///     log). Un-run nodes are recorded as "skipped", and Execute returns the
 ///     failed node's Status (the lowest-index failure when several nodes
 ///     fail in the same wave).
-///   - **Recovery** (ClusterConfig::max_node_attempts > 1): a node whose
-///     executor returns a *transient* failure — kAborted (a job exhausted
-///     its task attempts) or kIOError, plus kResourceExhausted when
-///     retry_oom_nodes is set — is re-run in place, up to the attempt cap,
-///     with capped exponential backoff between attempts. Backoff is
-///     *simulated* cluster time: it is recorded in
-///     PlanNodeStats::backoff_seconds and charged by the CostModel, never
-///     slept for real. Retries get fresh engine job ids, so the
-///     deterministic failure injection draws a fresh pattern and a crashed
-///     job's retry genuinely can succeed; producers write their output slots
-///     only on success, so re-running a node is idempotent. Permanent
-///     failures (bad input, contract violations) fail fast, and a node that
-///     exhausts its attempts fails the plan exactly as before.
+///   - Each node runs its executor once and at most one engine job. A
+///     failed node fails the plan; above map-task re-execution
+///     (ClusterConfig::max_task_attempts), a run recovers only by resuming
+///     from its last ALS checkpoint (core/checkpoint.h).
+///   - Execute reserves one job id per node before any node starts, and
+///     node i's job gets the plan's first id + i. Job ids, the pipeline
+///     log's order, CostModel::SimulatePipeline's sum and the
+///     failure-injection draws are therefore the same at any cap. A node
+///     that runs no engine job (an assembly, in-core or sketch node) leaves
+///     its id unused.
 ///
 /// Node executors run on the thread that called Execute plus
 /// min(cap, nodes) - 1 threads Execute spawns (none under cap 1), never on
 /// the engine's worker pool: a node calls Engine::Run, which itself fans
 /// out onto the pool, and nesting that inside a pool task would deadlock a
 /// fully subscribed pool. Each executor runs under an Engine::PlanScope, so
-/// every job it issues is tagged with the plan id and attributed to the
-/// node.
+/// the job it issues is tagged with the plan id, gets the node's reserved
+/// id and is attributed to the node.
 ///
 /// Execute records a PlanStats into the engine's pipeline log: the DAG
 /// shape, per-node timing and status, the concurrency actually observed,

@@ -73,27 +73,9 @@ double PipelineStats::TotalCriticalPathSeconds() const {
   return t;
 }
 
-double PipelineStats::TotalCriticalPathWithBackoffSeconds() const {
-  double t = 0.0;
-  for (const PlanStats& p : plans) t += p.critical_path_with_backoff_seconds;
-  return t;
-}
-
 double PipelineStats::TotalPlanNodeSeconds() const {
   double t = 0.0;
   for (const PlanStats& p : plans) t += p.total_node_seconds;
-  return t;
-}
-
-int64_t PipelineStats::TotalNodeRetries() const {
-  int64_t t = 0;
-  for (const PlanStats& p : plans) t += p.total_node_retries;
-  return t;
-}
-
-double PipelineStats::TotalNodeBackoffSeconds() const {
-  double t = 0.0;
-  for (const PlanStats& p : plans) t += p.total_backoff_seconds;
   return t;
 }
 
@@ -151,11 +133,6 @@ std::string PipelineStats::ToString() const {
         plans.size(), MaxScheduledConcurrency(),
         HumanSeconds(TotalCriticalPathSeconds()).c_str(),
         HumanSeconds(TotalPlanNodeSeconds()).c_str());
-    if (TotalNodeRetries() > 0) {
-      out += StrFormat("  node retries: %lld (backoff %s simulated)\n",
-                       (long long)TotalNodeRetries(),
-                       HumanSeconds(TotalNodeBackoffSeconds()).c_str());
-    }
   }
   if (invariant_cache_hits + invariant_cache_misses > 0) {
     out += StrFormat("  invariant cache: %lld hits, %lld misses\n",

@@ -52,10 +52,11 @@ TaskSkew SkewOf(std::vector<int64_t> counts);
 struct JobStats {
   std::string name;
 
-  /// Engine-wide monotonically increasing job identifier (the same sequence
-  /// number that keys the failure-injection draws). Stable under concurrent
-  /// scheduling: drivers attribute jobs to ALS iterations by id ranges, not
-  /// by position in the pipeline log (which records completion order).
+  /// Engine-wide job identifier; it keys the failure-injection draws. A
+  /// plan node's job gets the id PlanScheduler reserved for the node (the
+  /// plan's first id + the node's index), any other job the next free one.
+  /// The pipeline log is kept in id order, and drivers attribute jobs to
+  /// ALS iterations by id ranges.
   int64_t job_id = -1;
   /// Identifier of the Plan this job ran under, or -1 for a job issued
   /// directly through Engine::Run outside any plan.
@@ -101,26 +102,18 @@ struct JobStats {
 };
 
 /// \brief Execution record of one node of a dataflow Plan (see
-/// mapreduce/plan.h). A node usually wraps exactly one Engine::Run call
-/// (its job id then appears in `job_ids`); assembly nodes that only
-/// concatenate upstream outputs run no engine job and have an empty list.
+/// mapreduce/plan.h). A node runs its executor once and at most one engine
+/// job, whose id then appears in `job_ids`; assembly, in-core and sketch
+/// nodes run no engine job and have an empty list.
 struct PlanNodeStats {
   std::string label;
   /// Indices (into PlanStats::nodes) of the nodes this one depends on —
   /// the plan's dependency edges.
   std::vector<int> deps;
-  /// Engine job ids issued while this node executed.
+  /// The engine job this node ran: empty or one id.
   std::vector<int64_t> job_ids;
-  /// Wall time of the node's executor, summed over every attempt (0 for
-  /// nodes that never ran).
+  /// Wall time of the node's executor (0 for nodes that never ran).
   double seconds = 0.0;
-  /// Executor attempts: 0 = never ran, 1 = ran once (no retry), k > 1 =
-  /// retried k-1 times after transient failures
-  /// (ClusterConfig::max_node_attempts).
-  int attempts = 0;
-  /// Simulated backoff accumulated before this node's retries (cluster
-  /// time, counted by the CostModel — the in-process run never sleeps).
-  double backoff_seconds = 0.0;
   /// "ok", "failed", or "skipped" (a dependency failed first).
   std::string status = "skipped";
   /// Contraction strategy that built this node ("dataflow" / "incore");
@@ -150,19 +143,8 @@ struct PlanStats {
   double wall_seconds = 0.0;
   /// Longest dependency-chain sum of node seconds.
   double critical_path_seconds = 0.0;
-  /// The same longest chain with each node's simulated retry backoff
-  /// included — the critical path as the CostModel's simulated cluster
-  /// would experience it (the scheduler never sleeps backoff for real, so
-  /// it is excluded from critical_path_seconds). Equal to
-  /// critical_path_seconds when no node retried.
-  double critical_path_with_backoff_seconds = 0.0;
   /// Sum of node seconds over every node that ran.
   double total_node_seconds = 0.0;
-  /// Retried node attempts across the plan: sum of (attempts - 1) over the
-  /// nodes that ran.
-  int total_node_retries = 0;
-  /// Sum of simulated retry backoff across the plan's nodes.
-  double total_backoff_seconds = 0.0;
 
   bool failed() const {
     for (const PlanNodeStats& n : nodes) {
@@ -175,6 +157,7 @@ struct PlanStats {
 /// \brief Aggregate over the jobs of one logical operation (e.g. one
 /// evaluation of X ×₂ Bᵀ ×₃ Cᵀ, or one full decomposition).
 struct PipelineStats {
+  /// The engine's log keeps these in job-id order.
   std::vector<JobStats> jobs;
   /// One entry per Plan scheduled through the engine (empty when every job
   /// was issued directly). Jobs of a plan also appear in `jobs`, tagged
@@ -207,15 +190,12 @@ struct PipelineStats {
   /// Sum over plans of the critical-path seconds — the lower bound on their
   /// combined wall time under unlimited concurrency.
   double TotalCriticalPathSeconds() const;
-  /// Sum over plans of the backoff-inclusive critical path (the simulated
-  /// cluster's view; == TotalCriticalPathSeconds() when nothing retried).
-  double TotalCriticalPathWithBackoffSeconds() const;
   /// Sum over plans of total node seconds (the serial-execution cost).
   double TotalPlanNodeSeconds() const;
-  /// Sum over plans of retried node attempts (plan-level recovery).
-  int64_t TotalNodeRetries() const;
-  /// Sum over plans of simulated retry backoff (counted by the CostModel).
-  double TotalNodeBackoffSeconds() const;
+  /// Always 0: the scheduler runs each plan node once. Kept only for
+  /// perfbench's `mapreduce.task_retries` metric (perfbench/workloads.cc),
+  /// which adds it to TotalMapTaskRetries().
+  int64_t TotalNodeRetries() const { return 0; }
   /// Plan nodes executed by each contraction strategy across the pipeline
   /// (nodes with an empty strategy tag — non-contraction work — count in
   /// neither).

@@ -87,11 +87,7 @@ void PipelineStatsToJson(const PipelineStats& pipeline, const CostModel* cost,
   w->Key("total_map_task_retries").Value(pipeline.TotalMapTaskRetries());
   w->Key("scheduled_concurrency").Value(pipeline.MaxScheduledConcurrency());
   w->Key("critical_path_seconds").Value(pipeline.TotalCriticalPathSeconds());
-  w->Key("critical_path_with_backoff_seconds")
-      .Value(pipeline.TotalCriticalPathWithBackoffSeconds());
   w->Key("total_node_seconds").Value(pipeline.TotalPlanNodeSeconds());
-  w->Key("node_retries").Value(pipeline.TotalNodeRetries());
-  w->Key("node_backoff_seconds").Value(pipeline.TotalNodeBackoffSeconds());
   w->Key("invariant_cache_hits").Value(pipeline.invariant_cache_hits);
   w->Key("invariant_cache_misses").Value(pipeline.invariant_cache_misses);
   w->Key("incore_nodes").Value(pipeline.IncoreNodes());
@@ -117,19 +113,13 @@ void PlanStatsToJson(const PlanStats& plan, JsonWriter* w) {
   w->Key("max_observed_concurrency").Value(plan.max_observed_concurrency);
   w->Key("wall_seconds").Value(plan.wall_seconds);
   w->Key("critical_path_seconds").Value(plan.critical_path_seconds);
-  w->Key("critical_path_with_backoff_seconds")
-      .Value(plan.critical_path_with_backoff_seconds);
   w->Key("total_node_seconds").Value(plan.total_node_seconds);
-  w->Key("total_node_retries").Value(plan.total_node_retries);
-  w->Key("total_backoff_seconds").Value(plan.total_backoff_seconds);
   w->Key("nodes").BeginArray();
   for (const PlanNodeStats& node : plan.nodes) {
     w->BeginObject();
     w->Key("label").Value(node.label);
     w->Key("status").Value(node.status);
     w->Key("seconds").Value(node.seconds);
-    w->Key("attempts").Value(node.attempts);
-    w->Key("backoff_seconds").Value(node.backoff_seconds);
     // v7: contraction nodes carry their strategy; in-core nodes also split
     // their time into layout build vs. kernel evaluation.
     if (!node.contraction_strategy.empty()) {
@@ -214,8 +204,6 @@ void ClusterConfigToJson(const ClusterConfig& config, JsonWriter* w) {
       .Value(config.task_failure_probability)
       .Key("max_task_attempts")
       .Value(config.max_task_attempts)
-      .Key("max_node_attempts")
-      .Value(config.max_node_attempts)
       .EndObject();
 }
 
@@ -225,7 +213,7 @@ std::string StatsReportToJson(const StatsReport& report) {
   const CostModel* cost = report.cluster != nullptr ? &cost_model : nullptr;
   JsonWriter w;
   w.BeginObject();
-  w.Key("schema").Value("haten2-stats-v13");
+  w.Key("schema").Value("haten2-stats-v14");
   if (!report.tool.empty()) w.Key("tool").Value(report.tool);
   if (!report.method.empty()) w.Key("method").Value(report.method);
   if (!report.variant.empty()) w.Key("variant").Value(report.variant);

@@ -12,7 +12,7 @@
 namespace haten2 {
 
 /// JSON serialization of the engine's and drivers' statistics — the stable
-/// "haten2-stats-v13" schema documented in docs/INTERNALS.md. The schema is
+/// "haten2-stats-v14" schema documented in docs/INTERNALS.md. The schema is
 /// what --stats_json and the BENCH_*.json harness exports emit, so the
 /// perf trajectory can be read by machines across PRs.
 ///
@@ -68,6 +68,17 @@ namespace haten2 {
 /// spill_threshold_records/spill_compression, and the failure kind
 /// "io_error". The engine keeps every shuffle buffer resident, so there is
 /// no spill traffic to report. Every other field is unchanged.
+///
+/// v14 drops plan-node recovery's keys, which v3 and v5 added: the plan
+/// node's attempts/backoff_seconds, the plan's
+/// critical_path_with_backoff_seconds/total_node_retries/
+/// total_backoff_seconds, the pipeline's
+/// critical_path_with_backoff_seconds/node_retries/node_backoff_seconds,
+/// and the cluster object's max_node_attempts. The scheduler runs each
+/// plan node once, so there is no node retry or backoff to report. A plan
+/// node's job_id is the plan's first reserved id plus the node's index (a
+/// node that runs no engine job leaves its id unused), and `jobs` arrays
+/// are in job-id order. Every other field is unchanged.
 ///
 /// All byte counters use the engine's record width (sizeof of the
 /// intermediate record pair, padding included) — the width a record
@@ -130,7 +141,7 @@ struct StatsReport {
   const RefitStatsReport* refit = nullptr;
 };
 
-/// Serializes the whole report ("haten2-stats-v13").
+/// Serializes the whole report ("haten2-stats-v14").
 std::string StatsReportToJson(const StatsReport& report);
 
 /// Serializes `report` and writes it to `path`.

@@ -1,5 +1,7 @@
 #include "util/flags.h"
 
+#include <limits>
+
 #include "util/string_util.h"
 
 namespace haten2 {
@@ -42,6 +44,19 @@ Result<int64_t> FlagParser::GetInt(const std::string& name,
                   v.status().message().c_str()));
   }
   return v;
+}
+
+Result<int> FlagParser::GetInt32(const std::string& name,
+                                 int default_value) const {
+  Result<int64_t> v = GetInt(name, default_value);
+  if (!v.ok()) return v.status();
+  if (*v < std::numeric_limits<int>::min() ||
+      *v > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(
+        StrFormat("flag --%s: %lld does not fit in an int", name.c_str(),
+                  static_cast<long long>(*v)));
+  }
+  return static_cast<int>(*v);
 }
 
 Result<double> FlagParser::GetDouble(const std::string& name,

@@ -28,6 +28,9 @@ class FlagParser {
                         const std::string& default_value) const;
   Result<int64_t> GetInt(const std::string& name,
                          int64_t default_value) const;
+  /// GetInt for a flag stored in an `int`: a value outside int's range is
+  /// an error naming the flag, never a wrapped value.
+  Result<int> GetInt32(const std::string& name, int default_value) const;
   Result<double> GetDouble(const std::string& name,
                            double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;

@@ -1,6 +1,6 @@
 // Fault-tolerance tests: atomic iteration checkpoints (manifest round trip,
 // corruption rejection, keep-last-K retention), kill-and-resume bit-identity
-// for all four ALS drivers, and plan-level retry/backoff in the scheduler.
+// for all four ALS drivers.
 
 #include "core/checkpoint.h"
 
@@ -16,9 +16,6 @@
 #include "core/nonnegative_tucker.h"
 #include "core/parafac.h"
 #include "core/tucker.h"
-#include "mapreduce/cost_model.h"
-#include "mapreduce/plan.h"
-#include "mapreduce/scheduler.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
 
@@ -659,161 +656,6 @@ TEST(CheckpointResume, InjectedKillThenResumeMatchesUninterruptedRun) {
   for (size_t m = 0; m < 3; ++m) {
     EXPECT_DOUBLE_EQ(resumed->factors[m].MaxAbsDiff(full->factors[m]), 0.0);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Plan-level retry/backoff in the scheduler.
-// ---------------------------------------------------------------------------
-
-TEST(SchedulerRecovery, TransientFailureIsRetriedWithBackoff) {
-  ClusterConfig config = ClusterConfig::ForTesting();
-  config.max_node_attempts = 3;
-  Engine engine(config);
-
-  int calls = 0;
-  Plan plan("flaky");
-  plan.AddJob("sometimes", {}, [&calls]() -> Status {
-    return ++calls < 2 ? Status::Aborted("injected") : Status::OK();
-  });
-  ASSERT_OK(PlanScheduler(&engine).Execute(plan));
-  EXPECT_EQ(calls, 2);
-
-  PipelineStats pipeline = engine.PipelineSnapshot();
-  ASSERT_EQ(pipeline.plans.size(), 1u);
-  const PlanNodeStats& node = pipeline.plans[0].nodes[0];
-  EXPECT_EQ(node.status, "ok");
-  EXPECT_EQ(node.attempts, 2);
-  EXPECT_DOUBLE_EQ(node.backoff_seconds, config.node_backoff_base_seconds);
-  EXPECT_EQ(pipeline.plans[0].total_node_retries, 1);
-  EXPECT_DOUBLE_EQ(pipeline.plans[0].total_backoff_seconds,
-                   config.node_backoff_base_seconds);
-  EXPECT_EQ(pipeline.TotalNodeRetries(), 1);
-  // Simulated time charges the backoff (the real run never slept it).
-  EXPECT_GE(CostModel(config).SimulatePipeline(pipeline),
-            config.node_backoff_base_seconds);
-}
-
-TEST(SchedulerRecovery, PermanentFailureFailsFast) {
-  ClusterConfig config = ClusterConfig::ForTesting();
-  config.max_node_attempts = 5;
-  Engine engine(config);
-
-  int calls = 0;
-  Plan plan("broken");
-  plan.AddJob("bad-input", {}, [&calls]() -> Status {
-    ++calls;
-    return Status::InvalidArgument("permanently wrong");
-  });
-  Status status = PlanScheduler(&engine).Execute(plan);
-  EXPECT_TRUE(status.IsInvalidArgument());
-  EXPECT_EQ(calls, 1);  // no retry for a permanent status
-  PipelineStats pipeline = engine.PipelineSnapshot();
-  EXPECT_EQ(pipeline.plans[0].nodes[0].attempts, 1);
-  EXPECT_DOUBLE_EQ(pipeline.plans[0].nodes[0].backoff_seconds, 0.0);
-}
-
-TEST(SchedulerRecovery, ExhaustedAttemptsFailWithCappedBackoff) {
-  ClusterConfig config = ClusterConfig::ForTesting();
-  config.max_node_attempts = 4;
-  config.node_backoff_base_seconds = 4.0;
-  config.node_backoff_multiplier = 2.0;
-  config.node_backoff_cap_seconds = 6.0;
-  Engine engine(config);
-
-  int calls = 0;
-  Plan plan("hopeless");
-  plan.AddJob("always-dies", {}, [&calls]() -> Status {
-    ++calls;
-    return Status::IOError("injected");
-  });
-  Status status = PlanScheduler(&engine).Execute(plan);
-  EXPECT_TRUE(status.IsIOError());
-  EXPECT_EQ(calls, 4);
-  PipelineStats pipeline = engine.PipelineSnapshot();
-  const PlanNodeStats& node = pipeline.plans[0].nodes[0];
-  EXPECT_EQ(node.status, "failed");
-  EXPECT_EQ(node.attempts, 4);
-  // Backoffs 4, then 8→capped 6, then 16→capped 6.
-  EXPECT_DOUBLE_EQ(node.backoff_seconds, 4.0 + 6.0 + 6.0);
-}
-
-TEST(SchedulerRecovery, OomIsRetriedOnlyWhenEnabled) {
-  for (bool retry_oom : {false, true}) {
-    ClusterConfig config = ClusterConfig::ForTesting();
-    config.max_node_attempts = 2;
-    config.retry_oom_nodes = retry_oom;
-    Engine engine(config);
-    int calls = 0;
-    Plan plan("oom");
-    plan.AddJob("oom", {}, [&calls]() -> Status {
-      ++calls;
-      return Status::ResourceExhausted("o.o.m.");
-    });
-    Status status = PlanScheduler(&engine).Execute(plan);
-    EXPECT_TRUE(status.IsResourceExhausted());
-    EXPECT_EQ(calls, retry_oom ? 2 : 1);
-  }
-}
-
-TEST(SchedulerRecovery, ConcurrentPathAlsoRetries) {
-  ClusterConfig config = ClusterConfig::ForTesting();
-  config.max_node_attempts = 3;
-  Engine engine(config);
-
-  int calls = 0;
-  Plan plan("flaky-concurrent");
-  plan.AddJob("a", {}, [] { return Status::OK(); });
-  plan.AddJob("sometimes", {}, [&calls]() -> Status {
-    return ++calls < 3 ? Status::Aborted("injected") : Status::OK();
-  });
-  ASSERT_OK(PlanScheduler(&engine, /*max_concurrent=*/2).Execute(plan));
-  EXPECT_EQ(calls, 3);
-  PipelineStats pipeline = engine.PipelineSnapshot();
-  const PlanStats& stats = pipeline.plans[0];
-  EXPECT_EQ(stats.nodes[1].attempts, 3);
-  EXPECT_EQ(stats.total_node_retries, 2);
-}
-
-TEST(SchedulerRecovery, InjectedJobAbortsAreRetriedAndRunConverges) {
-  // End to end: deterministic task-failure injection with a single task
-  // attempt makes some engine jobs abort; node-level retries re-run them
-  // under fresh job ids (fresh injection pattern) until they pass. The
-  // decomposition completes, and the v3 retry counters surface the rescue.
-  Rng rng(918);
-  SparseTensor x = RandomSparseTensor({12, 10, 8}, 120, &rng);
-  ClusterConfig config = ClusterConfig::ForTesting();
-  config.task_failure_probability = 0.004;
-  config.max_task_attempts = 1;
-  config.max_node_attempts = 6;
-  Engine engine(config);
-
-  Haten2Options options;
-  options.max_iterations = 8;
-  options.tolerance = 0.0;
-  Result<KruskalModel> model = Haten2ParafacAls(&engine, x, 3, options);
-  ASSERT_OK(model.status());
-
-  PipelineStats pipeline = engine.PipelineSnapshot();
-  EXPECT_GT(pipeline.TotalNodeRetries(), 0);
-  EXPECT_GT(pipeline.TotalNodeBackoffSeconds(), 0.0);
-  EXPECT_GT(pipeline.NumFailedJobs(), 0);  // the aborted attempts stay logged
-  // Retried attempts re-run the same computation: the result matches a run
-  // on a healthy cluster bit for bit.
-  Engine healthy(ClusterConfig::ForTesting());
-  Result<KruskalModel> reference = Haten2ParafacAls(&healthy, x, 3, options);
-  ASSERT_OK(reference.status());
-  EXPECT_DOUBLE_EQ(model->fit, reference->fit);
-  for (size_t m = 0; m < 3; ++m) {
-    EXPECT_DOUBLE_EQ(model->factors[m].MaxAbsDiff(reference->factors[m]),
-                     0.0);
-  }
-  // Simulated cluster time charges the backoff on top of the job costs.
-  CostModel cost(config);
-  double with_backoff = cost.SimulatePipeline(pipeline);
-  PipelineStats no_backoff = pipeline;
-  for (PlanStats& p : no_backoff.plans) p.total_backoff_seconds = 0.0;
-  EXPECT_DOUBLE_EQ(with_backoff - cost.SimulatePipeline(no_backoff),
-                   pipeline.TotalNodeBackoffSeconds());
 }
 
 }  // namespace

@@ -128,14 +128,6 @@ TEST(ClusterConfigValidateTest, RejectsEachBadFieldByName) {
        }},
       {"max_task_attempts",
        [](ClusterConfig* c) { c->max_task_attempts = 0; }},
-      {"max_node_attempts",
-       [](ClusterConfig* c) { c->max_node_attempts = 0; }},
-      {"node_backoff_base_seconds",
-       [](ClusterConfig* c) { c->node_backoff_base_seconds = -4.0; }},
-      {"node_backoff_multiplier",
-       [](ClusterConfig* c) { c->node_backoff_multiplier = 0.5; }},
-      {"node_backoff_cap_seconds",
-       [](ClusterConfig* c) { c->node_backoff_cap_seconds = -1.0; }},
       {"contraction", [](ClusterConfig* c) { c->contraction = "gpu"; }},
       {"contraction", [](ClusterConfig* c) { c->contraction = ""; }},
       {"contraction", [](ClusterConfig* c) { c->contraction = "Incore"; }},

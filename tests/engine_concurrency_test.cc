@@ -1,15 +1,20 @@
 // Multi-threaded Engine::Run stress tests: concurrent jobs (issued both
 // directly from external threads and through plan submission) must record
 // intact per-job statistics and preserve the byte-accounting invariants the
-// o.o.m. semantics rest on.
+// o.o.m. semantics rest on; plan concurrency must not move a job's id or
+// its failure-injection draws.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <set>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "core/contract.h"
+#include "mapreduce/cost_model.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/plan.h"
 #include "mapreduce/scheduler.h"
@@ -146,6 +151,48 @@ TEST(EngineConcurrency, PlanSubmissionStressKeepsPerNodeAttribution) {
     EXPECT_EQ(job.map_output_records, kRecords);
   }
   EXPECT_EQ(engine.memory().used(), 0u);
+}
+
+TEST(EngineConcurrency, InjectionDrawsRepeatAtAnyConcurrency) {
+  // Injection draws are keyed by job id, and a plan node's id is its index
+  // past the plan's first: every job retries the same map tasks at cap 1
+  // and cap 4, and the simulated seconds are the same float sum.
+  Rng rng(2028);
+  SparseTensor x = haten2::testing::RandomSparseTensor({20, 16, 12}, 400,
+                                                       &rng);
+  DenseMatrix b = DenseMatrix::RandomUniform(16, 4, &rng);
+  DenseMatrix c = DenseMatrix::RandomUniform(12, 4, &rng);
+  std::vector<const DenseMatrix*> factors = {nullptr, &b, &c};
+  using Draw = std::tuple<std::string, int64_t, std::vector<int>>;
+  for (auto [variant, kind] : {std::pair{Variant::kNaive, MergeKind::kPairwise},
+                               std::pair{Variant::kDrn, MergeKind::kCross}}) {
+    std::vector<Draw> want;
+    uint64_t want_bits = 0;
+    for (int run = 0; run < 6; ++run) {
+      ClusterConfig config = ClusterConfig::ForTesting();
+      config.task_failure_probability = 0.3;
+      config.max_task_attempts = 50;
+      config.max_concurrent_jobs = run == 0 ? 1 : 4;
+      Engine engine(config);
+      ASSERT_OK(
+          MultiModeContract(&engine, x, factors, 0, kind, variant).status());
+      PipelineStats pipeline = engine.PipelineSnapshot();
+      std::vector<Draw> draws;
+      for (const JobStats& job : pipeline.jobs) {
+        draws.emplace_back(job.name, job.job_id, job.map_task_attempts);
+      }
+      const uint64_t bits = std::bit_cast<uint64_t>(
+          CostModel(config).SimulatePipeline(pipeline));
+      if (run == 0) {
+        EXPECT_GT(pipeline.TotalMapTaskRetries(), 0);
+        want = std::move(draws);
+        want_bits = bits;
+        continue;
+      }
+      EXPECT_EQ(draws, want) << VariantName(variant) << " run " << run;
+      EXPECT_EQ(bits, want_bits) << VariantName(variant) << " run " << run;
+    }
+  }
 }
 
 TEST(EngineConcurrency, ClearPipelineIsSafeWhileJobsRun) {

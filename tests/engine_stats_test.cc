@@ -1,6 +1,6 @@
 // Tests for the engine's observability layer: per-phase wall times, skew
 // summaries, failure-path accounting (o.o.m. / abort), the
-// "haten2-stats-v13" JSON export, and concurrent Run calls on one engine.
+// "haten2-stats-v14" JSON export, and concurrent Run calls on one engine.
 
 #include <gtest/gtest.h>
 
@@ -484,17 +484,14 @@ TEST(EngineStats, StatsReportJsonIsValidAndComplete) {
 
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   for (const char* key :
-       {"\"schema\":\"haten2-stats-v13\"", "\"status\":\"ok\"",
+       {"\"schema\":\"haten2-stats-v14\"", "\"status\":\"ok\"",
         "\"cluster\"", "\"iterations\"", "\"pipeline\"", "\"phases\"",
         "\"map_seconds\"", "\"shuffle_seconds\"", "\"reduce_seconds\"",
         "\"fit\"", "\"lambda\"", "\"simulated_seconds\"",
         "\"max_intermediate_records\"", "\"tasks\"", "\"partitions\"",
         "\"job_id\"", "\"plan_id\"", "\"plans\"", "\"scheduled_concurrency\"",
         "\"critical_path_seconds\"", "\"invariant_cache_hits\"",
-        "\"max_concurrent_jobs\"", "\"node_retries\"",
-        "\"node_backoff_seconds\"", "\"max_node_attempts\"",
-        // stats-v5: the plan aggregate with backoff.
-        "\"critical_path_with_backoff_seconds\"",
+        "\"max_concurrent_jobs\"",
         // stats-v7: contraction-strategy additions.
         "\"contraction\"", "\"incore_memory_mb\"",
         "\"incore_nodes\"", "\"dataflow_nodes\"",
@@ -506,7 +503,8 @@ TEST(EngineStats, StatsReportJsonIsValidAndComplete) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
   // stats-v12 removed the straggler layer's keys and the spill alias;
-  // stats-v13 removed every spill key.
+  // stats-v13 removed every spill key; stats-v14 removed plan-node
+  // recovery's keys.
   for (const char* key :
        {"\"speculation\"", "\"speculated\"", "\"won\"",
         "\"wasted_seconds\"", "\"speculated_tasks\"",
@@ -519,7 +517,10 @@ TEST(EngineStats, StatsReportJsonIsValidAndComplete) {
         "\"total_spilled_records\"", "\"total_spilled_raw_bytes\"",
         "\"total_spilled_compressed_bytes\"",
         "\"spill_threshold_records\"", "\"spill_compression\"",
-        "io_error"}) {
+        "io_error", "\"attempts\"", "\"backoff_seconds\"",
+        "\"critical_path_with_backoff_seconds\"", "\"total_node_retries\"",
+        "\"total_backoff_seconds\"", "\"node_retries\"",
+        "\"node_backoff_seconds\"", "\"max_node_attempts\""}) {
     EXPECT_EQ(json.find(key), std::string::npos) << "still present " << key;
   }
 }
@@ -568,7 +569,7 @@ TEST(EngineStats, WriteStatsJsonFileRoundTrips) {
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
   EXPECT_TRUE(JsonChecker(content).Valid()) << content;
-  EXPECT_NE(content.find("haten2-stats-v13"), std::string::npos);
+  EXPECT_NE(content.find("haten2-stats-v14"), std::string::npos);
 }
 
 }  // namespace

@@ -50,6 +50,21 @@ TEST(FlagParserTest, ParseErrorsSurface) {
   EXPECT_TRUE(flags.GetDouble("tol", 1.0).status().IsInvalidArgument());
 }
 
+TEST(FlagParserTest, Int32FlagRejectsValuesOutsideInt) {
+  FlagParser flags = Make({"--machines=4294967336", "--threads=-4294967295",
+                           "--attempts=2147483647", "--low=-2147483648"});
+  for (const char* name : {"machines", "threads"}) {
+    Result<int> v = flags.GetInt32(name, 1);
+    ASSERT_TRUE(v.status().IsInvalidArgument()) << name;
+    EXPECT_NE(v.status().message().find(std::string("--") + name),
+              std::string::npos)
+        << v.status().message();
+  }
+  EXPECT_EQ(flags.GetInt32("attempts", 1).value(), 2147483647);
+  EXPECT_EQ(flags.GetInt32("low", 1).value(), -2147483647 - 1);
+  EXPECT_EQ(flags.GetInt32("missing", 7).value(), 7);
+}
+
 TEST(FlagParserTest, DimsFlag) {
   FlagParser flags = Make({"--core=4x5x6", "--bad=4xx6"});
   EXPECT_EQ(flags.GetDims("core", {}).value(),

@@ -1,7 +1,8 @@
 // Tests for the dataflow plan layer: Plan construction (DAG-by-construction
 // and builder poisoning), PlanScheduler ordering and failure propagation,
-// plan statistics (observed concurrency, critical path vs total work), and
-// the iteration-invariant input-scan cache counters.
+// job ids reserved by node index, plan statistics (observed concurrency,
+// critical path vs total work), and the iteration-invariant input-scan
+// cache counters.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,23 @@ using haten2::testing::RandomSparseTensor;
 
 void SleepMs(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
+
+/// Runs a `records`-record sum job on `engine`.
+Status RunJob(Engine* engine, const std::string& name, int64_t records = 100) {
+  return engine
+      ->Run<int64_t, int64_t, int64_t, int64_t>(
+          name, records,
+          [](int64_t i, ShuffleEmitter<int64_t, int64_t>* em) {
+            em->Emit(i % 7, 1);
+          },
+          [](const int64_t& k, std::vector<int64_t>& vs,
+             OutputEmitter<int64_t, int64_t>* out) {
+            int64_t sum = 0;
+            for (int64_t v : vs) sum += v;
+            out->Emit(k, sum);
+          })
+      .status();
 }
 
 /// Appends `index` to `order` under `mu` and returns OK.
@@ -157,45 +175,10 @@ TEST(Scheduler, ObservedConcurrencyAndCriticalPath) {
   EXPECT_EQ(stats.max_observed_concurrency, 2);
   EXPECT_GT(stats.total_node_seconds, 0.0);
   EXPECT_LT(stats.critical_path_seconds, stats.total_node_seconds);
-  // No node retried, so the backoff-inclusive path equals the pure one.
-  EXPECT_EQ(stats.total_node_retries, 0);
-  EXPECT_EQ(stats.critical_path_with_backoff_seconds,
-            stats.critical_path_seconds);
   // Pipeline-level aggregates see the same numbers.
   EXPECT_EQ(pipeline.MaxScheduledConcurrency(), 2);
   EXPECT_LT(pipeline.TotalCriticalPathSeconds(),
             pipeline.TotalPlanNodeSeconds());
-  EXPECT_EQ(pipeline.TotalCriticalPathWithBackoffSeconds(),
-            pipeline.TotalCriticalPathSeconds());
-}
-
-TEST(Scheduler, CriticalPathWithBackoffChargesRetriedNodes) {
-  // A node that fails transiently once serves one simulated backoff wait
-  // before succeeding. The pure critical path reports only executor time
-  // (what the scheduler actually slept); the backoff-inclusive variant adds
-  // the wait, reconciling with CostModel::SimulatePipeline's serial charge.
-  ClusterConfig config = ClusterConfig::ForTesting();
-  config.max_node_attempts = 3;
-  config.node_backoff_base_seconds = 5.0;
-  config.node_backoff_cap_seconds = 60.0;
-  Engine engine(config);
-  Plan plan("retrying");
-  int tries = 0;
-  plan.AddJob("flaky", {}, [&tries]() -> Status {
-    return (++tries < 2) ? Status::IOError("transient") : Status::OK();
-  });
-  ASSERT_OK(PlanScheduler(&engine).Execute(plan));
-  EXPECT_EQ(tries, 2);
-
-  PipelineStats pipeline = engine.PipelineSnapshot();
-  ASSERT_EQ(pipeline.plans.size(), 1u);
-  const PlanStats& stats = pipeline.plans[0];
-  EXPECT_EQ(stats.total_node_retries, 1);
-  EXPECT_EQ(stats.total_backoff_seconds, 5.0);
-  EXPECT_EQ(stats.critical_path_with_backoff_seconds,
-            stats.critical_path_seconds + 5.0);
-  EXPECT_EQ(pipeline.TotalCriticalPathWithBackoffSeconds(),
-            pipeline.TotalCriticalPathSeconds() + 5.0);
 }
 
 TEST(Scheduler, SerialFailureSkipsEverythingAfter) {
@@ -245,26 +228,10 @@ TEST(Scheduler, ConcurrentFailureLetsRunningNodesFinish) {
 }
 
 TEST(Scheduler, EngineJobsAreTaggedWithPlanAndNode) {
-  ClusterConfig config = ClusterConfig::ForTesting();
-  Engine engine(config);
-  auto run_job = [&engine](const std::string& name) -> Status {
-    return engine
-        .Run<int64_t, int64_t, int64_t, int64_t>(
-            name, 100,
-            [](int64_t i, ShuffleEmitter<int64_t, int64_t>* em) {
-              em->Emit(i % 7, 1);
-            },
-            [](const int64_t& k, std::vector<int64_t>& vs,
-               OutputEmitter<int64_t, int64_t>* out) {
-              int64_t sum = 0;
-              for (int64_t v : vs) sum += v;
-              out->Emit(k, sum);
-            })
-        .status();
-  };
+  Engine engine(ClusterConfig::ForTesting());
   Plan plan("two-jobs");
-  plan.AddJob("left", {}, [&] { return run_job("left"); });
-  plan.AddJob("right", {}, [&] { return run_job("right"); });
+  plan.AddJob("left", {}, [&] { return RunJob(&engine, "left"); });
+  plan.AddJob("right", {}, [&] { return RunJob(&engine, "right"); });
   ASSERT_OK(PlanScheduler(&engine, 2).Execute(plan));
 
   PipelineStats pipeline = engine.PipelineSnapshot();
@@ -279,31 +246,76 @@ TEST(Scheduler, EngineJobsAreTaggedWithPlanAndNode) {
   ASSERT_EQ(stats.nodes[1].job_ids.size(), 1u);
   EXPECT_NE(stats.nodes[0].job_ids[0], stats.nodes[1].job_ids[0]);
   // A job run outside any plan stays untagged.
-  ASSERT_OK(run_job("direct"));
+  ASSERT_OK(RunJob(&engine, "direct"));
   pipeline = engine.PipelineSnapshot();
   EXPECT_EQ(pipeline.jobs.back().plan_id, -1);
 }
 
 TEST(Scheduler, PipelineSinceFiltersByJobIdWatermark) {
   Engine engine(ClusterConfig::ForTesting());
-  auto run_job = [&engine](const std::string& name) -> Status {
-    return engine
-        .Run<int64_t, int64_t, int64_t, int64_t>(
-            name, 10,
-            [](int64_t i, ShuffleEmitter<int64_t, int64_t>* em) {
-              em->Emit(i, 1);
-            },
-            [](const int64_t& k, std::vector<int64_t>& vs,
-               OutputEmitter<int64_t, int64_t>* out) { out->Emit(k, 1); })
-        .status();
-  };
-  ASSERT_OK(run_job("before"));
+  ASSERT_OK(RunJob(&engine, "before", 10));
   const int64_t watermark = engine.NextJobId();
-  ASSERT_OK(run_job("after"));
+  ASSERT_OK(RunJob(&engine, "after", 10));
   PipelineStats since = engine.PipelineSince(watermark, engine.NextPlanId());
   ASSERT_EQ(since.jobs.size(), 1u);
   EXPECT_EQ(since.jobs[0].name, "after");
   EXPECT_GE(since.jobs[0].job_id, watermark);
+}
+
+TEST(Scheduler, JobIdsFollowNodeIndexNotStartOrder) {
+  // Node 0 sleeps before its job, so under cap 3 its job starts last. It
+  // still gets the plan's first reserved id, the log lists jobs in id
+  // order, and a fresh engine hands out the same ids.
+  std::vector<int64_t> first_ids;
+  for (int run = 0; run < 2; ++run) {
+    Engine engine(ClusterConfig::ForTesting());
+    ASSERT_OK(RunJob(&engine, "direct"));
+    const int64_t first = engine.NextJobId();
+    Plan plan("three");
+    plan.AddJob("n0", {}, [&engine] {
+      SleepMs(30);
+      return RunJob(&engine, "j0");
+    });
+    plan.AddJob("n1", {}, [&engine] { return RunJob(&engine, "j1"); });
+    plan.AddJob("n2", {}, [&engine] { return RunJob(&engine, "j2"); });
+    ASSERT_OK(PlanScheduler(&engine, /*max_concurrent=*/3).Execute(plan));
+
+    PipelineStats pipeline = engine.PipelineSnapshot();
+    ASSERT_EQ(pipeline.jobs.size(), 4u);
+    EXPECT_EQ(pipeline.jobs[0].name, "direct");
+    for (int i = 0; i < 3; ++i) {
+      const JobStats& job = pipeline.jobs[static_cast<size_t>(i) + 1];
+      EXPECT_EQ(job.name, "j" + std::to_string(i));
+      EXPECT_EQ(job.job_id, first + i);
+      EXPECT_EQ(pipeline.plans[0].nodes[static_cast<size_t>(i)].job_ids,
+                std::vector<int64_t>{first + i});
+    }
+    EXPECT_EQ(engine.NextJobId(), first + 3);
+    first_ids.push_back(first);
+  }
+  EXPECT_EQ(first_ids[0], first_ids[1]);
+}
+
+TEST(Scheduler, SecondEngineJobInOneNodeFailsPrecondition) {
+  Engine engine(ClusterConfig::ForTesting());
+  Plan plan("two-in-one");
+  plan.AddJob("greedy", {}, [&engine]() -> Status {
+    HATEN2_RETURN_IF_ERROR(RunJob(&engine, "first"));
+    return RunJob(&engine, "second");
+  });
+  Status status = PlanScheduler(&engine).Execute(plan);
+  EXPECT_TRUE(status.IsFailedPrecondition()) << status.ToString();
+  EXPECT_NE(status.message().find("'second'"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(engine.memory().used(), 0u);
+
+  // The first job ran under the node's id; the second never started.
+  PipelineStats pipeline = engine.PipelineSnapshot();
+  ASSERT_EQ(pipeline.jobs.size(), 1u);
+  EXPECT_EQ(pipeline.jobs[0].name, "first");
+  const PlanNodeStats& node = pipeline.plans[0].nodes[0];
+  EXPECT_EQ(node.status, "failed");
+  EXPECT_EQ(node.job_ids, std::vector<int64_t>{pipeline.jobs[0].job_id});
 }
 
 TEST(Scheduler, InvariantCacheCountsHitsAndMisses) {

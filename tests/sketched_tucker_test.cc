@@ -351,7 +351,7 @@ TEST(SketchedTucker, StatsJsonCarriesV8SketchObject) {
 
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   for (const char* key :
-       {"\"schema\":\"haten2-stats-v13\"", "\"sketch\"", "\"seconds\"",
+       {"\"schema\":\"haten2-stats-v14\"", "\"sketch\"", "\"seconds\"",
         "\"dims\"", "\"polish\"", "\"tucker_sketch\":\"gaussian\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }

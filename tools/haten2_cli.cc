@@ -70,9 +70,6 @@
 //                                        (deterministic; default 0)
 //   --max_task_attempts=A                attempts per map task before the
 //                                        job aborts (default 4)
-//   --max_node_attempts=A                plan-level recovery: attempts per
-//                                        plan node before the run fails
-//                                        (default 1 = no node retries)
 //   --ingest_log=PATH                    streaming ingest (parafac
 //                                        methods only):
 //                                        after fitting <tensor-file> as the
@@ -92,11 +89,12 @@
 //   --stats_json=PATH                    write the run's statistics (per-job
 //                                        phase times, intermediate-data
 //                                        records/bytes, per-iteration fit,
-//                                        retry/backoff counters)
-//                                        as "haten2-stats-v12" JSON; written
+//                                        map-task retry counters)
+//                                        as "haten2-stats-v14" JSON; written
 //                                        on failures too, so o.o.m. runs
 //                                        keep their post-mortem numbers
 //
+// Integer flags stored in an `int` reject values outside int's range.
 // Exit code 0 on success; on o.o.m. prints the paper-style diagnosis and
 // exits 2.
 
@@ -133,7 +131,7 @@ constexpr const char* kUsage =
     "       [--output=PREFIX] [--resume[=PREFIX]] [--stats]\n"
     "       [--checkpoint_dir=DIR] [--checkpoint_every=N]\n"
     "       [--checkpoint_keep=K] [--task_failure_prob=P]\n"
-    "       [--max_task_attempts=A] [--max_node_attempts=A]\n"
+    "       [--max_task_attempts=A]\n"
     "       [--ingest_log=PATH] [--epoch_nnz=N]\n"
     "       [--stats_json=PATH]\n";
 
@@ -179,7 +177,7 @@ int RealMain(int argc, char** argv) {
                                  "output", "resume", "stats", "stats_json",
                                  "checkpoint_dir", "checkpoint_every",
                                  "checkpoint_keep", "task_failure_prob",
-                                 "max_task_attempts", "max_node_attempts",
+                                 "max_task_attempts",
                                  "ingest_log", "epoch_nnz", "one-based",
                                  "help"});
   if (!valid.ok() || flags.GetBool("help", false) ||
@@ -204,24 +202,21 @@ int RealMain(int argc, char** argv) {
 
   Result<Variant> variant = ParseVariant(flags.GetString("variant", "dri"));
   Result<int64_t> rank = flags.GetInt("rank", 10);
-  Result<int64_t> iterations = flags.GetInt("iterations", 20);
+  Result<int> iterations = flags.GetInt32("iterations", 20);
   Result<double> tolerance = flags.GetDouble("tolerance", 1e-6);
   Result<int64_t> seed = flags.GetInt("seed", 17);
-  Result<int64_t> machines = flags.GetInt("machines", 40);
-  Result<int64_t> threads = flags.GetInt("threads", 2);
-  Result<int64_t> max_concurrent_jobs =
-      flags.GetInt("max_concurrent_jobs", 1);
+  Result<int> machines = flags.GetInt32("machines", 40);
+  Result<int> threads = flags.GetInt32("threads", 2);
+  Result<int> max_concurrent_jobs = flags.GetInt32("max_concurrent_jobs", 1);
   Result<int64_t> budget_mb = flags.GetInt("budget-mb", 0);
   Result<int64_t> incore_memory_mb = flags.GetInt("incore_memory_mb", 1024);
   Result<int64_t> sketch_size = flags.GetInt("sketch_size", 0);
-  Result<int64_t> exact_polish_sweeps =
-      flags.GetInt("exact_polish_sweeps", 2);
-  Result<int64_t> checkpoint_every = flags.GetInt("checkpoint_every", 5);
-  Result<int64_t> checkpoint_keep = flags.GetInt("checkpoint_keep", 2);
+  Result<int> exact_polish_sweeps = flags.GetInt32("exact_polish_sweeps", 2);
+  Result<int> checkpoint_every = flags.GetInt32("checkpoint_every", 5);
+  Result<int> checkpoint_keep = flags.GetInt32("checkpoint_keep", 2);
   Result<double> task_failure_prob =
       flags.GetDouble("task_failure_prob", 0.0);
-  Result<int64_t> max_task_attempts = flags.GetInt("max_task_attempts", 4);
-  Result<int64_t> max_node_attempts = flags.GetInt("max_node_attempts", 1);
+  Result<int> max_task_attempts = flags.GetInt32("max_task_attempts", 4);
   Result<int64_t> epoch_nnz = flags.GetInt("epoch_nnz", 0);
   Result<std::vector<int64_t>> core =
       flags.GetDims("core", std::vector<int64_t>(
@@ -233,8 +228,7 @@ int RealMain(int argc, char** argv) {
         incore_memory_mb.status(), sketch_size.status(),
         exact_polish_sweeps.status(), checkpoint_every.status(),
         checkpoint_keep.status(), task_failure_prob.status(),
-        max_task_attempts.status(), max_node_attempts.status(),
-        epoch_nnz.status(), core.status()}) {
+        max_task_attempts.status(), epoch_nnz.status(), core.status()}) {
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
@@ -242,19 +236,18 @@ int RealMain(int argc, char** argv) {
   }
 
   ClusterConfig config;
-  config.num_machines = static_cast<int>(*machines);
-  config.num_threads = static_cast<int>(*threads);
-  config.max_concurrent_jobs = static_cast<int>(*max_concurrent_jobs);
+  config.num_machines = *machines;
+  config.num_threads = *threads;
+  config.max_concurrent_jobs = *max_concurrent_jobs;
   config.contraction = flags.GetString("contraction", "dataflow");
   config.incore_memory_mb = *incore_memory_mb;
   config.tucker_sketch = flags.GetString("tucker_sketch", "none");
   config.sketch_size = *sketch_size;
-  config.exact_polish_sweeps = static_cast<int>(*exact_polish_sweeps);
+  config.exact_polish_sweeps = *exact_polish_sweeps;
   config.total_shuffle_memory_bytes =
       static_cast<uint64_t>(*budget_mb) << 20;
   config.task_failure_probability = *task_failure_prob;
-  config.max_task_attempts = static_cast<int>(*max_task_attempts);
-  config.max_node_attempts = static_cast<int>(*max_node_attempts);
+  config.max_task_attempts = *max_task_attempts;
   // Reject nonsense (zero bandwidths, empty slot pools, ...) up front: an
   // invalid config would otherwise surface as Inf/NaN simulated seconds
   // silently serialized into the stats JSON.
@@ -267,7 +260,7 @@ int RealMain(int argc, char** argv) {
 
   Haten2Options options;
   options.variant = *variant;
-  options.max_iterations = static_cast<int>(*iterations);
+  options.max_iterations = *iterations;
   options.tolerance = *tolerance;
   options.seed = static_cast<uint64_t>(*seed);
 
@@ -297,9 +290,8 @@ int RealMain(int argc, char** argv) {
   CheckpointOptions checkpoint_options;
   if (!checkpoint_dir.empty()) {
     checkpoint_options.directory = checkpoint_dir;
-    checkpoint_options.every_n_iterations =
-        static_cast<int>(*checkpoint_every);
-    checkpoint_options.keep_last = static_cast<int>(*checkpoint_keep);
+    checkpoint_options.every_n_iterations = *checkpoint_every;
+    checkpoint_options.keep_last = *checkpoint_keep;
     options.checkpoint = &checkpoint_options;
   }
 
