@@ -18,7 +18,7 @@
 
 #include "bench_json.h"
 #include "bench_util.h"
-#include "core/sketched_tucker.h"
+#include "core/tucker.h"
 #include "workload/random_tensor.h"
 
 namespace haten2 {
@@ -61,28 +61,19 @@ void RunSweep(const std::string& title, const std::string& param_name,
         result = MeasureBaseline([&] {
           return ToolboxTuckerAls(x, {core, core, core}, options).status();
         });
-      } else if (methods[m].name == "HaTen2-DRI-sk") {
-        // Sketched HOOI on the DRI dataflow: gaussian projections, default
-        // (auto) sketch width. Single-sweep cells measure the sketched
-        // sweep itself, so polish is off here; the fit-vs-speed ablation
-        // below runs the full schedule.
-        ClusterConfig config = PaperCluster(kShuffleBudget);
-        config.tucker_sketch = "gaussian";
-        config.exact_polish_sweeps = 0;
-        Engine engine(config);
-        Haten2Options options;
-        options.max_iterations = 1;
-        options.variant = Variant::kDri;
-        result = MeasureMr(&engine, [&] {
-          return Haten2SketchedTuckerAls(&engine, x, {core, core, core},
-                                         options)
-              .status();
-        });
       } else {
+        // The DRI-sk cells run sketched HOOI on the DRI dataflow (gaussian
+        // projections, automatic width). Single-sweep cells measure the
+        // sketched sweep itself, so polish is off there; the fit-vs-speed
+        // ablation below runs the full schedule.
+        const bool sketched = methods[m].name == "HaTen2-DRI-sk";
         Engine engine(PaperCluster(kShuffleBudget));
         Haten2Options options;
         options.max_iterations = 1;
-        options.variant = static_cast<Variant>(m - 1);
+        options.variant =
+            sketched ? Variant::kDri : static_cast<Variant>(m - 1);
+        options.tucker_sketch = sketched;
+        options.exact_polish_sweeps = 0;
         result = MeasureMr(&engine, [&] {
           return Haten2TuckerAls(&engine, x, {core, core, core}, options)
               .status();
@@ -169,43 +160,26 @@ void PartFitVsSpeed(BenchJsonLog* log) {
                         "^3, %d sweeps",
                         core, sweeps),
               {"method", "fit", "sim-time"});
-  struct Ablation {
-    const char* name;
-    const char* sketch;  // nullptr = exact driver
-  };
-  for (const Ablation& a :
-       {Ablation{"HaTen2-DRI", nullptr},
-        Ablation{"HaTen2-DRI-sk", "gaussian"}}) {
-    ClusterConfig config = PaperCluster(kShuffleBudget);
+  for (const bool sketched : {false, true}) {
+    const char* name = sketched ? "HaTen2-DRI-sk" : "HaTen2-DRI";
+    Engine engine(PaperCluster(kShuffleBudget));
     Haten2Options options;
     options.max_iterations = sweeps;
     options.tolerance = 0.0;
     options.variant = Variant::kDri;
     options.seed = 42;
+    options.tucker_sketch = sketched;
+    options.exact_polish_sweeps = 2;
     double fit = 0.0;
-    Measurement result;
-    if (a.sketch == nullptr) {
-      Engine engine(config);
-      result = MeasureMr(&engine, [&] {
-        Result<TuckerModel> model =
-            Haten2TuckerAls(&engine, x, {core, core, core}, options);
-        if (model.ok()) fit = model->fit;
-        return model.status();
-      });
-    } else {
-      config.tucker_sketch = a.sketch;
-      config.exact_polish_sweeps = 2;
-      Engine engine(config);
-      result = MeasureMr(&engine, [&] {
-        Result<TuckerModel> model =
-            Haten2SketchedTuckerAls(&engine, x, {core, core, core}, options);
-        if (model.ok()) fit = model->fit;
-        return model.status();
-      });
-    }
-    log->Add("fit_vs_speed", StrFormat("core=%" PRId64 "^3", core), a.name,
+    Measurement result = MeasureMr(&engine, [&] {
+      Result<TuckerModel> model =
+          Haten2TuckerAls(&engine, x, {core, core, core}, options);
+      if (model.ok()) fit = model->fit;
+      return model.status();
+    });
+    log->Add("fit_vs_speed", StrFormat("core=%" PRId64 "^3", core), name,
              result);
-    PrintRow({a.name, StrFormat("%.4f", fit), result.Cell()});
+    PrintRow({name, StrFormat("%.4f", fit), result.Cell()});
   }
 }
 

@@ -30,11 +30,12 @@ struct AlsIterationOutcome {
   /// PARAFAC λ after the iteration (left empty by Tucker bodies).
   std::vector<double> lambda;
 
-  /// Sketched-Tucker sweep annotations (core/sketched_tucker.cc; left unset
-  /// by every other driver). sketch_seconds is the driver-side time spent
-  /// building the projected factors and running the randomized range
-  /// finder; sketch_dims is the sketch width s (0 on polish sweeps);
-  /// sketch_polish marks the exact-polish sweeps appended at the end.
+  /// Sketched-Tucker sweep annotations (Haten2TuckerAls with
+  /// Haten2Options::tucker_sketch; left unset otherwise). sketch_seconds is
+  /// the driver-side time spent building the projected factors and running
+  /// the randomized range finder; sketch_dims is the sketch width s (0 on
+  /// polish sweeps); sketch_polish marks the exact-polish sweeps appended at
+  /// the end.
   bool has_sketch = false;
   double sketch_seconds = 0.0;
   int64_t sketch_dims = 0;
@@ -120,8 +121,7 @@ Status ValidateCoreDims(const SparseTensor& x,
 ///
 /// The harness also owns the per-decomposition ContractCache: bodies pass
 /// cache() to MultiModeContract for contractions of the iteration-invariant
-/// input tensor (and nullptr for tensors rebuilt each iteration, like the
-/// EM residual).
+/// input tensor.
 class AlsHarness {
  public:
   /// The iteration body: runs one full ALS sweep (iteration numbers start

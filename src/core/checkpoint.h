@@ -62,7 +62,7 @@ struct CheckpointOptions {
 /// the on-disk manifest.
 struct CheckpointManifest {
   /// Driver family: "parafac", "parafac-nn", "tucker", "tucker-nn",
-  /// "sketched-tucker", "parafac-em" (missing values).
+  /// "sketched-tucker" (Tucker with Haten2Options::tucker_sketch).
   std::string method;
   /// "kruskal" or "tucker" — which model files the checkpoint carries.
   std::string model_kind;

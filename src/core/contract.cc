@@ -6,7 +6,6 @@
 
 #include "core/contraction_strategy.h"
 #include "core/records.h"
-#include "mapreduce/cost_model.h"
 #include "util/string_util.h"
 
 namespace haten2 {
@@ -185,14 +184,7 @@ Result<SliceBlocks> MultiModeContract(
   }
 
   // Path selection (ClusterConfig::contraction, validated upstream).
-  const ClusterConfig& config = engine->config();
-  bool incore = config.contraction == "incore";
-  if (config.contraction == "auto") {
-    const uint64_t budget = static_cast<uint64_t>(config.incore_memory_mb)
-                            << 20;
-    incore = CostModel::EstimateInCoreLayoutBytes(
-                 x.nnz(), ctx.num_streams()) <= budget;
-  }
+  const bool incore = engine->config().contraction == "incore";
   return incore ? ContractInCore(ctx) : ContractDataflow(ctx);
 }
 

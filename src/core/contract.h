@@ -38,9 +38,9 @@ std::vector<TensorRecord> TensorToRecords(const SparseTensor& x);
 /// data, while a copy keeps the stamp and hits. A non-canonical tensor is
 /// always a miss and never becomes the key (its stamp predates its last
 /// appends); every production caller passes canonical tensors anyway.
-/// Tensors that genuinely change every evaluation — e.g. the EM residual in
-/// missing_values.cc — should still bypass the cache (pass nullptr to
-/// MultiModeContract): every lookup would miss and pay for a rebuild.
+/// A tensor that changes every evaluation should bypass the cache (pass
+/// nullptr to MultiModeContract): every lookup would miss and pay for a
+/// rebuild.
 /// Not thread-safe; call from the driver thread during plan construction,
 /// never from inside plan nodes.
 class ContractCache {
@@ -169,10 +169,8 @@ struct SliceBlocks {
 /// counters) follow the paper exactly — Tables III/IV per-variant job counts
 /// and intermediate-data sizes are reproduced by construction. On an
 /// exceeded shuffle-memory budget returns kResourceExhausted ("o.o.m.").
-/// With "incore" it runs through ContractInCore's shuffle-free kernels;
-/// "auto" picks in-core when CostModel::EstimateInCoreLayoutBytes fits the
-/// incore_memory_mb budget, dataflow otherwise. The selected path is
-/// recorded per plan node in haten2-stats-v12.
+/// With "incore" it runs through ContractInCore's shuffle-free kernels.
+/// The selected path is recorded per plan node in the stats JSON.
 ///
 /// Note on CrossMerge/PairwiseMerge keying: the paper's MAP prose keys on
 /// (i, rQ+q) but its REDUCE consumes the whole slice X_i:: and Table III

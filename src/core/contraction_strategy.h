@@ -39,8 +39,7 @@ struct ContractionContext {
 };
 
 // The two contraction paths MultiModeContract selects between
-// (ClusterConfig::contraction; the `auto` policy consults
-// CostModel::EstimateInCoreLayoutBytes). Each builds a dataflow Plan, tags
+// (ClusterConfig::contraction). Each builds a dataflow Plan, tags
 // its nodes with the path name via Plan::AnnotateContraction (so stats_json
 // records the per-node choice), and runs it through a PlanScheduler on
 // ctx.engine. Both return SliceBlocks with ascending slice_ids.

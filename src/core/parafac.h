@@ -31,15 +31,24 @@ struct Haten2Options {
   /// least-squares update. Factors stay entrywise >= 0.
   bool nonnegative = false;
 
+  /// Randomized (sketched) HOOI for Haten2TuckerAls (core/tucker.h): every
+  /// sweep but the last `exact_polish_sweeps` range-finds all modes but the
+  /// last on Gaussian sketches of the contracted factors, s = the largest
+  /// core dimension + 4 columns wide. The final `exact_polish_sweeps`
+  /// sweeps are exact HOOI, recovering the accuracy the projections gave
+  /// up; it must be >= 0. PARAFAC and nonnegative Tucker ignore both.
+  bool tucker_sketch = false;
+  int exact_polish_sweeps = 2;
+
   /// Optional warm starts: when non-null, every driver of the matching
   /// model kind starts from a copy of this model's factors and λ or core
   /// instead of a random draw (AlsHarness::Start). The model must match the
   /// tensor's shape and the requested rank/core size in every factor, or
-  /// the driver returns kInvalidArgument. Tucker and sketched Tucker
-  /// re-orthonormalize the factors and recompute the core; nonnegative
-  /// Tucker needs the core as well. Continuing a PARAFAC, nonnegative
-  /// Tucker or EM run from its own output repeats the uninterrupted
-  /// iterate sequence bit for bit. Not owned.
+  /// the driver returns kInvalidArgument. Tucker (sketched or not)
+  /// re-orthonormalizes the factors and recomputes the core; nonnegative
+  /// Tucker needs the core as well. Continuing a PARAFAC or nonnegative
+  /// Tucker run from its own output repeats the uninterrupted iterate
+  /// sequence bit for bit. Not owned.
   const KruskalModel* initial_kruskal = nullptr;
   const TuckerModel* initial_tucker = nullptr;
 

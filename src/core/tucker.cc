@@ -2,10 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "linalg/linalg.h"
+#include "linalg/sketch.h"
+#include "mapreduce/plan.h"
+#include "mapreduce/scheduler.h"
 #include "util/random.h"
+#include "util/string_util.h"
+#include "util/timer.h"
 
 namespace haten2 {
 
@@ -109,6 +115,13 @@ Result<DenseTensor> TuckerCoreFromBlocks(const SliceBlocks& last_y,
   return DenseTensor::Fold(core_unfolded, last_mode, core_dims);
 }
 
+namespace {
+
+/// The orthonormal start, called after AlsHarness::Start: a fresh start
+/// draws factor m from RandomNormal(x.dim(m), core_dims[m]) on Rng(seed) in
+/// mode order, so sketched and exact runs begin from identical factors at a
+/// fixed seed; a fresh or warm start then takes one QR per mode, in mode
+/// order. A resumed model is left verbatim.
 Status OrthonormalTuckerStart(AlsStart start, const SparseTensor& x,
                               const std::vector<int64_t>& core_dims,
                               uint64_t seed, TuckerModel* model) {
@@ -130,35 +143,111 @@ Status OrthonormalTuckerStart(AlsStart start, const SparseTensor& x,
   return Status::OK();
 }
 
+/// One sketched mode update: project every contracted factor to
+/// `sketch_size` columns (independent plan nodes), contract through the
+/// fused broadcast merge over the sketched Khatri–Rao structure, then
+/// range-find on the s-wide blocks. Adds the driver-side sketch and range
+/// finder time to `sketch_seconds`.
+Result<DenseMatrix> SketchedLeadingFactor(Engine* engine,
+                                          const SparseTensor& x,
+                                          const TuckerModel& model, int n,
+                                          int64_t count, int64_t sketch_size,
+                                          const Haten2Options& options,
+                                          ContractCache* cache,
+                                          double* sketch_seconds) {
+  const int order = x.order();
+  WallTimer sketch_timer;
+  Plan plan(StrFormat("sketch-m%d", n));
+  std::vector<DenseMatrix> sketched(static_cast<size_t>(order));
+  std::vector<const DenseMatrix*> sketched_ptrs(static_cast<size_t>(order),
+                                                nullptr);
+  for (int m = 0; m < order; ++m) {
+    if (m == n) continue;
+    const DenseMatrix* factor_m = &model.factors[static_cast<size_t>(m)];
+    const uint64_t omega_seed = SketchSeedForMode(options.seed, m);
+    int node = plan.AddProducer<DenseMatrix>(
+        StrFormat("Sketch[gaussian,m%d]", m), {},
+        [factor_m, sketch_size, omega_seed]() -> Result<DenseMatrix> {
+          return ApplySketch(*factor_m, sketch_size, omega_seed);
+        },
+        &sketched[static_cast<size_t>(m)]);
+    plan.AnnotateContraction(node, "sketch");
+    sketched_ptrs[static_cast<size_t>(m)] = &sketched[static_cast<size_t>(m)];
+  }
+  PlanScheduler scheduler(engine);
+  HATEN2_RETURN_IF_ERROR(scheduler.Execute(plan));
+  *sketch_seconds += sketch_timer.ElapsedSeconds();
+  HATEN2_ASSIGN_OR_RETURN(
+      SliceBlocks z, MultiModeContract(engine, x, sketched_ptrs, n,
+                                       MergeKind::kSketchFused,
+                                       options.variant, cache));
+  WallTimer range_timer;
+  Result<DenseMatrix> factor = TuckerLeadingFactor(z, count);
+  *sketch_seconds += range_timer.ElapsedSeconds();
+  return factor;
+}
+
+}  // namespace
+
 Result<TuckerModel> Haten2TuckerAls(Engine* engine, const SparseTensor& x,
                                     std::vector<int64_t> core_dims,
                                     const Haten2Options& options) {
   HATEN2_RETURN_IF_ERROR(ValidateAlsInput(engine, x));
   HATEN2_RETURN_IF_ERROR(ValidateCoreDims(x, core_dims));
+  if (options.exact_polish_sweeps < 0) {
+    return Status::InvalidArgument(
+        StrFormat("exact_polish_sweeps must be >= 0, got %d",
+                  options.exact_polish_sweeps));
+  }
   const int order = x.order();
+  const bool sketch = options.tucker_sketch;
+  // The sketch width: the largest core dimension plus a small
+  // oversampling margin (the randomized-SVD literature's p ≈ 4..10).
+  const int64_t sketch_size =
+      *std::max_element(core_dims.begin(), core_dims.end()) + 4;
+  const int polish = std::min(options.exact_polish_sweeps,
+                              options.max_iterations);
 
+  // The sketch configuration changes the iterate sequence, so it belongs in
+  // the resume fingerprint.
+  const std::string method = sketch ? "sketched-tucker" : "tucker";
+  const std::string fingerprint_method =
+      sketch ? StrFormat("sketched-tucker/gaussian/s%lld/p%d",
+                         (long long)sketch_size, polish)
+             : method;
   TuckerModel model;
-  AlsHarness harness(engine, options, "tucker",
-                     CheckpointFingerprint("tucker", options.variant,
-                                           options.seed, options.tolerance,
-                                           core_dims, x),
+  AlsHarness harness(engine, options, method,
+                     CheckpointFingerprint(fingerprint_method,
+                                           options.variant, options.seed,
+                                           options.tolerance, core_dims, x),
                      &model, {x.FrobeniusNorm(), /*converge_on_equal=*/true});
   HATEN2_ASSIGN_OR_RETURN(AlsStart start, harness.Start(x, core_dims));
   HATEN2_RETURN_IF_ERROR(
       OrthonormalTuckerStart(start, x, core_dims, options.seed, &model));
 
   Status loop_status = harness.Run(
-      [&](int, AlsIterationOutcome* outcome) -> Status {
+      [&](int iter, AlsIterationOutcome* outcome) -> Status {
+      const bool sketched_sweep =
+          sketch && iter <= options.max_iterations - polish;
+      double sketch_seconds = 0.0;
       SliceBlocks last_y;
       for (int n = 0; n < order; ++n) {
+        const int64_t count = core_dims[static_cast<size_t>(n)];
+        if (sketched_sweep && n < order - 1) {
+          HATEN2_ASSIGN_OR_RETURN(
+              model.factors[static_cast<size_t>(n)],
+              SketchedLeadingFactor(engine, x, model, n, count, sketch_size,
+                                    options, harness.cache(),
+                                    &sketch_seconds));
+          continue;
+        }
         HATEN2_ASSIGN_OR_RETURN(
             SliceBlocks y,
             MultiModeContract(engine, x, model.FactorPtrs(), n,
                               MergeKind::kCross, options.variant,
                               harness.cache()));
-        HATEN2_ASSIGN_OR_RETURN(
-            DenseMatrix factor,
-            TuckerLeadingFactor(y, core_dims[static_cast<size_t>(n)]));
+        HATEN2_ASSIGN_OR_RETURN(DenseMatrix factor,
+                                TuckerLeadingFactor(y, count));
         model.factors[static_cast<size_t>(n)] = std::move(factor);
         if (n == order - 1) last_y = std::move(y);
       }
@@ -174,8 +263,14 @@ Result<TuckerModel> Haten2TuckerAls(Engine* engine, const SparseTensor& x,
       model.core_norm_history.push_back(core_norm);
       outcome->has_core_norm = true;
       outcome->core_norm = core_norm;
-      outcome->has_metric = true;
+      outcome->has_metric = !sketched_sweep;
       outcome->metric = core_norm;
+      if (sketch) {
+        outcome->has_sketch = true;
+        outcome->sketch_seconds = sketch_seconds;
+        outcome->sketch_dims = sketched_sweep ? sketch_size : 0;
+        outcome->sketch_polish = !sketched_sweep;
+      }
       return Status::OK();
       });
   if (!loop_status.ok()) return loop_status;

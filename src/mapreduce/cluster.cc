@@ -49,23 +49,12 @@ Status ClusterConfig::Validate() const {
     return BadField("task_failure_probability", "in [0, 1]");
   }
   if (max_task_attempts < 1) return BadField("max_task_attempts", ">= 1");
-  if (contraction != "auto" && contraction != "dataflow" &&
-      contraction != "incore") {
+  if (contraction != "dataflow" && contraction != "incore") {
     return Status::InvalidArgument(
-        StrFormat("ClusterConfig: contraction must be \"auto\", \"dataflow\" "
-                  "or \"incore\", got \"%s\"",
+        StrFormat("ClusterConfig: contraction must be \"dataflow\" or "
+                  "\"incore\", got \"%s\"",
                   contraction.c_str()));
   }
-  if (incore_memory_mb < 1) return BadField("incore_memory_mb", ">= 1");
-  if (tucker_sketch != "none" && tucker_sketch != "gaussian" &&
-      tucker_sketch != "countsketch") {
-    return Status::InvalidArgument(
-        StrFormat("ClusterConfig: tucker_sketch must be \"none\", "
-                  "\"gaussian\" or \"countsketch\", got \"%s\"",
-                  tucker_sketch.c_str()));
-  }
-  if (sketch_size < 0) return BadField("sketch_size", ">= 0");
-  if (exact_polish_sweeps < 0) return BadField("exact_polish_sweeps", ">= 0");
   return Status::OK();
 }
 

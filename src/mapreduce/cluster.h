@@ -74,37 +74,11 @@ struct ClusterConfig {
   uint64_t failure_seed = 0xfa11u;
 
   /// Contraction execution strategy (core/contraction_strategy.h):
-  /// "dataflow" always evaluates the bottleneck op as the paper's MapReduce
-  /// job pipeline (the default — the variant tables' job counts hold
-  /// exactly); "incore" forces the DFacTo-style compressed-layout kernels
-  /// (one plan node, no shuffle); "auto" picks per plan node — in-core when
-  /// CostModel::EstimateInCoreLayoutBytes fits incore_memory_mb, dataflow
-  /// otherwise.
+  /// "dataflow" evaluates the bottleneck op as the paper's MapReduce job
+  /// pipeline (the default — the variant tables' job counts hold exactly);
+  /// "incore" runs the DFacTo-style compressed-layout kernels (one plan
+  /// node, no shuffle).
   std::string contraction = "dataflow";
-
-  /// Per-node memory budget (MiB) the `auto` contraction policy allows for
-  /// an in-core compressed layout. Must be >= 1. Sized to one worker's RAM
-  /// share, not the whole cluster: the layout lives in a single process.
-  int64_t incore_memory_mb = 1024;
-
-  /// Randomized (sketched) Tucker HOOI (core/sketched_tucker.h): "none"
-  /// keeps the exact per-mode SVD; "gaussian" / "countsketch" select the
-  /// projection family the sketched driver compresses the contracted factor
-  /// columns with. The CLI routes --method=tucker through the sketched
-  /// driver whenever this is not "none". Never affects the exact drivers.
-  std::string tucker_sketch = "none";
-
-  /// Sketch dimension s: the column count the contracted factor space is
-  /// projected down to before the merge jobs run. 0 = auto (the largest
-  /// core dimension plus a small oversampling margin); explicit values must
-  /// be >= the largest core dimension, which the driver checks (the config
-  /// does not know the core dims). Must be >= 0.
-  int64_t sketch_size = 0;
-
-  /// Exact HOOI sweeps appended at the end of a sketched run to recover the
-  /// accuracy the projections gave up (the randomized-Tucker papers'
-  /// "polish" step). Must be >= 0; 0 runs sketched sweeps only.
-  int exact_polish_sweeps = 2;
 
   /// Checks every field for values that would make the engine or the
   /// CostModel produce nonsense (Inf/NaN simulated seconds, division by

@@ -8,16 +8,6 @@
 
 namespace haten2 {
 
-uint64_t CostModel::EstimateInCoreLayoutBytes(int64_t nnz, int num_streams) {
-  if (nnz < 0) nnz = 0;
-  if (num_streams < 1) num_streams = 1;
-  const uint64_t per_entry =
-      16 +                                        // value + inner index
-      8 * static_cast<uint64_t>(num_streams) +    // fiber offset + outer coords
-      16;                                         // slice id + fiber offset
-  return static_cast<uint64_t>(nnz) * per_entry + 4096;
-}
-
 double CostModel::Makespan(std::vector<double> task_costs, int workers) {
   if (task_costs.empty()) return 0.0;
   if (workers < 1) workers = 1;

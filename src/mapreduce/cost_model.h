@@ -37,17 +37,6 @@ class CostModel {
   /// order in which concurrent plan nodes finished.
   double SimulatePipeline(const PipelineStats& stats) const;
 
-  /// Upper-bound estimate of the memory an in-core compressed contraction
-  /// layout (linalg/sparse_kernels.h CsfLayout) of an nnz-entry tensor with
-  /// `num_streams` contracted modes would occupy, in bytes. Pure arithmetic
-  /// on purpose — the mapreduce layer never sees tensors — sized for the
-  /// worst case where every entry is its own fiber and slice:
-  /// value + inner index (16 B/entry), fiber offsets + outer coords
-  /// (8 * num_streams B/entry), slice ids + offsets (16 B/entry), plus a
-  /// fixed slack for the struct and array headers. The `auto` contraction
-  /// policy compares this against incore_memory_mb.
-  static uint64_t EstimateInCoreLayoutBytes(int64_t nnz, int num_streams);
-
   /// Greedy longest-processing-time makespan of `task_costs` on `workers`
   /// parallel workers: tasks, longest first, each go to the least-loaded
   /// worker. `workers` < 1 counts as one worker.

@@ -233,7 +233,7 @@ struct IterationStats {
   /// Sketched-Tucker sweep annotations (v8): driver-side seconds spent in
   /// sketch construction + randomized range finding, the sketch width s
   /// this sweep contracted with (0 on exact sweeps), and whether the sweep
-  /// was an exact polish sweep. has_sketch is false for every other driver.
+  /// was an exact polish sweep. has_sketch is false on unsketched runs.
   bool has_sketch = false;
   double sketch_seconds = 0.0;
   int64_t sketch_dims = 0;

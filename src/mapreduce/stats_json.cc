@@ -188,14 +188,6 @@ void ClusterConfigToJson(const ClusterConfig& config, JsonWriter* w) {
       .Value(config.max_concurrent_jobs)
       .Key("contraction")
       .Value(config.contraction)
-      .Key("incore_memory_mb")
-      .Value(config.incore_memory_mb)
-      .Key("tucker_sketch")
-      .Value(config.tucker_sketch)
-      .Key("sketch_size")
-      .Value(config.sketch_size)
-      .Key("exact_polish_sweeps")
-      .Value(config.exact_polish_sweeps)
       .Key("job_startup_seconds")
       .Value(config.job_startup_seconds)
       .Key("total_shuffle_memory_bytes")
@@ -213,7 +205,7 @@ std::string StatsReportToJson(const StatsReport& report) {
   const CostModel* cost = report.cluster != nullptr ? &cost_model : nullptr;
   JsonWriter w;
   w.BeginObject();
-  w.Key("schema").Value("haten2-stats-v14");
+  w.Key("schema").Value("haten2-stats-v15");
   if (!report.tool.empty()) w.Key("tool").Value(report.tool);
   if (!report.method.empty()) w.Key("method").Value(report.method);
   if (!report.variant.empty()) w.Key("variant").Value(report.variant);

@@ -12,7 +12,7 @@
 namespace haten2 {
 
 /// JSON serialization of the engine's and drivers' statistics — the stable
-/// "haten2-stats-v14" schema documented in docs/INTERNALS.md. The schema is
+/// "haten2-stats-v15" schema documented in docs/INTERNALS.md. The schema is
 /// what --stats_json and the BENCH_*.json harness exports emit, so the
 /// perf trajectory can be read by machines across PRs.
 ///
@@ -80,6 +80,13 @@ namespace haten2 {
 /// node that runs no engine job leaves its id unused), and `jobs` arrays
 /// are in job-id order. Every other field is unchanged.
 ///
+/// v15 drops four keys from the cluster object: incore_memory_mb,
+/// tucker_sketch, sketch_size and exact_polish_sweeps. The algorithm
+/// settings moved to Haten2Options, and `contraction` takes only
+/// "dataflow" or "incore" (the memory-budgeted "auto" policy is gone). A
+/// sketched Tucker run is identified by its per-iteration `sketch` objects.
+/// Every other field is unchanged.
+///
 /// All byte counters use the engine's record width (sizeof of the
 /// intermediate record pair, padding included) — the width a record
 /// occupies in the resident buffers the shuffle budget charges.
@@ -141,7 +148,7 @@ struct StatsReport {
   const RefitStatsReport* refit = nullptr;
 };
 
-/// Serializes the whole report ("haten2-stats-v14").
+/// Serializes the whole report ("haten2-stats-v15").
 std::string StatsReportToJson(const StatsReport& report);
 
 /// Serializes `report` and writes it to `path`.

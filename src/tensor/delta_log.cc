@@ -100,22 +100,6 @@ int64_t DeltaLog::sealed_nnz() const {
   return total;
 }
 
-Result<SparseTensor> DeltaLog::MergedView(const SparseTensor& base,
-                                          int64_t first_epoch) const {
-  if (first_epoch < 0 || first_epoch > num_epochs()) {
-    return Status::InvalidArgument(
-        StrFormat("DeltaLog::MergedView: first_epoch %lld out of [0, %lld]",
-                  static_cast<long long>(first_epoch),
-                  static_cast<long long>(num_epochs())));
-  }
-  SparseTensor merged = base;
-  for (int64_t i = first_epoch; i < num_epochs(); ++i) {
-    HATEN2_RETURN_IF_ERROR(MergeDelta(&merged, epoch(i)));
-  }
-  merged.Canonicalize();
-  return merged;
-}
-
 Status MergeDelta(SparseTensor* base, const SparseTensor& delta) {
   if (base == nullptr) {
     return Status::InvalidArgument("MergeDelta: base must not be null");

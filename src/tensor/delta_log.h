@@ -62,12 +62,6 @@ class DeltaLog {
   /// Total stored nonzeros across all sealed epochs.
   int64_t sealed_nnz() const;
 
-  /// Merges sealed epochs [first_epoch, num_epochs()) into `base` additively
-  /// and returns the canonical result; `base` must share dims(). With
-  /// first_epoch == 0 this is the log's full merged view.
-  Result<SparseTensor> MergedView(const SparseTensor& base,
-                                  int64_t first_epoch = 0) const;
-
  private:
   explicit DeltaLog(std::vector<int64_t> dims);
 

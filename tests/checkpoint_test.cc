@@ -1,6 +1,6 @@
 // Fault-tolerance tests: atomic iteration checkpoints (manifest round trip,
 // corruption rejection, keep-last-K retention), kill-and-resume bit-identity
-// for all four ALS drivers.
+// for every ALS driver.
 
 #include "core/checkpoint.h"
 
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "core/missing_values.h"
 #include "core/nonnegative_tucker.h"
 #include "core/parafac.h"
 #include "core/tucker.h"
@@ -499,74 +498,6 @@ TEST(CheckpointResume, NonnegativeTuckerResumeIsBitIdentical) {
     EXPECT_DOUBLE_EQ(resumed->factors[m].MaxAbsDiff(full->factors[m]), 0.0);
   }
   EXPECT_DOUBLE_EQ(resumed->core.MaxAbsDiff(full->core), 0.0);
-}
-
-TEST(CheckpointResume, MissingValuesResumeIsBitIdentical) {
-  // Exact rank-2 tensor observed on a random half of the cells (the
-  // missing-value driver's fixture shape).
-  Rng rng(915);
-  std::vector<double> lambda = {3.0, 1.5};
-  DenseMatrix a = DenseMatrix::RandomUniform(8, 2, &rng);
-  DenseMatrix b = DenseMatrix::RandomUniform(7, 2, &rng);
-  DenseMatrix c = DenseMatrix::RandomUniform(6, 2, &rng);
-  Result<DenseTensor> dense = ReconstructKruskal(lambda, {&a, &b, &c});
-  ASSERT_OK(dense.status());
-  SparseTensor full_tensor = dense->ToSparse();
-  Result<SparseTensor> mask_r = SparseTensor::Create({8, 7, 6});
-  Result<SparseTensor> data_r = SparseTensor::Create({8, 7, 6});
-  ASSERT_OK(mask_r.status());
-  ASSERT_OK(data_r.status());
-  SparseTensor mask = std::move(mask_r).value();
-  SparseTensor data = std::move(data_r).value();
-  for (int64_t i = 0; i < 8; ++i) {
-    for (int64_t j = 0; j < 7; ++j) {
-      for (int64_t k = 0; k < 6; ++k) {
-        if (!rng.Bernoulli(0.5)) continue;
-        int64_t idx[3] = {i, j, k};
-        mask.AppendUnchecked(idx, 1.0);
-        double v = full_tensor.Get({i, j, k});
-        if (v != 0.0) data.AppendUnchecked(idx, v);
-      }
-    }
-  }
-  mask.Canonicalize();
-  data.Canonicalize();
-
-  Engine engine(ClusterConfig::ForTesting());
-  MissingValueOptions options;
-  options.em_iterations = 6;
-  options.em_tolerance = 0.0;
-  options.base.seed = 9;
-  Result<MissingValueModel> full =
-      Haten2ParafacMissing(&engine, data, mask, 2, options);
-  ASSERT_OK(full.status());
-
-  CheckpointOptions ckpt;
-  ckpt.directory = FreshDir("resume_missing");
-  ckpt.every_n_iterations = 2;
-  MissingValueOptions interrupted = options;
-  interrupted.em_iterations = 3;
-  interrupted.base.checkpoint = &ckpt;
-  ASSERT_OK(
-      Haten2ParafacMissing(&engine, data, mask, 2, interrupted).status());
-
-  Result<LoadedCheckpoint> latest = LoadLatestCheckpoint(ckpt.directory);
-  ASSERT_OK(latest.status());
-  EXPECT_EQ(latest->manifest.method, "parafac-em");
-  EXPECT_EQ(latest->manifest.iteration, 2);
-
-  MissingValueOptions resume = options;
-  resume.base.resume_from = &latest.value();
-  Result<MissingValueModel> resumed =
-      Haten2ParafacMissing(&engine, data, mask, 2, resume);
-  ASSERT_OK(resumed.status());
-  EXPECT_DOUBLE_EQ(resumed->observed_fit, full->observed_fit);
-  EXPECT_EQ(resumed->observed_fit_history, full->observed_fit_history);
-  EXPECT_EQ(resumed->em_iterations, full->em_iterations);
-  for (size_t m = 0; m < 3; ++m) {
-    EXPECT_DOUBLE_EQ(
-        resumed->model.factors[m].MaxAbsDiff(full->model.factors[m]), 0.0);
-  }
 }
 
 TEST(CheckpointResume, ResumeRefusesForeignCheckpoint) {

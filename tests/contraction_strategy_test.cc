@@ -1,7 +1,7 @@
 // Tests for the two contraction paths: selection via
 // ClusterConfig::contraction, the SliceBlocks output contract (ascending
 // slice_ids, one slice_ids.size() x BlockSize() row block) for every
-// variant and merge kind, bit-identity of all four ALS drivers between the
+// variant and merge kind, bit-identity of the three ALS drivers between the
 // dataflow and in-core paths on superdiagonal tensors, the stats surface
 // (per-node strategy, incore/dataflow node counters, in-core plans in every
 // iteration's trace), and the ContractCache content-fingerprint regression
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/contract.h"
-#include "core/missing_values.h"
 #include "core/nonnegative_tucker.h"
 #include "core/parafac.h"
 #include "core/tucker.h"
@@ -86,45 +85,6 @@ TEST(ContractionSelection, ForcedStrategiesAreRecordedInPipeline) {
   EXPECT_EQ(incore.pipeline().DataflowNodes(), 0);
   // The in-core path runs no MapReduce jobs at all.
   EXPECT_EQ(incore.pipeline().jobs.size(), 0u);
-}
-
-TEST(ContractionSelection, AutoFollowsTheMemoryBudget) {
-  Rng rng(32);
-  SparseTensor x = SuperdiagonalTensor(8, 3, &rng);
-  std::vector<DenseMatrix> owned;
-  std::vector<const DenseMatrix*> factors;
-  for (int m = 0; m < 3; ++m) {
-    owned.push_back(DenseMatrix::RandomNormal(8, 2, &rng));
-  }
-  for (auto& f : owned) factors.push_back(&f);
-
-  // 8 nonzeros fit any sane budget: auto must take the in-core path.
-  Engine roomy(ConfigWithStrategy("auto"));
-  ASSERT_OK(MultiModeContract(&roomy, x, factors, 0, MergeKind::kPairwise,
-                              Variant::kDri)
-                .status());
-  EXPECT_EQ(roomy.pipeline().IncoreNodes(), 1);
-  EXPECT_EQ(roomy.pipeline().DataflowNodes(), 0);
-
-  // An (artificially) exhausted budget must fall back to dataflow. The
-  // estimate includes a fixed overhead of a few KiB, so 1 MB with a tiny
-  // tensor still fits — stress via nnz instead of shrinking the budget
-  // below its validated floor.
-  ClusterConfig tight = ConfigWithStrategy("auto");
-  tight.incore_memory_mb = 1;
-  Engine tight_engine(tight);
-  SparseTensor big = RandomSparseTensor({64, 64, 64}, 40000, &rng);
-  std::vector<DenseMatrix> big_owned;
-  std::vector<const DenseMatrix*> big_factors;
-  for (int m = 0; m < 3; ++m) {
-    big_owned.push_back(DenseMatrix::RandomNormal(64, 2, &rng));
-  }
-  for (auto& f : big_owned) big_factors.push_back(&f);
-  ASSERT_OK(MultiModeContract(&tight_engine, big, big_factors, 0,
-                              MergeKind::kPairwise, Variant::kDri)
-                .status());
-  EXPECT_EQ(tight_engine.pipeline().IncoreNodes(), 0);
-  EXPECT_GT(tight_engine.pipeline().DataflowNodes(), 0);
 }
 
 // The output contract every producer keeps: strictly ascending slice ids
@@ -198,19 +158,17 @@ TEST(ContractionBitIdentity, ParafacAls) {
   Result<KruskalModel> want = Haten2ParafacAls(&reference, x, 3, options);
   ASSERT_OK(want.status());
 
-  for (const char* strategy : {"incore", "auto"}) {
-    Engine engine(ConfigWithStrategy(strategy));
-    Result<KruskalModel> got = Haten2ParafacAls(&engine, x, 3, options);
-    ASSERT_OK(got.status());
-    EXPECT_EQ(got->lambda, want->lambda) << strategy;
-    EXPECT_EQ(got->fit_history, want->fit_history) << strategy;
-    EXPECT_DOUBLE_EQ(got->fit, want->fit) << strategy;
-    for (size_t m = 0; m < 3; ++m) {
-      EXPECT_DOUBLE_EQ(got->factors[m].MaxAbsDiff(want->factors[m]), 0.0)
-          << strategy << " mode " << m;
-    }
-    EXPECT_GT(engine.pipeline().IncoreNodes(), 0) << strategy;
+  Engine engine(ConfigWithStrategy("incore"));
+  Result<KruskalModel> got = Haten2ParafacAls(&engine, x, 3, options);
+  ASSERT_OK(got.status());
+  EXPECT_EQ(got->lambda, want->lambda);
+  EXPECT_EQ(got->fit_history, want->fit_history);
+  EXPECT_DOUBLE_EQ(got->fit, want->fit);
+  for (size_t m = 0; m < 3; ++m) {
+    EXPECT_DOUBLE_EQ(got->factors[m].MaxAbsDiff(want->factors[m]), 0.0)
+        << "mode " << m;
   }
+  EXPECT_GT(engine.pipeline().IncoreNodes(), 0);
 }
 
 TEST(ContractionBitIdentity, TuckerAls) {
@@ -224,18 +182,16 @@ TEST(ContractionBitIdentity, TuckerAls) {
       Haten2TuckerAls(&reference, x, {3, 3, 2}, options);
   ASSERT_OK(want.status());
 
-  for (const char* strategy : {"incore", "auto"}) {
-    Engine engine(ConfigWithStrategy(strategy));
-    Result<TuckerModel> got = Haten2TuckerAls(&engine, x, {3, 3, 2}, options);
-    ASSERT_OK(got.status());
-    EXPECT_DOUBLE_EQ(got->fit, want->fit) << strategy;
-    EXPECT_DOUBLE_EQ(got->core.MaxAbsDiff(want->core), 0.0) << strategy;
-    for (size_t m = 0; m < 3; ++m) {
-      EXPECT_DOUBLE_EQ(got->factors[m].MaxAbsDiff(want->factors[m]), 0.0)
-          << strategy << " mode " << m;
-    }
-    EXPECT_GT(engine.pipeline().IncoreNodes(), 0) << strategy;
+  Engine engine(ConfigWithStrategy("incore"));
+  Result<TuckerModel> got = Haten2TuckerAls(&engine, x, {3, 3, 2}, options);
+  ASSERT_OK(got.status());
+  EXPECT_DOUBLE_EQ(got->fit, want->fit);
+  EXPECT_DOUBLE_EQ(got->core.MaxAbsDiff(want->core), 0.0);
+  for (size_t m = 0; m < 3; ++m) {
+    EXPECT_DOUBLE_EQ(got->factors[m].MaxAbsDiff(want->factors[m]), 0.0)
+        << "mode " << m;
   }
+  EXPECT_GT(engine.pipeline().IncoreNodes(), 0);
 }
 
 TEST(ContractionBitIdentity, NonnegativeTuckerAls) {
@@ -249,67 +205,21 @@ TEST(ContractionBitIdentity, NonnegativeTuckerAls) {
       Haten2NonnegativeTuckerAls(&reference, x, {2, 2, 2}, options);
   ASSERT_OK(want.status());
 
-  for (const char* strategy : {"incore", "auto"}) {
-    Engine engine(ConfigWithStrategy(strategy));
-    Result<TuckerModel> got =
-        Haten2NonnegativeTuckerAls(&engine, x, {2, 2, 2}, options);
-    ASSERT_OK(got.status());
-    EXPECT_DOUBLE_EQ(got->fit, want->fit) << strategy;
-    EXPECT_DOUBLE_EQ(got->core.MaxAbsDiff(want->core), 0.0) << strategy;
-    for (size_t m = 0; m < 3; ++m) {
-      EXPECT_DOUBLE_EQ(got->factors[m].MaxAbsDiff(want->factors[m]), 0.0)
-          << strategy << " mode " << m;
-    }
-    EXPECT_GT(engine.pipeline().IncoreNodes(), 0) << strategy;
+  Engine engine(ConfigWithStrategy("incore"));
+  Result<TuckerModel> got =
+      Haten2NonnegativeTuckerAls(&engine, x, {2, 2, 2}, options);
+  ASSERT_OK(got.status());
+  EXPECT_DOUBLE_EQ(got->fit, want->fit);
+  EXPECT_DOUBLE_EQ(got->core.MaxAbsDiff(want->core), 0.0);
+  for (size_t m = 0; m < 3; ++m) {
+    EXPECT_DOUBLE_EQ(got->factors[m].MaxAbsDiff(want->factors[m]), 0.0)
+        << "mode " << m;
   }
-}
-
-TEST(ContractionBitIdentity, ParafacMissingValues) {
-  Rng rng(8104);
-  SparseTensor x = SuperdiagonalTensor(8, 3, &rng);
-  // Observe exactly the superdiagonal, so the EM residual stays
-  // superdiagonal (one nonzero per fiber) across iterations.
-  Result<SparseTensor> mask_r = SparseTensor::Create(x.dims());
-  ASSERT_OK(mask_r.status());
-  SparseTensor mask = std::move(mask_r).value();
-  for (int64_t e = 0; e < x.nnz(); ++e) {
-    int64_t idx[3] = {x.index(e, 0), x.index(e, 1), x.index(e, 2)};
-    mask.AppendUnchecked(idx, 1.0);
-  }
-  mask.Canonicalize();
-
-  MissingValueOptions options;
-  options.em_iterations = 2;
-  options.em_tolerance = 0.0;
-  options.base.max_iterations = 1;
-  options.base.tolerance = 0.0;
-  options.base.seed = 4711;
-
-  Engine reference(ConfigWithStrategy("dataflow"));
-  Result<MissingValueModel> want =
-      Haten2ParafacMissing(&reference, x, mask, 2, options);
-  ASSERT_OK(want.status());
-
-  for (const char* strategy : {"incore", "auto"}) {
-    Engine engine(ConfigWithStrategy(strategy));
-    Result<MissingValueModel> got =
-        Haten2ParafacMissing(&engine, x, mask, 2, options);
-    ASSERT_OK(got.status());
-    EXPECT_DOUBLE_EQ(got->observed_fit, want->observed_fit) << strategy;
-    EXPECT_EQ(got->observed_fit_history, want->observed_fit_history)
-        << strategy;
-    EXPECT_EQ(got->model.lambda, want->model.lambda) << strategy;
-    for (size_t m = 0; m < 3; ++m) {
-      EXPECT_DOUBLE_EQ(
-          got->model.factors[m].MaxAbsDiff(want->model.factors[m]), 0.0)
-          << strategy << " mode " << m;
-    }
-    EXPECT_GT(engine.pipeline().IncoreNodes(), 0) << strategy;
-  }
+  EXPECT_GT(engine.pipeline().IncoreNodes(), 0);
 }
 
 // ---------------------------------------------------------------------------
-// haten2-stats-v14 surface.
+// haten2-stats-v15 surface.
 // ---------------------------------------------------------------------------
 
 TEST(ContractionStats, V7RecordsStrategyAndTimings) {

@@ -49,10 +49,9 @@ TEST(DeltaLog, AppendSealAndMergeSumsDuplicates) {
   ASSERT_TRUE(base.ok());
   ASSERT_OK(base->Append({1, 2, 3}, 10.0));
   base->Canonicalize();
-  Result<SparseTensor> merged = log->MergedView(*base);
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_DOUBLE_EQ(merged->Get({1, 2, 3}), 13.0);
-  EXPECT_DOUBLE_EQ(merged->Get({0, 0, 0}), 5.0);
+  ASSERT_OK(MergeDelta(&*base, delta));
+  EXPECT_DOUBLE_EQ(base->Get({1, 2, 3}), 13.0);
+  EXPECT_DOUBLE_EQ(base->Get({0, 0, 0}), 5.0);
 }
 
 TEST(DeltaLog, DeletionByCancellationDropsTheEntry) {
@@ -102,10 +101,11 @@ TEST(DeltaLog, FromTensorChopsIntoEpochsInStorageOrder) {
 
   // Merging every epoch into an empty base reproduces the source tensor
   // (modulo the wider declared dims).
-  Result<SparseTensor> empty = SparseTensor::Create({8, 8, 8});
-  ASSERT_TRUE(empty.ok());
-  Result<SparseTensor> merged = log->MergedView(*empty);
+  Result<SparseTensor> merged = SparseTensor::Create({8, 8, 8});
   ASSERT_TRUE(merged.ok());
+  for (int64_t i = 0; i < log->num_epochs(); ++i) {
+    ASSERT_OK(MergeDelta(&*merged, log->epoch(i)));
+  }
   ASSERT_EQ(merged->nnz(), nnz);
   for (int64_t e = 0; e < nnz; ++e) {
     EXPECT_EQ(merged->index(e, 0), triples.index(e, 0));
@@ -227,21 +227,6 @@ TEST(DeltaLog, ForgedEntryCountIsRejectedBeforeAllocating) {
   ASSERT_FALSE(read.ok());
   EXPECT_TRUE(read.status().IsInvalidArgument()) << read.status().ToString();
   std::remove(path.c_str());
-}
-
-TEST(DeltaLog, MergedViewFromMidLog) {
-  Result<DeltaLog> log = DeltaLog::Create({4, 4});
-  ASSERT_TRUE(log.ok());
-  ASSERT_OK(log->Append({0, 0}, 1.0));
-  ASSERT_OK(log->SealEpoch().status());
-  ASSERT_OK(log->Append({1, 1}, 2.0));
-  ASSERT_OK(log->SealEpoch().status());
-  Result<SparseTensor> empty = SparseTensor::Create({4, 4});
-  ASSERT_TRUE(empty.ok());
-  Result<SparseTensor> tail = log->MergedView(*empty, /*first_epoch=*/1);
-  ASSERT_TRUE(tail.ok());
-  EXPECT_EQ(tail->nnz(), 1);
-  EXPECT_DOUBLE_EQ(tail->Get({1, 1}), 2.0);
 }
 
 /// Expects every index of `t` to lie inside `dims`.

@@ -1,6 +1,6 @@
 // Tests for the engine's observability layer: per-phase wall times, skew
 // summaries, failure-path accounting (o.o.m. / abort), the
-// "haten2-stats-v14" JSON export, and concurrent Run calls on one engine.
+// "haten2-stats-v15" JSON export, and concurrent Run calls on one engine.
 
 #include <gtest/gtest.h>
 
@@ -484,7 +484,7 @@ TEST(EngineStats, StatsReportJsonIsValidAndComplete) {
 
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   for (const char* key :
-       {"\"schema\":\"haten2-stats-v14\"", "\"status\":\"ok\"",
+       {"\"schema\":\"haten2-stats-v15\"", "\"status\":\"ok\"",
         "\"cluster\"", "\"iterations\"", "\"pipeline\"", "\"phases\"",
         "\"map_seconds\"", "\"shuffle_seconds\"", "\"reduce_seconds\"",
         "\"fit\"", "\"lambda\"", "\"simulated_seconds\"",
@@ -493,18 +493,14 @@ TEST(EngineStats, StatsReportJsonIsValidAndComplete) {
         "\"critical_path_seconds\"", "\"invariant_cache_hits\"",
         "\"max_concurrent_jobs\"",
         // stats-v7: contraction-strategy additions.
-        "\"contraction\"", "\"incore_memory_mb\"",
-        "\"incore_nodes\"", "\"dataflow_nodes\"",
-        // stats-v8: sketched-Tucker additions (cluster knobs; the
-        // per-iteration "sketch" object only appears for sketched runs and
-        // is covered in sketched_tucker_test.cc).
-        "\"tucker_sketch\"", "\"sketch_size\"",
-        "\"exact_polish_sweeps\""}) {
+        "\"contraction\"", "\"incore_nodes\"", "\"dataflow_nodes\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
   // stats-v12 removed the straggler layer's keys and the spill alias;
   // stats-v13 removed every spill key; stats-v14 removed plan-node
-  // recovery's keys.
+  // recovery's keys; stats-v15 removed the algorithm settings from the
+  // cluster object (the per-iteration "sketch" object only appears for
+  // sketched runs and is covered in sketched_tucker_test.cc).
   for (const char* key :
        {"\"speculation\"", "\"speculated\"", "\"won\"",
         "\"wasted_seconds\"", "\"speculated_tasks\"",
@@ -520,7 +516,9 @@ TEST(EngineStats, StatsReportJsonIsValidAndComplete) {
         "io_error", "\"attempts\"", "\"backoff_seconds\"",
         "\"critical_path_with_backoff_seconds\"", "\"total_node_retries\"",
         "\"total_backoff_seconds\"", "\"node_retries\"",
-        "\"node_backoff_seconds\"", "\"max_node_attempts\""}) {
+        "\"node_backoff_seconds\"", "\"max_node_attempts\"",
+        "\"incore_memory_mb\"", "\"tucker_sketch\"", "\"sketch_size\"",
+        "\"exact_polish_sweeps\""}) {
     EXPECT_EQ(json.find(key), std::string::npos) << "still present " << key;
   }
 }
@@ -569,7 +567,7 @@ TEST(EngineStats, WriteStatsJsonFileRoundTrips) {
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
   EXPECT_TRUE(JsonChecker(content).Valid()) << content;
-  EXPECT_NE(content.find("haten2-stats-v14"), std::string::npos);
+  EXPECT_NE(content.find("haten2-stats-v15"), std::string::npos);
 }
 
 }  // namespace

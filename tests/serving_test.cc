@@ -284,7 +284,9 @@ TEST(ServingQueryEngine, NeighborsExcludeAnchorAndAreSorted) {
   ASSERT_EQ(got->rows.size(), 6u);
   for (size_t i = 0; i < got->rows.size(); ++i) {
     EXPECT_NE(got->rows[i].row, 5);  // anchor excluded
-    if (i > 0) EXPECT_GE(got->rows[i - 1].score, got->rows[i].score);
+    if (i > 0) {
+      EXPECT_GE(got->rows[i - 1].score, got->rows[i].score);
+    }
   }
 }
 

@@ -1,8 +1,7 @@
-// Tests for the sketched-HOOI Tucker driver: recovery vs the exact driver on
-// planted tensors, bit-reproducibility at a fixed seed, config validation,
-// checkpoint/resume bit-identity, and the v8 per-iteration sketch stats.
-
-#include "core/sketched_tucker.h"
+// Tests for sketched HOOI (Haten2TuckerAls with Haten2Options::tucker_sketch):
+// recovery vs exact HOOI on planted tensors, bit-reproducibility at a fixed
+// seed, option validation, checkpoint/resume bit-identity, and the v8
+// per-iteration sketch stats.
 
 #include <gtest/gtest.h>
 
@@ -38,13 +37,11 @@ SparseTensor ExactTuckerTensor(Rng* rng) {
   return dense->ToSparse();
 }
 
-ClusterConfig SketchConfig(const std::string& kind, int64_t sketch_size = 0,
-                           int polish = 2) {
-  ClusterConfig config = ClusterConfig::ForTesting();
-  config.tucker_sketch = kind;
-  config.sketch_size = sketch_size;
-  config.exact_polish_sweeps = polish;
-  return config;
+Haten2Options SketchOptions(int polish = 2) {
+  Haten2Options options;
+  options.tucker_sketch = true;
+  options.exact_polish_sweeps = polish;
+  return options;
 }
 
 TEST(SketchedTucker, GaussianFitWithinTwoPercentOfExact) {
@@ -60,9 +57,10 @@ TEST(SketchedTucker, GaussianFitWithinTwoPercentOfExact) {
       Haten2TuckerAls(&exact_engine, x, {2, 2, 2}, options);
   ASSERT_OK(exact.status());
 
-  Engine sketched_engine(SketchConfig("gaussian"));
+  Engine sketched_engine(ClusterConfig::ForTesting());
+  options.tucker_sketch = true;
   Result<TuckerModel> sketched =
-      Haten2SketchedTuckerAls(&sketched_engine, x, {2, 2, 2}, options);
+      Haten2TuckerAls(&sketched_engine, x, {2, 2, 2}, options);
   ASSERT_OK(sketched.status());
 
   // On an exact low-multilinear-rank tensor the polish sweeps recover the
@@ -71,28 +69,13 @@ TEST(SketchedTucker, GaussianFitWithinTwoPercentOfExact) {
   EXPECT_GT(sketched->fit, 0.999);
 }
 
-TEST(SketchedTucker, CountSketchRecoversPlantedTensor) {
-  Rng rng(32);
-  SparseTensor x = ExactTuckerTensor(&rng);
-  Engine engine(SketchConfig("countsketch", /*sketch_size=*/8));
-  Haten2Options options;
-  options.max_iterations = 25;
-  options.tolerance = 0.0;
-  options.seed = 3;
-  Result<TuckerModel> model =
-      Haten2SketchedTuckerAls(&engine, x, {2, 2, 2}, options);
-  ASSERT_OK(model.status());
-  EXPECT_GT(model->fit, 0.99);
-}
-
 TEST(SketchedTucker, FactorsAreOrthonormalAndCoreShaped) {
   Rng rng(33);
   SparseTensor x = RandomSparseTensor({12, 11, 10}, 150, &rng);
-  Engine engine(SketchConfig("gaussian"));
-  Haten2Options options;
+  Engine engine(ClusterConfig::ForTesting());
+  Haten2Options options = SketchOptions();
   options.max_iterations = 5;
-  Result<TuckerModel> model =
-      Haten2SketchedTuckerAls(&engine, x, {3, 4, 2}, options);
+  Result<TuckerModel> model = Haten2TuckerAls(&engine, x, {3, 4, 2}, options);
   ASSERT_OK(model.status());
   for (const DenseMatrix& f : model->factors) {
     EXPECT_TRUE(HasOrthonormalColumns(f, 1e-8));
@@ -103,16 +86,14 @@ TEST(SketchedTucker, FactorsAreOrthonormalAndCoreShaped) {
 TEST(SketchedTucker, BitReproducibleAtFixedSeed) {
   Rng rng(34);
   SparseTensor x = RandomSparseTensor({10, 9, 8}, 120, &rng);
-  Haten2Options options;
+  Haten2Options options = SketchOptions();
   options.max_iterations = 6;
   options.tolerance = 0.0;
   options.seed = 99;
-  Engine engine_a(SketchConfig("gaussian"));
-  Engine engine_b(SketchConfig("gaussian"));
-  Result<TuckerModel> a = Haten2SketchedTuckerAls(&engine_a, x, {3, 3, 3},
-                                                  options);
-  Result<TuckerModel> b = Haten2SketchedTuckerAls(&engine_b, x, {3, 3, 3},
-                                                  options);
+  Engine engine_a(ClusterConfig::ForTesting());
+  Engine engine_b(ClusterConfig::ForTesting());
+  Result<TuckerModel> a = Haten2TuckerAls(&engine_a, x, {3, 3, 3}, options);
+  Result<TuckerModel> b = Haten2TuckerAls(&engine_b, x, {3, 3, 3}, options);
   ASSERT_OK(a.status());
   ASSERT_OK(b.status());
   EXPECT_DOUBLE_EQ(a->fit, b->fit);
@@ -125,16 +106,14 @@ TEST(SketchedTucker, BitReproducibleAtFixedSeed) {
 TEST(SketchedTucker, DifferentSeedsDiverge) {
   Rng rng(35);
   SparseTensor x = RandomSparseTensor({10, 9, 8}, 120, &rng);
-  Haten2Options options;
+  Haten2Options options = SketchOptions();
   options.max_iterations = 3;
   options.tolerance = 0.0;
-  Engine engine(SketchConfig("gaussian"));
+  Engine engine(ClusterConfig::ForTesting());
   options.seed = 1;
-  Result<TuckerModel> a =
-      Haten2SketchedTuckerAls(&engine, x, {3, 3, 3}, options);
+  Result<TuckerModel> a = Haten2TuckerAls(&engine, x, {3, 3, 3}, options);
   options.seed = 2;
-  Result<TuckerModel> b =
-      Haten2SketchedTuckerAls(&engine, x, {3, 3, 3}, options);
+  Result<TuckerModel> b = Haten2TuckerAls(&engine, x, {3, 3, 3}, options);
   ASSERT_OK(a.status());
   ASSERT_OK(b.status());
   double diff = 0.0;
@@ -147,20 +126,19 @@ TEST(SketchedTucker, DifferentSeedsDiverge) {
 TEST(SketchedTucker, RunsOnTheInCoreStrategy) {
   Rng rng(41);
   SparseTensor x = ExactTuckerTensor(&rng);
-  Haten2Options options;
+  Haten2Options options = SketchOptions();
   options.max_iterations = 20;
   options.tolerance = 0.0;
   options.seed = 7;
 
-  ClusterConfig dataflow = SketchConfig("gaussian");
-  ClusterConfig incore = SketchConfig("gaussian");
+  ClusterConfig incore = ClusterConfig::ForTesting();
   incore.contraction = "incore";
-  Engine dataflow_engine(dataflow);
+  Engine dataflow_engine(ClusterConfig::ForTesting());
   Engine incore_engine(incore);
   Result<TuckerModel> a =
-      Haten2SketchedTuckerAls(&dataflow_engine, x, {2, 2, 2}, options);
+      Haten2TuckerAls(&dataflow_engine, x, {2, 2, 2}, options);
   Result<TuckerModel> b =
-      Haten2SketchedTuckerAls(&incore_engine, x, {2, 2, 2}, options);
+      Haten2TuckerAls(&incore_engine, x, {2, 2, 2}, options);
   ASSERT_OK(a.status());
   ASSERT_OK(b.status());
   // Same math on both strategies (kSketchFused is the MTTKRP kernel
@@ -170,33 +148,83 @@ TEST(SketchedTucker, RunsOnTheInCoreStrategy) {
   EXPECT_NEAR(a->fit, b->fit, 1e-6);
 }
 
+TEST(SketchedTucker, FullPolishEqualsExactHooi) {
+  // With as many polish sweeps as the run has, no sweep is sketched, so the
+  // sketch setting must change nothing but the checkpoint method and the
+  // trace's sketch objects: exact HOOI's iterates, bit for bit.
+  Rng rng(42);
+  SparseTensor x = RandomSparseTensor({10, 9, 8}, 120, &rng);
+  for (const char* strategy : {"dataflow", "incore"}) {
+    for (int extra_polish : {0, 3}) {
+      SCOPED_TRACE(std::string(strategy) + " polish +" +
+                   std::to_string(extra_polish));
+      ClusterConfig config = ClusterConfig::ForTesting();
+      config.contraction = strategy;
+      Haten2Options exact;
+      exact.max_iterations = 4;
+      exact.tolerance = 0.0;
+      exact.seed = 5;
+      DecompositionTrace exact_trace;
+      exact.trace = &exact_trace;
+      Haten2Options polished =
+          SketchOptions(exact.max_iterations + extra_polish);
+      polished.max_iterations = exact.max_iterations;
+      polished.tolerance = exact.tolerance;
+      polished.seed = exact.seed;
+      DecompositionTrace polished_trace;
+      polished.trace = &polished_trace;
+
+      Engine exact_engine(config);
+      Engine polished_engine(config);
+      Result<TuckerModel> want =
+          Haten2TuckerAls(&exact_engine, x, {3, 3, 3}, exact);
+      Result<TuckerModel> got =
+          Haten2TuckerAls(&polished_engine, x, {3, 3, 3}, polished);
+      ASSERT_OK(want.status());
+      ASSERT_OK(got.status());
+
+      EXPECT_EQ(got->fit, want->fit);
+      EXPECT_EQ(got->iterations, want->iterations);
+      EXPECT_EQ(got->core_norm_history, want->core_norm_history);
+      EXPECT_EQ(got->core.data(), want->core.data());
+      for (size_t m = 0; m < 3; ++m) {
+        EXPECT_EQ(got->factors[m].data(), want->factors[m].data());
+      }
+      ASSERT_EQ(polished_trace.iterations.size(),
+                exact_trace.iterations.size());
+      for (size_t i = 0; i < exact_trace.iterations.size(); ++i) {
+        const IterationStats& e = exact_trace.iterations[i];
+        const IterationStats& p = polished_trace.iterations[i];
+        EXPECT_FALSE(e.has_sketch);
+        EXPECT_TRUE(p.has_sketch);
+        EXPECT_TRUE(p.sketch_polish);
+        EXPECT_EQ(p.sketch_dims, 0);
+        EXPECT_EQ(p.core_norm, e.core_norm);
+        EXPECT_EQ(p.pipeline.jobs.size(), e.pipeline.jobs.size());
+        EXPECT_EQ(p.pipeline.plans.size(), e.pipeline.plans.size());
+      }
+    }
+  }
+}
+
 TEST(SketchedTucker, RejectsBadConfig) {
   Rng rng(36);
   SparseTensor x = RandomSparseTensor({8, 8, 8}, 60, &rng);
-  Haten2Options options;
+  Haten2Options options = SketchOptions();
   options.max_iterations = 2;
 
-  // The sketched driver refuses to run as a silent exact fallback.
-  Engine none_engine(ClusterConfig::ForTesting());
-  EXPECT_TRUE(Haten2SketchedTuckerAls(&none_engine, x, {2, 2, 2}, options)
+  Engine engine(ClusterConfig::ForTesting());
+  EXPECT_TRUE(Haten2TuckerAls(nullptr, x, {2, 2, 2}, options)
                   .status()
                   .IsInvalidArgument());
-
-  // An explicit sketch width below the largest core dimension cannot feed
-  // the range finder.
-  Engine narrow_engine(SketchConfig("gaussian", /*sketch_size=*/2));
-  EXPECT_TRUE(Haten2SketchedTuckerAls(&narrow_engine, x, {2, 4, 2}, options)
+  EXPECT_TRUE(Haten2TuckerAls(&engine, x, {2, 2}, options)
                   .status()
                   .IsInvalidArgument());
-
-  Engine engine(SketchConfig("gaussian"));
-  EXPECT_TRUE(Haten2SketchedTuckerAls(nullptr, x, {2, 2, 2}, options)
+  EXPECT_TRUE(Haten2TuckerAls(&engine, x, {2, 2, 9}, options)
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(Haten2SketchedTuckerAls(&engine, x, {2, 2}, options)
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(Haten2SketchedTuckerAls(&engine, x, {2, 2, 9}, options)
+  Haten2Options negative_polish = SketchOptions(/*polish=*/-1);
+  EXPECT_TRUE(Haten2TuckerAls(&engine, x, {2, 2, 2}, negative_polish)
                   .status()
                   .IsInvalidArgument());
 }
@@ -209,14 +237,13 @@ TEST(SketchedTucker, ResumeIsBitIdentical) {
   // iteration budget (the pattern checkpoint_test.cc uses) would otherwise
   // move which sweeps are exact; a real kill leaves the budget unchanged
   // and resume is bit-identical for any polish count.
-  Engine engine(SketchConfig("gaussian", /*sketch_size=*/0, /*polish=*/0));
+  Engine engine(ClusterConfig::ForTesting());
 
-  Haten2Options options;
+  Haten2Options options = SketchOptions(/*polish=*/0);
   options.max_iterations = 8;
   options.tolerance = 0.0;
   options.seed = 17;
-  Result<TuckerModel> full =
-      Haten2SketchedTuckerAls(&engine, x, {3, 3, 3}, options);
+  Result<TuckerModel> full = Haten2TuckerAls(&engine, x, {3, 3, 3}, options);
   ASSERT_OK(full.status());
 
   CheckpointOptions ckpt;
@@ -226,8 +253,7 @@ TEST(SketchedTucker, ResumeIsBitIdentical) {
   Haten2Options interrupted = options;
   interrupted.max_iterations = 5;  // killed mid-run after checkpoint 4
   interrupted.checkpoint = &ckpt;
-  ASSERT_OK(
-      Haten2SketchedTuckerAls(&engine, x, {3, 3, 3}, interrupted).status());
+  ASSERT_OK(Haten2TuckerAls(&engine, x, {3, 3, 3}, interrupted).status());
 
   Result<LoadedCheckpoint> latest = LoadLatestCheckpoint(ckpt.directory);
   ASSERT_OK(latest.status());
@@ -238,8 +264,7 @@ TEST(SketchedTucker, ResumeIsBitIdentical) {
   Haten2Options resume = options;
   resume.resume_from = &latest.value();
   resume.trace = &resumed_trace;
-  Result<TuckerModel> resumed =
-      Haten2SketchedTuckerAls(&engine, x, {3, 3, 3}, resume);
+  Result<TuckerModel> resumed = Haten2TuckerAls(&engine, x, {3, 3, 3}, resume);
   ASSERT_OK(resumed.status());
 
   EXPECT_DOUBLE_EQ(resumed->fit, full->fit);
@@ -276,11 +301,11 @@ TEST(SketchedTucker, ResumeRejectsExactTuckerCheckpoint) {
 
   // ...and refuse to resume it under the sketched method: the iterate
   // sequences are different algorithms.
-  Engine engine(SketchConfig("gaussian"));
+  Engine engine(ClusterConfig::ForTesting());
   Haten2Options resume = options;
+  resume.tucker_sketch = true;
   resume.resume_from = &latest.value();
-  Result<TuckerModel> resumed =
-      Haten2SketchedTuckerAls(&engine, x, {3, 3, 3}, resume);
+  Result<TuckerModel> resumed = Haten2TuckerAls(&engine, x, {3, 3, 3}, resume);
   EXPECT_TRUE(resumed.status().IsFailedPrecondition())
       << resumed.status().ToString();
 }
@@ -288,14 +313,14 @@ TEST(SketchedTucker, ResumeRejectsExactTuckerCheckpoint) {
 TEST(SketchedTucker, TraceRecordsSketchDimsAndPolishPhases) {
   Rng rng(39);
   SparseTensor x = RandomSparseTensor({10, 9, 8}, 100, &rng);
-  Engine engine(SketchConfig("gaussian", /*sketch_size=*/7, /*polish=*/2));
+  Engine engine(ClusterConfig::ForTesting());
   DecompositionTrace trace;
-  Haten2Options options;
+  Haten2Options options = SketchOptions(/*polish=*/2);
   options.max_iterations = 6;
   options.tolerance = 0.0;
   options.trace = &trace;
-  Result<TuckerModel> model =
-      Haten2SketchedTuckerAls(&engine, x, {3, 3, 3}, options);
+  // Core 3x3x3 gives the automatic sketch width 3 + 4 = 7.
+  Result<TuckerModel> model = Haten2TuckerAls(&engine, x, {3, 3, 3}, options);
   ASSERT_OK(model.status());
 
   ASSERT_EQ(trace.iterations.size(), 6u);
@@ -325,15 +350,14 @@ TEST(SketchedTucker, TraceRecordsSketchDimsAndPolishPhases) {
 TEST(SketchedTucker, StatsJsonCarriesV8SketchObject) {
   Rng rng(40);
   SparseTensor x = RandomSparseTensor({10, 9, 8}, 100, &rng);
-  ClusterConfig config = SketchConfig("gaussian");
+  ClusterConfig config = ClusterConfig::ForTesting();
   Engine engine(config);
   DecompositionTrace trace;
-  Haten2Options options;
+  Haten2Options options = SketchOptions();
   options.max_iterations = 4;
   options.tolerance = 0.0;
   options.trace = &trace;
-  Result<TuckerModel> model =
-      Haten2SketchedTuckerAls(&engine, x, {3, 3, 3}, options);
+  Result<TuckerModel> model = Haten2TuckerAls(&engine, x, {3, 3, 3}, options);
   ASSERT_OK(model.status());
 
   StatsReport report;
@@ -351,8 +375,8 @@ TEST(SketchedTucker, StatsJsonCarriesV8SketchObject) {
 
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   for (const char* key :
-       {"\"schema\":\"haten2-stats-v14\"", "\"sketch\"", "\"seconds\"",
-        "\"dims\"", "\"polish\"", "\"tucker_sketch\":\"gaussian\""}) {
+       {"\"schema\":\"haten2-stats-v15\"", "\"sketch\"", "\"seconds\"",
+        "\"dims\"", "\"polish\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
 }

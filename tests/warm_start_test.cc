@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <string>
 
-#include "core/missing_values.h"
 #include "core/nonnegative_tucker.h"
 #include "core/parafac.h"
 #include "core/tucker.h"
@@ -151,51 +150,6 @@ TEST(WarmStart, NonnegativeTuckerResumeEqualsStraightRun) {
   EXPECT_TRUE(Haten2NonnegativeTuckerAls(&engine, x, {2, 2, 2}, second_half)
                   .status()
                   .IsInvalidArgument());
-}
-
-TEST(WarmStart, MissingValuesResumeEqualsStraightRun) {
-  Rng rng(906);
-  SparseTensor x = RandomSparseTensor({8, 7, 6}, 60, &rng);
-  // Every nonzero is observed, plus about a third of the zero cells.
-  Result<SparseTensor> mask_r = SparseTensor::Create({8, 7, 6});
-  ASSERT_OK(mask_r.status());
-  SparseTensor mask = std::move(mask_r).value();
-  for (int64_t i = 0; i < 8; ++i) {
-    for (int64_t j = 0; j < 7; ++j) {
-      for (int64_t k = 0; k < 6; ++k) {
-        if (x.Get({i, j, k}) == 0.0 && !rng.Bernoulli(0.3)) continue;
-        int64_t idx[3] = {i, j, k};
-        mask.AppendUnchecked(idx, 1.0);
-      }
-    }
-  }
-  mask.Canonicalize();
-  Engine engine(ClusterConfig::ForTesting());
-
-  MissingValueOptions straight;
-  straight.em_iterations = 6;
-  straight.em_tolerance = 0.0;
-  Result<MissingValueModel> full =
-      Haten2ParafacMissing(&engine, x, mask, 2, straight);
-  ASSERT_OK(full.status());
-
-  MissingValueOptions first_half = straight;
-  first_half.em_iterations = 3;
-  Result<MissingValueModel> half =
-      Haten2ParafacMissing(&engine, x, mask, 2, first_half);
-  ASSERT_OK(half.status());
-
-  MissingValueOptions second_half = first_half;
-  second_half.base.initial_kruskal = &half->model;
-  Result<MissingValueModel> resumed =
-      Haten2ParafacMissing(&engine, x, mask, 2, second_half);
-  ASSERT_OK(resumed.status());
-  EXPECT_EQ(resumed->observed_fit, full->observed_fit);
-  EXPECT_EQ(resumed->model.lambda, full->model.lambda);
-  for (size_t m = 0; m < 3; ++m) {
-    EXPECT_EQ(resumed->model.factors[m].MaxAbsDiff(full->model.factors[m]),
-              0.0);
-  }
 }
 
 TEST(WarmStart, RejectsMismatchedWarmStarts) {

@@ -20,31 +20,21 @@
 //   --max_concurrent_jobs=J              cap on plan nodes the scheduler
 //                                        runs concurrently (default 1 =
 //                                        serial legacy order)
-//   --tucker_sketch=none|gaussian|countsketch
-//                                        randomized (sketched) Tucker HOOI
-//                                        (default none = exact SVD); with a
-//                                        sketch, --method=tucker projects
-//                                        the contracted factors to
-//                                        --sketch_size columns before the
-//                                        merge jobs and range-finds on the
-//                                        narrow blocks; seeded and
+//   --tucker_sketch=none|gaussian        randomized (sketched) Tucker HOOI
+//                                        (default none = exact SVD); with
+//                                        gaussian, --method=tucker projects
+//                                        the contracted factors to (largest
+//                                        core dimension + 4) columns before
+//                                        the merge jobs and range-finds on
+//                                        the narrow blocks; seeded and
 //                                        bit-reproducible at fixed --seed
-//   --sketch_size=S                      sketch width (default 0 = largest
-//                                        core dimension + 4; explicit
-//                                        values must be >= the largest
-//                                        core dimension)
 //   --exact_polish_sweeps=P              exact HOOI sweeps appended at the
 //                                        end of a sketched run to recover
 //                                        accuracy (default 2)
-//   --contraction=auto|dataflow|incore   contraction strategy (default
+//   --contraction=dataflow|incore        contraction strategy (default
 //                                        dataflow = the paper's MapReduce
 //                                        pipelines; incore = DFacTo-style
-//                                        in-memory kernels, no shuffle;
-//                                        auto picks in-core whenever the
-//                                        estimated layout fits the budget)
-//   --incore_memory_mb=MB                in-core layout memory budget
-//                                        consulted by --contraction=auto
-//                                        (default 1024)
+//                                        in-memory kernels, no shuffle)
 //   --budget-mb=B                        shuffle-memory budget (0=unlimited)
 //   --output=PREFIX                      write factors to PREFIX.mode<k>.txt
 //                                        (and PREFIX.lambda.txt / .core.txt)
@@ -90,7 +80,7 @@
 //                                        phase times, intermediate-data
 //                                        records/bytes, per-iteration fit,
 //                                        map-task retry counters)
-//                                        as "haten2-stats-v14" JSON; written
+//                                        as "haten2-stats-v15" JSON; written
 //                                        on failures too, so o.o.m. runs
 //                                        keep their post-mortem numbers
 //
@@ -103,7 +93,6 @@
 #include "core/incremental_refit.h"
 #include "core/nonnegative_tucker.h"
 #include "core/parafac.h"
-#include "core/sketched_tucker.h"
 #include "core/tucker.h"
 #include "tensor/delta_log.h"
 #include "tensor/model_io.h"
@@ -125,9 +114,8 @@ constexpr const char* kUsage =
     "       [--rank=R] [--core=PxQxR] [--variant=dri|drn|dnn|naive]\n"
     "       [--iterations=N] [--tolerance=T] [--seed=S] [--machines=M]\n"
     "       [--threads=T] [--max_concurrent_jobs=J] [--budget-mb=B]\n"
-    "       [--contraction=auto|dataflow|incore] [--incore_memory_mb=MB]\n"
-    "       [--tucker_sketch=none|gaussian|countsketch] [--sketch_size=S]\n"
-    "       [--exact_polish_sweeps=P]\n"
+    "       [--contraction=dataflow|incore]\n"
+    "       [--tucker_sketch=none|gaussian] [--exact_polish_sweeps=P]\n"
     "       [--output=PREFIX] [--resume[=PREFIX]] [--stats]\n"
     "       [--checkpoint_dir=DIR] [--checkpoint_every=N]\n"
     "       [--checkpoint_keep=K] [--task_failure_prob=P]\n"
@@ -171,8 +159,7 @@ int RealMain(int argc, char** argv) {
                                  "iterations", "tolerance", "seed",
                                  "machines", "threads",
                                  "max_concurrent_jobs", "budget-mb",
-                                 "contraction", "incore_memory_mb",
-                                 "tucker_sketch", "sketch_size",
+                                 "contraction", "tucker_sketch",
                                  "exact_polish_sweeps",
                                  "output", "resume", "stats", "stats_json",
                                  "checkpoint_dir", "checkpoint_every",
@@ -209,8 +196,6 @@ int RealMain(int argc, char** argv) {
   Result<int> threads = flags.GetInt32("threads", 2);
   Result<int> max_concurrent_jobs = flags.GetInt32("max_concurrent_jobs", 1);
   Result<int64_t> budget_mb = flags.GetInt("budget-mb", 0);
-  Result<int64_t> incore_memory_mb = flags.GetInt("incore_memory_mb", 1024);
-  Result<int64_t> sketch_size = flags.GetInt("sketch_size", 0);
   Result<int> exact_polish_sweeps = flags.GetInt32("exact_polish_sweeps", 2);
   Result<int> checkpoint_every = flags.GetInt32("checkpoint_every", 5);
   Result<int> checkpoint_keep = flags.GetInt32("checkpoint_keep", 2);
@@ -225,7 +210,6 @@ int RealMain(int argc, char** argv) {
        {variant.status(), rank.status(), iterations.status(),
         tolerance.status(), seed.status(), machines.status(),
         threads.status(), max_concurrent_jobs.status(), budget_mb.status(),
-        incore_memory_mb.status(), sketch_size.status(),
         exact_polish_sweeps.status(), checkpoint_every.status(),
         checkpoint_keep.status(), task_failure_prob.status(),
         max_task_attempts.status(), epoch_nnz.status(), core.status()}) {
@@ -240,10 +224,6 @@ int RealMain(int argc, char** argv) {
   config.num_threads = *threads;
   config.max_concurrent_jobs = *max_concurrent_jobs;
   config.contraction = flags.GetString("contraction", "dataflow");
-  config.incore_memory_mb = *incore_memory_mb;
-  config.tucker_sketch = flags.GetString("tucker_sketch", "none");
-  config.sketch_size = *sketch_size;
-  config.exact_polish_sweeps = *exact_polish_sweeps;
   config.total_shuffle_memory_bytes =
       static_cast<uint64_t>(*budget_mb) << 20;
   config.task_failure_probability = *task_failure_prob;
@@ -263,6 +243,15 @@ int RealMain(int argc, char** argv) {
   options.max_iterations = *iterations;
   options.tolerance = *tolerance;
   options.seed = static_cast<uint64_t>(*seed);
+  const std::string tucker_sketch = flags.GetString("tucker_sketch", "none");
+  if (tucker_sketch != "none" && tucker_sketch != "gaussian") {
+    std::fprintf(stderr,
+                 "--tucker_sketch must be none or gaussian, got \"%s\"\n",
+                 tucker_sketch.c_str());
+    return 1;
+  }
+  options.tucker_sketch = tucker_sketch == "gaussian";
+  options.exact_polish_sweeps = *exact_polish_sweeps;
 
   const std::string method = flags.GetString("method", "parafac");
   const std::string output = flags.GetString("output", "");
@@ -436,31 +425,25 @@ int RealMain(int argc, char** argv) {
       }
     }
   } else if (method == "tucker" || method == "tucker-nn") {
-    const bool sketched =
-        method == "tucker" && config.tucker_sketch != "none";
-    if (method == "tucker-nn" && config.tucker_sketch != "none") {
+    if (method == "tucker-nn" && options.tucker_sketch) {
       std::fprintf(stderr,
                    "--tucker_sketch applies to --method=tucker only "
-                   "(nonnegative Tucker has no sketched driver)\n");
+                   "(nonnegative Tucker has no sketched sweeps)\n");
       return 1;
     }
     Result<TuckerModel> model =
         method == "tucker"
-            ? (sketched
-                   ? Haten2SketchedTuckerAls(&engine, *tensor, *core, options)
-                   : Haten2TuckerAls(&engine, *tensor, *core, options))
+            ? Haten2TuckerAls(&engine, *tensor, *core, options)
             : Haten2NonnegativeTuckerAls(&engine, *tensor, *core, options);
     run_status = model.status();
     if (model.ok()) {
       has_fit = true;
       fit = model->fit;
       iterations_run = model->iterations;
-      const std::string method_label =
-          sketched ? StrFormat("tucker[%s-sketch]",
-                               config.tucker_sketch.c_str())
-                   : method;
       std::printf("%s: fit %.4f, ||G|| %.4f in %d iterations (%s "
-                  "wall)\n", method_label.c_str(),
+                  "wall)\n",
+                  options.tucker_sketch ? "tucker[gaussian-sketch]"
+                                        : method.c_str(),
                   model->fit, model->core.FrobeniusNorm(),
                   model->iterations,
                   HumanSeconds(timer.ElapsedSeconds()).c_str());

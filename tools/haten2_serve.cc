@@ -49,7 +49,9 @@
 //   --epochs=E                    synthetic epochs to seal (default 3)
 //   --epoch_nnz=N                 triples appended per epoch (default 200)
 //
-// Exit code 0 on success, 1 on load/query-script errors.
+// Size flags (--clients, --threads, --batch, --queue, --cache-entries,
+// --cache-shards) must fit an int and be >= 0.
+// Exit code 0 on success, 1 on flag, load or query-script errors.
 
 #include <algorithm>
 #include <atomic>
@@ -57,6 +59,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "mapreduce/engine.h"
@@ -557,13 +560,13 @@ int RealMain(int argc, char** argv) {
   const std::string tensor_path = flags.GetString("tensor", "");
   const std::string script = flags.GetString("script", "");
   const std::string stats_json = flags.GetString("stats_json", "");
-  Result<int64_t> clients = flags.GetInt("clients", 4);
+  Result<int> clients = flags.GetInt32("clients", 4);
   Result<double> duration = flags.GetDouble("duration", 2.0);
-  Result<int64_t> threads = flags.GetInt("threads", 4);
-  Result<int64_t> batch = flags.GetInt("batch", 16);
-  Result<int64_t> queue = flags.GetInt("queue", 1024);
-  Result<int64_t> cache_entries = flags.GetInt("cache-entries", 4096);
-  Result<int64_t> cache_shards = flags.GetInt("cache-shards", 8);
+  Result<int> threads = flags.GetInt32("threads", 4);
+  Result<int> batch = flags.GetInt32("batch", 16);
+  Result<int> queue = flags.GetInt32("queue", 1024);
+  Result<int> cache_entries = flags.GetInt32("cache-entries", 4096);
+  Result<int> cache_shards = flags.GetInt32("cache-shards", 8);
   Result<int64_t> beam = flags.GetInt("beam", 10);
   Result<int64_t> topk = flags.GetInt("topk", 10);
   Result<int64_t> seed = flags.GetInt("seed", 17);
@@ -582,6 +585,21 @@ int RealMain(int argc, char** argv) {
       return 1;
     }
   }
+  // The size flags become thread counts and buffer sizes, so a negative
+  // value must not wrap. Zero is allowed: --cache-entries=0 turns the
+  // cache off, and RequestPipeline reads 0 as 1 for the other sizes.
+  for (const auto& [flag, value] :
+       {std::pair<const char*, int>{"clients", *clients},
+        {"threads", *threads},
+        {"batch", *batch},
+        {"queue", *queue},
+        {"cache-entries", *cache_entries},
+        {"cache-shards", *cache_shards}}) {
+    if (value < 0) {
+      std::fprintf(stderr, "flag --%s: must be >= 0, got %d\n", flag, value);
+      return 1;
+    }
+  }
 
   if (flags.GetBool("refit_loop", false)) {
     RefitLoopSpec spec;
@@ -594,7 +612,7 @@ int RealMain(int argc, char** argv) {
     spec.epoch_nnz = *epoch_nnz;
     spec.beam = *beam;
     spec.topk = *topk;
-    spec.clients = static_cast<int>(*clients);
+    spec.clients = *clients;
     spec.threads = static_cast<size_t>(*threads);
     spec.batch = static_cast<size_t>(*batch);
     spec.queue = static_cast<size_t>(*queue);
@@ -658,7 +676,7 @@ int RealMain(int argc, char** argv) {
       spec.topk = *topk;
       spec.beam = *beam;
       spec.duration_seconds = *duration;
-      spec.clients = static_cast<int>(*clients);
+      spec.clients = *clients;
       spec.seed = static_cast<uint64_t>(*seed);
       RunSyntheticLoad(spec, &pipeline);
     }
